@@ -1,4 +1,4 @@
-"""Dense vector primitives, the objective contract, and run budgets.
+"""Vector validation, the objective contract, and run budgets.
 
 Everything in this package works on one-dimensional float64 numpy arrays.
 The helpers here validate finiteness and dimension at public boundaries;
@@ -8,6 +8,7 @@ update can blow up.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -33,28 +34,11 @@ def as_vector(x, dim: Optional[int] = None) -> Array:
     v = np.asarray(x, dtype=float)
     if v.ndim != 1 or v.size < 1:
         raise ValueError(f"expected a 1-d vector of dimension >= 1, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValueError("vector contains non-finite entries")
     if dim is not None and v.size != dim:
         raise ValueError(f"dimension mismatch: expected {dim}, got {v.size}")
     return v
-
-
-def axpy(a: float, x, y) -> Array:
-    """Return ``a * x + y`` for equal-length vectors."""
-    a = float(a)
-    if not np.isfinite(a):
-        raise ValueError("scalar coefficient must be finite")
-    xv = as_vector(x)
-    yv = as_vector(y, dim=xv.size)
-    return a * xv + yv
-
-
-def hadamard(x, y) -> Array:
-    """Element-wise product of two equal-length vectors."""
-    xv = as_vector(x)
-    yv = as_vector(y, dim=xv.size)
-    return xv * yv
 
 
 class Objective:
@@ -128,6 +112,13 @@ def finite_diff_grad(obj: Objective, w, h: float = 1e-6) -> Array:
     return g
 
 
+def _count(name: str, value) -> int:
+    """``value`` as an int; ``ValueError`` for bools, floats and other non-integers."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass
 class EvalBudget:
     """Stopping conditions for a run.
@@ -145,9 +136,12 @@ class EvalBudget:
     error_floor: Optional[float] = 0.0
 
     def __post_init__(self):
+        self.max_iterations = _count("max_iterations", self.max_iterations)
+        if self.max_grad_evals is not None:
+            self.max_grad_evals = _count("max_grad_evals", self.max_grad_evals)
         if self.max_iterations < 0:
             raise ValueError("max_iterations must be >= 0")
         if self.max_grad_evals is not None and self.max_grad_evals <= 0:
             raise ValueError("max_grad_evals must be positive when set")
-        if self.error_floor is not None and self.error_floor < 0:
+        if self.error_floor is not None and not self.error_floor >= 0:
             raise ValueError("error_floor must be non-negative when set")

@@ -13,9 +13,8 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import asdict, dataclass
+from math import isfinite
 from typing import List, Tuple
-
-import numpy as np
 
 from .core import EvalBudget, Objective
 from .optimizers import Idbd, make_optimizer
@@ -118,26 +117,31 @@ def _run_stream(stream: LmsStream, w0, params: dict, cfg: ExperimentConfig) -> T
     stepper = make_optimizer("idbd", w0, params)
     assert isinstance(stepper, Idbd)
     trace = Trace()
+    append = trace.records.append
+    step_sample, draw, error_of = stepper.step_sample, stream.next, stream.population_error
     budget = cfg.budget
+    max_grad_evals = budget.max_grad_evals
+    error_floor = budget.error_floor
+    record_w, record_alpha = cfg.record_w, cfg.record_alpha
+    w = alpha = None
     for it in range(1, budget.max_iterations + 1):
-        if budget.max_grad_evals is not None and it > budget.max_grad_evals:
+        if max_grad_evals is not None and it > max_grad_evals:
             break
-        x, y = stream.next()
-        stepper.step_sample(x, y)
-        err = stream.population_error(stepper.w)
-        rec = TraceRecord(iteration=it, grad_evals=it, error=err)
-        if cfg.record_w:
-            rec.w = stepper.w.copy()
-        if cfg.record_alpha:
-            rec.alpha = stepper.alpha
-        trace.records.append(rec)
-        trace.total_grad_evals = it
-        if not np.isfinite(err) or err > ERROR_CAP:
+        x, y = draw()
+        step_sample(x, y)
+        err = error_of(stepper.w)
+        if record_w:
+            w = stepper.w.copy()
+        if record_alpha:
+            alpha = stepper.alpha
+        append(TraceRecord(it, it, err, w, alpha))
+        if not isfinite(err) or err > ERROR_CAP:
             trace.status = DIVERGED
             break
-        if budget.error_floor is not None and err <= budget.error_floor:
+        if error_floor is not None and err <= error_floor:
             trace.status = CONVERGED
             break
+    trace.total_grad_evals = len(trace.records)
     return trace
 
 
@@ -169,8 +173,8 @@ def empirical_rate(trace: Trace, window: Tuple[int, int]) -> float:
     e_start = trace.record_at_iteration(start).error
     e_end = trace.record_at_iteration(end).error
     # every record in between must be positive for the geometric mean to exist
-    for r in trace.records:
-        if start <= r.iteration <= end and r.error <= 0.0:
+    for r in trace.records[start - 1:end]:
+        if r.error <= 0.0:
             raise ValueError(f"non-positive error inside the window at iteration {r.iteration}")
     return float((e_end / e_start) ** (1.0 / (end - start)))
 

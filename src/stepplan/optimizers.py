@@ -17,6 +17,17 @@ import numpy as np
 from .core import Array, DivergenceError, Objective, StationaryPointError, as_vector
 
 
+def _finite(name: str, value) -> float:
+    """``value`` as a float; ``ValueError`` unless it is finite.
+
+    Only finiteness is checked: negative step-sizes stay allowed.
+    """
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    return value
+
+
 class _Stepper:
     """Shared state: current iterate ``w`` and a step counter ``k``."""
 
@@ -25,7 +36,7 @@ class _Stepper:
         self.k = 0
 
     def _commit(self, w_new: Array):
-        if not np.all(np.isfinite(w_new)):
+        if not np.isfinite(w_new).all():
             raise DivergenceError(f"non-finite iterate after step {self.k + 1}")
         self.w = w_new
         self.k += 1
@@ -36,9 +47,7 @@ class GradientDescent(_Stepper):
 
     def __init__(self, w0, gamma: float):
         super().__init__(w0)
-        if not np.isfinite(gamma):
-            raise ValueError("gamma must be finite")
-        self.gamma = float(gamma)
+        self.gamma = _finite("gamma", gamma)
 
     def step(self, obj: Objective):
         g = obj.grad(self.w)
@@ -50,10 +59,10 @@ class HeavyBall(_Stepper):
 
     def __init__(self, w0, gamma: float, p: float):
         super().__init__(w0)
-        if not (0.0 <= p < 1.0):
+        self.gamma = _finite("gamma", gamma)
+        self.p = _finite("p", p)
+        if not (0.0 <= self.p < 1.0):
             raise ValueError("momentum rate p must be in [0, 1)")
-        self.gamma = float(gamma)
-        self.p = float(p)
         self.delta = np.zeros_like(self.w)
 
     def step(self, obj: Objective):
@@ -79,15 +88,15 @@ class NesterovAGD(_Stepper):
         super().__init__(w0)
         if mode not in ("convex", "strongly_convex"):
             raise ValueError(f"unknown mode {mode!r}")
-        if L <= 0:
+        self.mu = _finite("mu", mu)
+        self.L = _finite("L", L)
+        if self.L <= 0:
             raise ValueError("L must be positive")
         if mode == "strongly_convex":
-            if not (0 < mu <= L):
+            if not (0 < self.mu <= self.L):
                 raise ValueError("strongly_convex mode needs 0 < mu <= L")
         self.mode = mode
-        self.mu = float(mu)
-        self.L = float(L)
-        self.step_size = float(step) if step is not None else 1.0 / self.L
+        self.step_size = _finite("step", step) if step is not None else 1.0 / self.L
         self.x = self.w.copy()
         self.t = 1.0
 
@@ -111,7 +120,7 @@ class PolyakStep(_Stepper):
 
     def __init__(self, w0, f_star: float = 0.0):
         super().__init__(w0)
-        self.f_star = float(f_star)
+        self.f_star = _finite("f_star", f_star)
         self.alpha = 0.0
 
     def step(self, obj: Objective):
@@ -141,14 +150,14 @@ class L4(_Stepper):
     def __init__(self, w0, f_star: float = 0.0, eps: float = 1e-12,
                  direction: str = "gradient", p: float = 0.9):
         super().__init__(w0)
-        if eps <= 0:
+        self.f_star = _finite("f_star", f_star)
+        self.eps = _finite("eps", eps)
+        if self.eps <= 0:
             raise ValueError("eps must be positive")
         if direction not in ("gradient", "momentum"):
             raise ValueError(f"unknown direction {direction!r}")
-        self.f_star = float(f_star)
-        self.eps = float(eps)
         self.direction = direction
-        self.p = float(p)
+        self.p = _finite("p", p)
         self.v = np.zeros_like(self.w)
         self.alpha = 0.0
 
@@ -161,7 +170,7 @@ class L4(_Stepper):
             self.v = self.p * self.v + g
             v = self.v
         self.alpha = (fval - self.f_star) / (float(g @ v) + self.eps)
-        if not np.isfinite(self.alpha):
+        if not math.isfinite(self.alpha):
             raise DivergenceError("non-finite L4 step-size")
         self._commit(self.w - self.alpha * v)
 
@@ -178,12 +187,12 @@ class LossGrad(_Stepper):
 
     def __init__(self, w0, alpha0: float, rho: float = 1.1):
         super().__init__(w0)
-        if alpha0 <= 0:
+        self.alpha = _finite("alpha0", alpha0)
+        self.rho = _finite("rho", rho)
+        if self.alpha <= 0:
             raise ValueError("alpha0 must be positive")
-        if rho <= 1:
+        if self.rho <= 1:
             raise ValueError("adjustment factor rho must exceed 1")
-        self.alpha = float(alpha0)
-        self.rho = float(rho)
 
     def step(self, obj: Objective):
         g = obj.grad(self.w)
@@ -211,13 +220,13 @@ class RMSprop(_Stepper):
 
     def __init__(self, w0, alpha: float, beta: float, eps: float = 1e-8):
         super().__init__(w0)
-        if not (0.0 <= beta < 1.0):
+        self.alpha = _finite("alpha", alpha)
+        self.beta = _finite("beta", beta)
+        self.eps = _finite("eps", eps)
+        if not (0.0 <= self.beta < 1.0):
             raise ValueError("beta must be in [0, 1)")
-        if eps <= 0:
+        if self.eps <= 0:
             raise ValueError("eps must be positive")
-        self.alpha = float(alpha)
-        self.beta = float(beta)
-        self.eps = float(eps)
         self.v = np.zeros_like(self.w)
 
     def step(self, obj: Objective):
@@ -232,14 +241,14 @@ class Adam(_Stepper):
     def __init__(self, w0, alpha: float, beta1: float = 0.9, beta2: float = 0.999,
                  eps: float = 1e-8):
         super().__init__(w0)
-        if not (0.0 <= beta1 < 1.0 and 0.0 <= beta2 < 1.0):
+        self.alpha = _finite("alpha", alpha)
+        self.beta1 = _finite("beta1", beta1)
+        self.beta2 = _finite("beta2", beta2)
+        self.eps = _finite("eps", eps)
+        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
             raise ValueError("beta1, beta2 must be in [0, 1)")
-        if eps <= 0:
+        if self.eps <= 0:
             raise ValueError("eps must be positive")
-        self.alpha = float(alpha)
-        self.beta1 = float(beta1)
-        self.beta2 = float(beta2)
-        self.eps = float(eps)
         self.m = np.zeros_like(self.w)
         self.v = np.zeros_like(self.w)
 
@@ -263,14 +272,14 @@ class HyperGradient(_Stepper):
 
     def __init__(self, w0, eta: float, alpha0: float):
         super().__init__(w0)
-        self.eta = float(eta)
-        self.alpha = float(alpha0)
+        self.eta = _finite("eta", eta)
+        self.alpha = _finite("alpha0", alpha0)
         self.prev_g = np.zeros_like(self.w)
 
     def step(self, obj: Objective):
         g = obj.grad(self.w)
         self.alpha = self.alpha + self.eta * float(g @ self.prev_g)
-        if not np.isfinite(self.alpha):
+        if not math.isfinite(self.alpha):
             raise DivergenceError("non-finite adapted step-size")
         w_new = self.w - self.alpha * g
         self.prev_g = g
@@ -287,17 +296,17 @@ class IdbdScalar(_Stepper):
 
     def __init__(self, w0, eta: float, lam: float, alpha0: float):
         super().__init__(w0)
-        if not (0.0 <= lam < 1.0):
+        self.eta = _finite("eta", eta)
+        self.lam = _finite("lam", lam)
+        self.alpha = _finite("alpha0", alpha0)
+        if not (0.0 <= self.lam < 1.0):
             raise ValueError("lam must be in [0, 1)")
-        self.eta = float(eta)
-        self.lam = float(lam)
-        self.alpha = float(alpha0)
         self.h = np.zeros_like(self.w)
 
     def step(self, obj: Objective):
         g = obj.grad(self.w)
         self.alpha = self.alpha + self.eta * float(g @ self.h)
-        if not np.isfinite(self.alpha):
+        if not math.isfinite(self.alpha):
             raise DivergenceError("non-finite adapted step-size")
         w_new = self.w - self.alpha * g
         self.h = self.lam * self.h + g
@@ -323,8 +332,8 @@ class Idbd:
     def __init__(self, w0, eta: float, beta0: float):
         self.w = as_vector(w0).copy()
         self.k = 0
-        self.eta = float(eta)
-        self.beta = np.full_like(self.w, float(beta0))
+        self.eta = _finite("eta", eta)
+        self.beta = np.full_like(self.w, _finite("beta0", beta0))
         self.h = np.zeros_like(self.w)
 
     @property
@@ -338,7 +347,7 @@ class Idbd:
         alpha = np.exp(self.beta)
         self.w = self.w + alpha * delta * x
         self.h = self.h * np.maximum(0.0, 1.0 - alpha * x * x) + alpha * delta * x
-        if not (np.all(np.isfinite(self.w)) and np.all(np.isfinite(self.beta))):
+        if not (np.isfinite(self.w).all() and np.isfinite(self.beta).all()):
             raise DivergenceError(f"non-finite state after sample {self.k + 1}")
         self.k += 1
 

@@ -122,7 +122,7 @@ def apply_projection(w, g, stats: PlanningStatistics) -> Array:
     if stats.alpha.size != w.size:
         raise ValueError(f"dimension mismatch: alpha has {stats.alpha.size}, w has {w.size}")
     out = w - stats.alpha * g
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         raise DivergenceError("non-finite iterate after projection")
     return out
 
@@ -173,7 +173,7 @@ class StepSizePlanner:
         self.last_alpha = None
         g = obj.grad(self.w)
         w = self.w - cfg.gamma * g
-        if not np.all(np.isfinite(w)):
+        if not np.isfinite(w).all():
             raise DivergenceError(f"non-finite iterate after step {self.k + 1}")
         triggered = self.buffer.record(ExperiencePair(w=w.copy(), g=g))
         if triggered:
@@ -184,7 +184,7 @@ class StepSizePlanner:
                 for _ in range(cfg.m):
                     gm = obj.grad(w)
                     w = w - cfg.gamma * gm
-                    if not np.all(np.isfinite(w)):
+                    if not np.isfinite(w).all():
                         raise DivergenceError("non-finite iterate during corrective GD")
             self.buffer.rotate()
             self.planning_events += 1

@@ -30,7 +30,7 @@ class QuadraticProblem:
         q = np.asarray(q, dtype=float)
         if q.ndim != 2 or q.shape[0] != q.shape[1]:
             raise ValueError(f"Q must be square, got shape {q.shape}")
-        if not np.all(np.isfinite(q)):
+        if not np.isfinite(q).all():
             raise ValueError("Q contains non-finite entries")
         if np.max(np.abs(q - q.T)) > 1e-12:
             raise ValueError("Q must be symmetric (within 1e-12 component-wise)")
@@ -56,15 +56,6 @@ class QuadraticProblem:
 
     def gradient(self, w) -> Array:
         return self.q @ (np.asarray(w, dtype=float) - self.w_star)
-
-    def eval_grad(self, w):
-        """Return (value, gradient) with the dimension checked once."""
-        wv = np.asarray(w, dtype=float)
-        if wv.shape != self.w_star.shape:
-            raise ValueError(f"dimension mismatch: expected {self.dimension}, got {wv.shape}")
-        d = wv - self.w_star
-        g = self.q @ d
-        return float(0.5 * d @ g), g
 
 
 class RosenbrockProblem:
@@ -94,12 +85,6 @@ class RosenbrockProblem:
                 200.0 * (w2 - w1 * w1),
             ]
         )
-
-    def eval_grad(self, w):
-        wv = np.asarray(w, dtype=float)
-        if wv.shape != (2,):
-            raise ValueError(f"Rosenbrock is 2-d, got shape {wv.shape}")
-        return self.value(wv), self.gradient(wv)
 
 
 class LmsStream:

@@ -9,6 +9,7 @@ exactly-converged runs still plot.
 from __future__ import annotations
 
 import math
+from itertools import chain
 from typing import Iterable, Sequence, Tuple
 
 PALETTE = [
@@ -53,19 +54,19 @@ def render_svg(series: Sequence[Tuple[str, Iterable[float], Iterable[float]]],
     """
     prepared = []
     for label, xs, ys in series:
-        xs = [float(x) for x in xs]
-        ys = [float(y) for y in ys]
+        xs = list(map(float, xs))
+        ys = list(map(float, ys))
         if len(xs) != len(ys):
             raise ValueError(f"series {label!r} has mismatched lengths")
         if log_y:
             ys = [math.log10(max(y, Y_FLOOR)) for y in ys]
         prepared.append((label, xs, ys))
-    points = [(x, y) for _, xs, ys in prepared for x, y in zip(xs, ys)]
-    if points:
-        x_lo = min(p[0] for p in points)
-        x_hi = max(p[0] for p in points)
-        y_lo = min(p[1] for p in points)
-        y_hi = max(p[1] for p in points)
+    # flattened in series order, so NaN entries compare as they always have
+    all_x = list(chain.from_iterable(xs for _, xs, _ in prepared))
+    all_y = list(chain.from_iterable(ys for _, _, ys in prepared))
+    if all_x:
+        x_lo, x_hi = min(all_x), max(all_x)
+        y_lo, y_hi = min(all_y), max(all_y)
     else:
         x_lo, x_hi, y_lo, y_hi = 0.0, 1.0, 0.0, 1.0
     if x_hi == x_lo:
@@ -76,11 +77,14 @@ def render_svg(series: Sequence[Tuple[str, Iterable[float], Iterable[float]]],
     plot_w = WIDTH - MARGIN_L - MARGIN_R
     plot_h = HEIGHT - MARGIN_T - MARGIN_B
 
+    x_span = x_hi - x_lo
+    y_span = y_hi - y_lo
+
     def px(x: float) -> float:
-        return MARGIN_L + (x - x_lo) / (x_hi - x_lo) * plot_w
+        return MARGIN_L + (x - x_lo) / x_span * plot_w
 
     def py(y: float) -> float:
-        return MARGIN_T + (y_hi - y) / (y_hi - y_lo) * plot_h
+        return MARGIN_T + (y_hi - y) / y_span * plot_h
 
     out = []
     out.append('<?xml version="1.0" encoding="UTF-8"?>')
@@ -131,7 +135,11 @@ def render_svg(series: Sequence[Tuple[str, Iterable[float], Iterable[float]]],
     for idx, (label, xs, ys) in enumerate(prepared):
         color = PALETTE[idx % len(PALETTE)]
         if xs:
-            coords = " ".join(f"{_f(px(x))},{_f(py(y))}" for x, y in zip(xs, ys))
+            # px/py inlined, with their operation order kept
+            coords = " ".join([
+                f"{MARGIN_L + (x - x_lo) / x_span * plot_w:.2f},"
+                f"{MARGIN_T + (y_hi - y) / y_span * plot_h:.2f}"
+                for x, y in zip(xs, ys)])
             out.append(f'<polyline points="{coords}" fill="none" stroke="{color}" stroke-width="1.5"/>')
         ly = MARGIN_T + 14 + 16 * idx
         lx = MARGIN_L + plot_w + 12

@@ -8,7 +8,10 @@ marked diverged and truncated at the offending record.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from math import inf as INF, isfinite
+from operator import attrgetter
 from typing import Callable, List, Optional
 
 import numpy as np
@@ -22,7 +25,7 @@ BUDGET_EXHAUSTED = "budget_exhausted"
 DIVERGED = "diverged"
 
 
-@dataclass
+@dataclass(slots=True)
 class TraceRecord:
     iteration: int
     grad_evals: int
@@ -31,8 +34,17 @@ class TraceRecord:
     alpha: Optional[Array] = None
 
 
+_grad_evals_of = attrgetter("grad_evals")
+
+
 @dataclass
 class Trace:
+    """Records numbered 1..n in order, with non-decreasing ``grad_evals``.
+
+    ``run_steps`` and the stream loop write records that way; the lookups
+    below rely on it.
+    """
+
     records: List[TraceRecord] = field(default_factory=list)
     status: str = BUDGET_EXHAUSTED
     total_grad_evals: int = 0
@@ -50,22 +62,18 @@ class Trace:
         return self.records[-1].error
 
     def record_at_iteration(self, iteration: int) -> TraceRecord:
-        for r in self.records:
+        if 1 <= iteration <= len(self.records):
+            r = self.records[iteration - 1]
             if r.iteration == iteration:
                 return r
         raise ValueError(f"no record at iteration {iteration}")
 
     def last_record_at_evals(self, grad_evals: int) -> TraceRecord:
         """Latest record whose cumulative gradient count is <= the budget."""
-        hit = None
-        for r in self.records:
-            if r.grad_evals <= grad_evals:
-                hit = r
-            else:
-                break
-        if hit is None:
+        i = bisect_right(self.records, grad_evals, key=_grad_evals_of)
+        if i == 0:
             raise ValueError(f"no record within {grad_evals} gradient evaluations")
-        return hit
+        return self.records[i - 1]
 
     def reaches_evals(self, grad_evals: int) -> bool:
         """Whether the trace covers the budget point.
@@ -88,37 +96,37 @@ def run_steps(stepper, obj: Objective, budget: EvalBudget,
     attribute, which planners set only on planning-event iterations.
     """
     trace = Trace()
-    for it in range(1, budget.max_iterations + 1):
-        if budget.max_grad_evals is not None and obj.grad_evals >= budget.max_grad_evals:
-            break
-        try:
-            # overflow on a diverging trajectory is data here, not an anomaly
-            with np.errstate(over="ignore", invalid="ignore"):
-                stepper.step(obj)
+    append = trace.records.append
+    step = stepper.step
+    max_grad_evals = budget.max_grad_evals
+    error_floor = budget.error_floor
+    w = alpha = None
+    # overflow on a diverging trajectory is data here, not an anomaly
+    with np.errstate(over="ignore", invalid="ignore"):
+        for it in range(1, budget.max_iterations + 1):
+            if max_grad_evals is not None and obj.grad_evals >= max_grad_evals:
+                break
+            try:
+                step(obj)
                 err = float(error_fn(stepper.w))
-        except DivergenceError:
-            err = float("inf")
-        rec = TraceRecord(iteration=it, grad_evals=obj.grad_evals, error=err)
-        if record_w:
-            rec.w = np.array(stepper.w, dtype=float, copy=True)
-        if record_alpha:
-            alpha = getattr(stepper, "last_alpha", None)
-            if alpha is not None:
-                rec.alpha = np.array(alpha, dtype=float, copy=True)
-        trace.records.append(rec)
-        if not np.isfinite(err) or err > ERROR_CAP:
-            trace.status = DIVERGED
-            break
-        if budget.error_floor is not None and err <= budget.error_floor:
-            trace.status = CONVERGED
-            break
+            except DivergenceError:
+                err = INF
+            if record_w:
+                w = np.array(stepper.w, dtype=float, copy=True)
+            if record_alpha:
+                alpha = getattr(stepper, "last_alpha", None)
+                if alpha is not None:
+                    alpha = np.array(alpha, dtype=float, copy=True)
+            append(TraceRecord(it, obj.grad_evals, err, w, alpha))
+            if not isfinite(err) or err > ERROR_CAP:
+                trace.status = DIVERGED
+                break
+            if error_floor is not None and err <= error_floor:
+                trace.status = CONVERGED
+                break
     trace.total_grad_evals = obj.grad_evals
     trace.total_func_evals = obj.func_evals
     return trace
-
-
-def _fmt(x: float) -> str:
-    return repr(float(x))
 
 
 def write_csv(trace: Trace, path) -> None:
@@ -126,21 +134,32 @@ def write_csv(trace: Trace, path) -> None:
 
     Columns: iteration, grad_evals, error, then w_0..w_{d-1} when iterates
     were recorded and alpha_0..alpha_{d-1} when step-size snapshots were.
-    Sparse alpha rows leave their cells empty.  Output is byte-stable for
-    identical traces.
+    Sparse alpha rows leave their cells empty.  Each float is written as
+    ``repr(float(x))``, so output is byte-stable for identical traces.
     """
-    w_dim = next((r.w.size for r in trace.records if r.w is not None), 0)
-    a_dim = next((r.alpha.size for r in trace.records if r.alpha is not None), 0)
+    records = trace.records
+    w_dim = next((r.w.size for r in records if r.w is not None), 0)
+    a_dim = next((r.alpha.size for r in records if r.alpha is not None), 0)
     header = ["iteration", "grad_evals", "error"]
     header += [f"w_{i}" for i in range(w_dim)]
     header += [f"alpha_{i}" for i in range(a_dim)]
     lines = [",".join(header)]
-    for r in trace.records:
-        row = [str(r.iteration), str(r.grad_evals), _fmt(r.error)]
-        if w_dim:
-            row += [_fmt(v) for v in r.w] if r.w is not None else [""] * w_dim
-        if a_dim:
-            row += [_fmt(v) for v in r.alpha] if r.alpha is not None else [""] * a_dim
-        lines.append(",".join(row))
+    if not (w_dim or a_dim):
+        lines += [f"{r.iteration},{r.grad_evals},{float(r.error)!r}" for r in records]
+    else:
+        w_blank = "," * w_dim
+        a_blank = "," * a_dim
+        for r in records:
+            line = f"{r.iteration},{r.grad_evals},{float(r.error)!r}"
+            if w_dim:
+                line += _cells(r.w) if r.w is not None else w_blank
+            if a_dim:
+                line += _cells(r.alpha) if r.alpha is not None else a_blank
+            lines.append(line)
     with open(path, "w", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def _cells(values) -> str:
+    """``,v0,v1,...`` with each value as ``repr(float(v))``."""
+    return "," + ",".join(map(repr, np.asarray(values, dtype=float).tolist()))

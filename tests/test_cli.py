@@ -70,6 +70,17 @@ class TestRun:
                                      "--set", "nonsense.path=1"])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("override", ["optimizer.gamma=NaN", "optimizer.gamma=Infinity",
+                                          "budget.max_iterations=2.5"])
+    def test_non_finite_or_fractional_override_exits_2(self, runner, tmp_path, override):
+        cfg = write_config(tmp_path)
+        out = tmp_path / "out"
+        result = runner.invoke(cli, ["run", "--config", str(cfg), "--out", str(out),
+                                     "--set", override])
+        assert result.exit_code == 2, result.output
+        assert "diverged" not in result.output
+        assert not out.exists()
+
 
 class TestCompare:
     def test_combined_outputs(self, runner, tmp_path):

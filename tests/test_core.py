@@ -1,61 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
-from stepplan.core import (EvalBudget, Objective, as_vector, axpy,
-                           finite_diff_grad, hadamard)
+from stepplan.core import EvalBudget, Objective, as_vector, finite_diff_grad
 
 from conftest import rosenbrock_objective, scalar_objective
-
-finite_floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
-vectors = st.lists(finite_floats, min_size=1, max_size=8)
-
-
-class TestAxpy:
-    def test_zero_scalar(self):
-        assert np.array_equal(axpy(0.0, [1.0, 2.0], [3.0, 4.0]), [3.0, 4.0])
-
-    def test_identity(self):
-        assert np.array_equal(axpy(1.0, [1.0, 2.0], [0.0, 0.0]), [1.0, 2.0])
-
-    def test_hand_arithmetic(self):
-        assert np.array_equal(axpy(-0.5, [2.0, 4.0], [1.0, 1.0]), [0.0, -1.0])
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="dimension"):
-            axpy(1.0, [1.0, 2.0], [1.0])
-
-    def test_non_finite_input(self):
-        with pytest.raises(ValueError):
-            axpy(1.0, [np.nan, 0.0], [0.0, 0.0])
-        with pytest.raises(ValueError):
-            axpy(np.inf, [1.0], [0.0])
-
-    @given(vectors, finite_floats)
-    def test_matches_direct_formula(self, xs, a):
-        ys = [1.0] * len(xs)
-        expected = np.asarray(xs) * a + np.asarray(ys)
-        assert np.array_equal(axpy(a, xs, ys), expected)
-
-
-class TestHadamard:
-    def test_identity_vector(self):
-        assert np.array_equal(hadamard([1.0, 2.0], [1.0, 1.0]), [1.0, 2.0])
-
-    def test_zero_vector(self):
-        assert np.array_equal(hadamard([1.0, 2.0], [0.0, 0.0]), [0.0, 0.0])
-
-    def test_hand_arithmetic(self):
-        assert np.array_equal(hadamard([2.0, -3.0], [4.0, 5.0]), [8.0, -15.0])
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="dimension"):
-            hadamard([1.0], [1.0, 2.0])
-
-    @given(vectors)
-    def test_commutes(self, xs):
-        ys = list(reversed(xs))
-        assert np.array_equal(hadamard(xs, ys), hadamard(ys, xs))
 
 
 class TestAsVector:
@@ -144,3 +92,21 @@ class TestEvalBudget:
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             EvalBudget(**kwargs)
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(max_iterations=2.5),
+        dict(max_iterations=10.0),
+        dict(max_iterations=True),
+        dict(max_iterations="10"),
+        dict(max_iterations=10, max_grad_evals=2.5),
+        dict(max_iterations=10, max_grad_evals=True),
+        dict(max_iterations=10, error_floor=float("nan")),
+    ])
+    def test_counts_are_integers_and_floor_is_a_number(self, kwargs):
+        with pytest.raises(ValueError):
+            EvalBudget(**kwargs)
+
+    def test_numpy_integers_become_ints(self):
+        b = EvalBudget(max_iterations=np.int64(7), max_grad_evals=np.int32(9))
+        assert (b.max_iterations, b.max_grad_evals) == (7, 9)
+        assert type(b.max_iterations) is int and type(b.max_grad_evals) is int

@@ -436,3 +436,46 @@ class TestRegistry:
         s = GradientDescent([1e308], gamma=1e308)
         with np.errstate(over="ignore"), pytest.raises(DivergenceError):
             s.step(scalar_objective())
+
+
+class TestHyperparameterValidation:
+    # every float hyperparameter of every family, at valid base values
+    FAMILIES = {
+        "gd": {"gamma": 0.001},
+        "heavy_ball": {"gamma": 0.001, "p": 0.8},
+        "nesterov": {"mode": "strongly_convex", "mu": 1.0, "L": 1000.0, "step": 0.001},
+        "polyak": {"f_star": 0.0},
+        "l4": {"f_star": 0.0, "eps": 1e-12, "p": 0.9},
+        "lossgrad": {"alpha0": 1e-4, "rho": 1.1},
+        "rmsprop": {"alpha": 0.001, "beta": 0.9, "eps": 1e-8},
+        "adam": {"alpha": 0.001, "beta1": 0.9, "beta2": 0.999, "eps": 1e-8},
+        "hd": {"eta": 1e-6, "alpha0": 1e-4},
+        "idbd1": {"eta": 1e-6, "lam": 0.5, "alpha0": 1e-4},
+        "idbd": {"eta": 0.01, "beta0": -3.0},
+        "csawg": {"gamma": 0.001, "k": 2},
+    }
+    CASES = [
+        pytest.param(name, key, bad, id=f"{name}-{key}={bad}")
+        for name, params in FAMILIES.items()
+        for key, value in params.items() if isinstance(value, float)
+        for bad in (float("nan"), float("inf"))
+    ]
+
+    @pytest.mark.parametrize("name,key,bad", CASES)
+    def test_non_finite_rejected(self, name, key, bad):
+        with pytest.raises(ValueError, match="finite"):
+            make_optimizer(name, [-1.0, 2.0], dict(self.FAMILIES[name], **{key: bad}))
+
+    @pytest.mark.parametrize("name,params", [
+        ("gd", {"gamma": -0.1}),
+        ("heavy_ball", {"gamma": -0.1, "p": 0.5}),
+        ("rmsprop", {"alpha": -1.0, "beta": 0.9}),
+        ("adam", {"alpha": -1.0}),
+        ("hd", {"eta": -1e-6, "alpha0": -1e-4}),
+        ("idbd1", {"eta": -1e-6, "lam": 0.5, "alpha0": -1e-4}),
+        ("csawg", {"gamma": -0.001, "k": 2}),
+    ])
+    def test_negative_step_sizes_accepted(self, name, params):
+        s = make_optimizer(name, [-1.0, 2.0], params)
+        s.step(quadratic_objective())
+        assert np.all(np.isfinite(s.w))

@@ -11,26 +11,26 @@ from conftest import make_objective
 class TestQuadratic:
     def test_at_optimum(self):
         p = QuadraticProblem.diagonal([1000.0, 1.0], [1.0, 1.0])
-        f, g = p.eval_grad([1.0, 1.0])
+        f, g = p.value([1.0, 1.0]), p.gradient([1.0, 1.0])
         assert f == 0.0
         assert np.array_equal(g, [0.0, 0.0])
 
     def test_canonical_instance(self):
         p = QuadraticProblem.diagonal([1000.0, 1.0], [1.0, 1.0])
-        f, g = p.eval_grad([-1.0, 2.0])
+        f, g = p.value([-1.0, 2.0]), p.gradient([-1.0, 2.0])
         assert f == 2000.5
         assert np.array_equal(g, [-2000.0, 1.0])
 
     def test_identity_q(self):
         p = QuadraticProblem(np.eye(2), [0.0, 0.0])
-        f, g = p.eval_grad([3.0, 4.0])
+        f, g = p.value([3.0, 4.0]), p.gradient([3.0, 4.0])
         assert f == 12.5
         assert np.array_equal(g, [3.0, 4.0])
 
     def test_dimension_mismatch(self):
-        p = QuadraticProblem.diagonal([1.0, 2.0], [0.0, 0.0])
+        # the start point is checked once, at the registry boundary
         with pytest.raises(ValueError, match="dimension"):
-            p.eval_grad([1.0, 2.0, 3.0])
+            make_problem("quadratic", {"q_diag": [1.0, 2.0], "w0": [1.0, 2.0, 3.0]})
 
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError, match="symmetric"):
@@ -77,23 +77,26 @@ class TestQuadratic:
 class TestRosenbrock:
     def test_global_minimum(self):
         p = RosenbrockProblem()
-        f, g = p.eval_grad([1.0, 1.0])
+        f, g = p.value([1.0, 1.0]), p.gradient([1.0, 1.0])
         assert f == 0.0
         assert np.array_equal(g, [0.0, 0.0])
 
     def test_start_point(self):
-        f, g = RosenbrockProblem().eval_grad([-1.0, 0.0])
+        p = RosenbrockProblem()
+        f, g = p.value([-1.0, 0.0]), p.gradient([-1.0, 0.0])
         assert f == 104.0
         assert np.array_equal(g, [-404.0, -200.0])
 
     def test_origin(self):
-        f, g = RosenbrockProblem().eval_grad([0.0, 0.0])
+        p = RosenbrockProblem()
+        f, g = p.value([0.0, 0.0]), p.gradient([0.0, 0.0])
         assert f == 1.0
         assert np.array_equal(g, [-2.0, 0.0])
 
     def test_dimension(self):
-        with pytest.raises(ValueError, match="2-d"):
-            RosenbrockProblem().eval_grad([1.0, 1.0, 1.0])
+        # the start point is checked once, at the registry boundary
+        with pytest.raises(ValueError, match="dimension"):
+            make_problem("rosenbrock", {"w0": [1.0, 1.0, 1.0]})
 
     def test_positive_away_from_minimum(self, rng):
         p = RosenbrockProblem()

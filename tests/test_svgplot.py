@@ -52,3 +52,41 @@ def test_render_traces_from_runs(tmp_path):
     render_traces([("gd", trace)], path)
     root = ET.parse(path).getroot()
     assert len(root.findall(f"{SVG_NS}polyline")) == 1
+
+
+TWO_SERIES_SVG = """\
+<?xml version="1.0" encoding="UTF-8"?>
+<svg xmlns="http://www.w3.org/2000/svg" version="1.1" width="760" height="480" viewBox="0 0 760 480">
+<rect x="0" y="0" width="760" height="480" fill="white"/>
+<path d="M 70.00 20.00 L 70.00 435.00 L 590.00 435.00" stroke="black" fill="none" stroke-width="1"/>
+<line x1="66.00" y1="435.00" x2="70.00" y2="435.00" stroke="black"/>
+<text x="62.00" y="438.00" font-size="11" font-family="sans-serif" text-anchor="end">1e-2</text>
+<line x1="66.00" y1="254.65" x2="70.00" y2="254.65" stroke="black"/>
+<text x="62.00" y="257.65" font-size="11" font-family="sans-serif" text-anchor="end">1e-1</text>
+<line x1="66.00" y1="74.29" x2="70.00" y2="74.29" stroke="black"/>
+<text x="62.00" y="77.29" font-size="11" font-family="sans-serif" text-anchor="end">1e0</text>
+<line x1="144.29" y1="435.00" x2="144.29" y2="439.00" stroke="black"/>
+<text x="144.29" y="451.00" font-size="11" font-family="sans-serif" text-anchor="middle">2</text>
+<line x1="292.86" y1="435.00" x2="292.86" y2="439.00" stroke="black"/>
+<text x="292.86" y="451.00" font-size="11" font-family="sans-serif" text-anchor="middle">4</text>
+<line x1="441.43" y1="435.00" x2="441.43" y2="439.00" stroke="black"/>
+<text x="441.43" y="451.00" font-size="11" font-family="sans-serif" text-anchor="middle">6</text>
+<line x1="590.00" y1="435.00" x2="590.00" y2="439.00" stroke="black"/>
+<text x="590.00" y="451.00" font-size="11" font-family="sans-serif" text-anchor="middle">8</text>
+<text x="330.00" y="472.00" font-size="12" font-family="sans-serif" text-anchor="middle">gradient evaluations</text>
+<text x="14" y="227.50" font-size="12" font-family="sans-serif" text-anchor="middle" transform="rotate(-90 14 227.50)">error</text>
+<polyline points="70.00,74.29 144.29,182.88 292.86,308.94 590.00,435.00" fill="none" stroke="#1f77b4" stroke-width="1.5"/>
+<line x1="602.00" y1="30.00" x2="620.00" y2="30.00" stroke="#1f77b4" stroke-width="2"/>
+<text x="626.00" y="34.00" font-size="11" font-family="sans-serif">fast</text>
+<polyline points="70.00,20.00 218.57,42.53 367.14,82.54 590.00,128.58" fill="none" stroke="#d62728" stroke-width="1.5"/>
+<line x1="602.00" y1="46.00" x2="620.00" y2="46.00" stroke="#d62728" stroke-width="2"/>
+<text x="626.00" y="50.00" font-size="11" font-family="sans-serif">slow</text>
+</svg>
+"""
+
+
+def test_golden_bytes_two_series(tmp_path):
+    path = tmp_path / "two.svg"
+    render_svg([("fast", [1, 2, 4, 8], [1.0, 0.25, 0.05, 0.01]),
+                ("slow", [1, 3, 5, 8], [2.0, 1.5, 0.9, 0.5])], path)
+    assert path.read_bytes() == TWO_SERIES_SVG.encode()
