@@ -1,9 +1,34 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from stepplan.core import EvalBudget, Objective, as_vector, finite_diff_grad
+from stepplan.core import (EvalBudget, Objective, as_vector, finite_diff_grad,
+                           hadamard)
 
 from conftest import rosenbrock_objective, scalar_objective
+
+finite_floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
+vectors = st.lists(finite_floats, min_size=1, max_size=8)
+
+
+class TestHadamard:
+    def test_identity_vector(self):
+        assert np.array_equal(hadamard([1.0, 2.0], [1.0, 1.0]), [1.0, 2.0])
+
+    def test_zero_vector(self):
+        assert np.array_equal(hadamard([1.0, 2.0], [0.0, 0.0]), [0.0, 0.0])
+
+    def test_hand_arithmetic(self):
+        assert np.array_equal(hadamard([2.0, -3.0], [4.0, 5.0]), [8.0, -15.0])
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(ValueError, match="dimension"):
+            hadamard([1.0], [1.0, 2.0])
+
+    @given(vectors)
+    def test_commutes(self, xs):
+        ys = list(reversed(xs))
+        assert np.array_equal(hadamard(xs, ys), hadamard(ys, xs))
 
 
 class TestAsVector:
