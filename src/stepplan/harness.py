@@ -13,14 +13,12 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import asdict, dataclass
-from math import isfinite
 from typing import List, Tuple
 
 from .core import EvalBudget, Objective
-from .optimizers import Idbd, make_optimizer
+from .optimizers import make_optimizer
 from .problems import LmsStream, make_problem
-from .tracing import (CONVERGED, DIVERGED, ERROR_CAP, Trace, TraceRecord,
-                      run_steps, write_csv)
+from .tracing import Trace, run_steps, write_csv
 
 __all__ = [
     "ExperimentConfig", "run_experiment", "speedup_at_budget",
@@ -84,8 +82,11 @@ def _split(entry: dict) -> tuple[str, dict]:
 def run_experiment(cfg: ExperimentConfig) -> Trace:
     """Execute one config and return its trace.
 
-    Divergence is recorded in the trace status, not raised; unknown
-    problem/optimizer names raise ``ValueError``.
+    Every optimizer runs through ``run_steps``; on the ``lms`` problem the
+    stream itself is the objective, counting one gradient evaluation per
+    sample.  Divergence is recorded in the trace status, not raised; unknown
+    problem/optimizer names and a mismatched lms/idbd pairing raise
+    ``ValueError``.
     """
     problem_name, problem_params = _split(cfg.problem)
     if problem_name == "lms":
@@ -93,56 +94,24 @@ def run_experiment(cfg: ExperimentConfig) -> Trace:
     problem, w0 = make_problem(problem_name, problem_params)
     optimizer_name, optimizer_params = _split(cfg.optimizer)
 
-    if optimizer_name == "idbd":
-        if not isinstance(problem, LmsStream):
-            raise ValueError("the idbd optimizer runs on the 'lms' problem only")
-        return _run_stream(problem, w0, optimizer_params, cfg)
     if isinstance(problem, LmsStream):
-        raise ValueError(f"the 'lms' problem drives the idbd optimizer, not {optimizer_name!r}")
-
-    objective = Objective(
-        dimension=problem.dimension,
-        value_fn=problem.value,
-        grad_fn=problem.gradient,
-        optimum_value=0.0,
-        optimum_point=problem.w_star,
-    )
+        if optimizer_name != "idbd":
+            raise ValueError(f"the 'lms' problem drives the idbd optimizer, not {optimizer_name!r}")
+        objective, error_fn = problem, problem.population_error
+    elif optimizer_name == "idbd":
+        raise ValueError("the idbd optimizer runs on the 'lms' problem only")
+    else:
+        objective = Objective(
+            dimension=problem.dimension,
+            value_fn=problem.value,
+            grad_fn=problem.gradient,
+            optimum_value=0.0,
+            optimum_point=problem.w_star,
+        )
+        error_fn = objective.error
     stepper = make_optimizer(optimizer_name, w0, optimizer_params)
-    return run_steps(stepper, objective, cfg.budget, objective.error,
+    return run_steps(stepper, objective, cfg.budget, error_fn,
                      record_w=cfg.record_w, record_alpha=cfg.record_alpha)
-
-
-def _run_stream(stream: LmsStream, w0, params: dict, cfg: ExperimentConfig) -> Trace:
-    """Stream-driven loop for idbd: one sample (one sampled gradient) per step."""
-    stepper = make_optimizer("idbd", w0, params)
-    assert isinstance(stepper, Idbd)
-    trace = Trace()
-    append = trace.records.append
-    step_sample, draw, error_of = stepper.step_sample, stream.next, stream.population_error
-    budget = cfg.budget
-    max_grad_evals = budget.max_grad_evals
-    error_floor = budget.error_floor
-    record_w, record_alpha = cfg.record_w, cfg.record_alpha
-    w = alpha = None
-    for it in range(1, budget.max_iterations + 1):
-        if max_grad_evals is not None and it > max_grad_evals:
-            break
-        x, y = draw()
-        step_sample(x, y)
-        err = error_of(stepper.w)
-        if record_w:
-            w = stepper.w.copy()
-        if record_alpha:
-            alpha = stepper.alpha
-        append(TraceRecord(it, it, err, w, alpha))
-        if not isfinite(err) or err > ERROR_CAP:
-            trace.status = DIVERGED
-            break
-        if error_floor is not None and err <= error_floor:
-            trace.status = CONVERGED
-            break
-    trace.total_grad_evals = len(trace.records)
-    return trace
 
 
 def speedup_at_budget(a: Trace, b: Trace, grad_evals: int) -> float:

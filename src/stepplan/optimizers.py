@@ -313,11 +313,11 @@ class IdbdScalar(_Stepper):
         self._commit(w_new)
 
 
-class Idbd:
+class Idbd(_Stepper):
     """Per-parameter log step-sizes for online least-mean-squares.
 
-    Driven by stream samples rather than an objective.  For each sample
-    (x, y*) with error delta = y* - w.x:
+    Driven by a stream rather than an objective: ``step(stream)`` draws one
+    sample (x, y*) and applies, with error delta = y* - w.x,
 
         beta_i  += eta * delta * x_i * h_i
         alpha_i  = exp(beta_i)
@@ -330,8 +330,7 @@ class Idbd:
     """
 
     def __init__(self, w0, eta: float, beta0: float):
-        self.w = as_vector(w0).copy()
-        self.k = 0
+        super().__init__(w0)
         self.eta = _finite("eta", eta)
         self.beta = np.full_like(self.w, _finite("beta0", beta0))
         self.h = np.zeros_like(self.w)
@@ -340,16 +339,24 @@ class Idbd:
     def alpha(self) -> Array:
         return np.exp(self.beta)
 
+    # the per-parameter step-sizes in force after every step, for traces
+    last_alpha = alpha
+
+    def step(self, stream):
+        x, y_star = stream.next()
+        self.step_sample(x, y_star)
+
     def step_sample(self, x, y_star: float):
         x = as_vector(x, dim=self.w.size)
         delta = float(y_star) - float(self.w @ x)
-        self.beta = self.beta + self.eta * delta * x * self.h
-        alpha = np.exp(self.beta)
-        self.w = self.w + alpha * delta * x
-        self.h = self.h * np.maximum(0.0, 1.0 - alpha * x * x) + alpha * delta * x
-        if not (np.isfinite(self.w).all() and np.isfinite(self.beta).all()):
-            raise DivergenceError(f"non-finite state after sample {self.k + 1}")
-        self.k += 1
+        beta = self.beta + self.eta * delta * x * self.h
+        alpha = np.exp(beta)
+        w = self.w + alpha * delta * x
+        h = self.h * np.maximum(0.0, 1.0 - alpha * x * x) + alpha * delta * x
+        if not np.isfinite(beta).all():
+            raise DivergenceError(f"non-finite step-size after sample {self.k + 1}")
+        self._commit(w)
+        self.beta, self.h = beta, h
 
 
 def make_optimizer(name: str, w0, params: dict | None = None):

@@ -1,9 +1,10 @@
 """Step-size planning: learn a diagonal step-size from update experience.
 
 The planner runs plain gradient descent and records its update experience
-as (iterate, driving gradient) pairs in two buffers of capacity K, so that
-paired records sit exactly K iterations apart.  Whenever the second buffer
-fills, it fits a per-component step-size
+as (iterate, driving gradient) pairs in a ring of K rows, so that each new
+record pairs with the one written exactly K iterations earlier.  Once a
+window of K pairs has accumulated (record counts 2K, 3K, ...) it fits a
+per-component step-size
 
     alpha_i = sum_s g_s_i (w_s_i - w_{s+K}_i)  /  sum_s g_s_i^2
 
@@ -28,7 +29,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Array, DivergenceError, EvalBudget, Objective, as_vector
+from .core import Array, DivergenceError, EvalBudget, Objective, _count, as_vector
 from .tracing import Trace, run_steps
 
 
@@ -45,46 +46,58 @@ class ExperiencePair:
 
 
 class ExperienceBuffer:
-    """Two K-slot buffers holding update records K steps apart.
+    """A ring of K update records with running pair sums.
 
-    Records fill ``b1`` first, then ``b2``; pairing ``b1[s]`` with
-    ``b2[s]`` yields iterates exactly K steps apart.  After a planning
-    event the buffers rotate (``b1 <- b2``, ``b2`` emptied), so planning
-    fires at record counts 2K, 3K, 4K, ...
+    Record n goes to row ``n mod K``, where it overwrites record n - K after
+    that record's pair ``(n - K, n)`` has been added into ``sum1`` and
+    ``sum2``.  Planning fires at record counts 2K, 3K, 4K, ...; until
+    ``rotate`` is called the buffer is mid-planning and refuses records.
+    ``rotate`` clears the sums, so each event fits only the newest window.
     """
 
     def __init__(self, k: int):
-        if k < 1:
+        self.k = _count("K", k)
+        if self.k < 1:
             raise ValueError("buffer capacity K must be >= 1")
-        self.k = int(k)
-        self.b1: list[ExperiencePair] = []
-        self.b2: list[ExperiencePair] = []
-
-    @property
-    def dimension(self) -> Optional[int]:
-        if self.b1:
-            return self.b1[0].w.size
-        return None
+        self.count = 0
+        self.planning = False
+        self.w_ring = self.g_ring = self.sum1 = self.sum2 = None
 
     def record(self, pair: ExperiencePair) -> bool:
         """Append a pair; return True when planning should fire now."""
-        dim = self.dimension
-        if dim is not None and pair.w.size != dim:
-            raise ValueError(f"dimension mismatch: buffer holds {dim}-vectors, got {pair.w.size}")
-        if len(self.b2) >= self.k:
+        if self.w_ring is not None and pair.w.size != self.w_ring.shape[1]:
+            raise ValueError(f"dimension mismatch: buffer holds {self.w_ring.shape[1]}-vectors, "
+                             f"got {pair.w.size}")
+        if self.planning:
             raise ValueError("buffer is in the mid-planning state; rotate before recording")
-        if len(self.b1) < self.k:
-            self.b1.append(pair)
-        else:
-            self.b2.append(pair)
-        return len(self.b2) == self.k
+        return self.push(pair.w, pair.g)
+
+    def push(self, w: Array, g: Array) -> bool:
+        """``record`` for validated, same-dimension vectors in the normal state."""
+        k = self.k
+        n = self.count = self.count + 1
+        slot = n % k
+        if n > k:
+            g_old = self.g_ring[slot]
+            self.sum1 += g_old * (self.w_ring[slot] - w)
+            self.sum2 += g_old * g_old
+        elif n == 1:
+            self.w_ring = np.empty((k, w.size))
+            self.g_ring = np.empty((k, w.size))
+            self.sum1 = np.zeros(w.size)
+            self.sum2 = np.zeros(w.size)
+        self.w_ring[slot] = w
+        self.g_ring[slot] = g
+        self.planning = slot == 0 and n > k
+        return self.planning
 
     def rotate(self):
-        """After planning: the newer window becomes the older one."""
-        if len(self.b2) != self.k:
-            raise ValueError("rotate called before the second buffer filled")
-        self.b1 = self.b2
-        self.b2 = []
+        """After planning: start a fresh window of pair sums."""
+        if not self.planning:
+            raise ValueError("rotate called before a window of K pairs filled")
+        self.sum1 = np.zeros(self.sum1.size)
+        self.sum2 = np.zeros(self.sum2.size)
+        self.planning = False
 
 
 @dataclass
@@ -101,18 +114,12 @@ class PlanningStatistics:
 
 
 def compute_alpha(buf: ExperienceBuffer) -> PlanningStatistics:
-    """Fit the diagonal step-size from a full pair of buffers."""
-    if len(buf.b1) != buf.k or len(buf.b2) != buf.k:
-        raise ValueError("planning requires both buffers full")
-    dim = buf.b1[0].w.size
-    sum1 = np.zeros(dim)
-    sum2 = np.zeros(dim)
-    for old, new in zip(buf.b1, buf.b2):
-        sum1 += old.g * (old.w - new.w)
-        sum2 += old.g * old.g
-    zero = sum2 == 0.0
-    alpha = np.where(zero, 0.0, sum1 / np.where(zero, 1.0, sum2))
-    return PlanningStatistics(sum1=sum1, sum2=sum2, alpha=alpha)
+    """Fit the diagonal step-size from the buffer's window of K pairs."""
+    if not buf.planning:
+        raise ValueError("planning requires a full window of K pairs")
+    zero = buf.sum2 == 0.0
+    alpha = np.where(zero, 0.0, buf.sum1 / np.where(zero, 1.0, buf.sum2))
+    return PlanningStatistics(sum1=buf.sum1, sum2=buf.sum2, alpha=alpha)
 
 
 def apply_projection(w, g, stats: PlanningStatistics) -> Array:
@@ -140,6 +147,9 @@ class PlannerConfig:
     def __post_init__(self):
         if not np.isfinite(self.gamma):
             raise ValueError("gamma must be finite")
+        self.k = _count("K", self.k)
+        self.p = _count("P", self.p)
+        self.m = _count("M", self.m)
         if self.k < 1:
             raise ValueError("K must be >= 1")
         if self.p < 1:
@@ -160,7 +170,7 @@ class StepSizePlanner:
     """
 
     def __init__(self, w0, gamma: float, k: int, p: int = 1, m: int = 0):
-        self.config = PlannerConfig(gamma=float(gamma), k=int(k), p=int(p), m=int(m))
+        self.config = PlannerConfig(gamma=float(gamma), k=k, p=p, m=m)
         self.w = as_vector(w0).copy()
         self.k = 0
         self.buffer = ExperienceBuffer(self.config.k)
@@ -175,8 +185,7 @@ class StepSizePlanner:
         w = self.w - cfg.gamma * g
         if not np.isfinite(w).all():
             raise DivergenceError(f"non-finite iterate after step {self.k + 1}")
-        triggered = self.buffer.record(ExperiencePair(w=w.copy(), g=g))
-        if triggered:
+        if self.buffer.push(w, g):
             stats = compute_alpha(self.buffer)
             for _ in range(cfg.p):
                 gp = obj.grad(w)

@@ -4,8 +4,8 @@ Three instances drive every experiment in this package: a parameterized
 convex quadratic (ill-conditioned in the canonical setup), the 2-d
 Rosenbrock valley, and a synthetic least-mean-squares stream for online
 per-parameter step-size adaptation.  The quadratic and Rosenbrock problems
-are immutable and safe to share; the stream owns a stateful RNG and is
-single-threaded.
+are immutable and safe to share; the stream owns a stateful RNG and a
+sample counter, and is single-threaded.
 """
 
 from __future__ import annotations
@@ -93,7 +93,9 @@ class LmsStream:
     Each call to :meth:`next` draws an input ``x`` with components uniform
     on [low, high] and emits the target ``y* = w*.x + noise`` with Gaussian
     noise of standard deviation ``noise_std``.  Identical seeds reproduce
-    identical sequences.
+    identical sequences.  Each sample is one sampled gradient, so ``next``
+    counts into ``grad_evals`` (``func_evals`` stays 0) and the stream
+    serves as the objective of an :class:`~stepplan.optimizers.Idbd` run.
     """
 
     name = "lms"
@@ -112,12 +114,15 @@ class LmsStream:
         self._rng = np.random.default_rng(self.seed)
         # E[x_i^2] for uniform [low, high]
         self._second_moment = (low * low + low * high + high * high) / 3.0
+        self.grad_evals = 0
+        self.func_evals = 0
 
     @property
     def dimension(self) -> int:
         return self.w_star.size
 
     def next(self):
+        self.grad_evals += 1
         x = self._rng.uniform(self.low, self.high, size=self.dimension)
         y = float(self.w_star @ x)
         if self.noise_std > 0:

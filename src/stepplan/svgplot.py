@@ -50,7 +50,8 @@ def render_svg(series: Sequence[Tuple[str, Iterable[float], Iterable[float]]],
     """Write a line chart of (label, xs, ys) series to ``path``.
 
     With ``log_y`` the y coordinates are log10-scaled and decade ticks are
-    drawn; values below ``Y_FLOOR`` are clamped before scaling.
+    drawn; values below ``Y_FLOOR`` are clamped before scaling.  Points
+    whose y is inf or NaN (a diverged run's last error) are left out.
     """
     prepared = []
     for label, xs, ys in series:
@@ -60,6 +61,9 @@ def render_svg(series: Sequence[Tuple[str, Iterable[float], Iterable[float]]],
             raise ValueError(f"series {label!r} has mismatched lengths")
         if log_y:
             ys = [math.log10(max(y, Y_FLOOR)) for y in ys]
+        if not all(map(math.isfinite, ys)):
+            kept = [(x, y) for x, y in zip(xs, ys) if math.isfinite(y)]
+            xs, ys = [x for x, _ in kept], [y for _, y in kept]
         prepared.append((label, xs, ys))
     # flattened in series order, so NaN entries compare as they always have
     all_x = list(chain.from_iterable(xs for _, xs, _ in prepared))

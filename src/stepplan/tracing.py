@@ -41,8 +41,7 @@ _grad_evals_of = attrgetter("grad_evals")
 class Trace:
     """Records numbered 1..n in order, with non-decreasing ``grad_evals``.
 
-    ``run_steps`` and the stream loop write records that way; the lookups
-    below rely on it.
+    ``run_steps`` writes records that way; the lookups below rely on it.
     """
 
     records: List[TraceRecord] = field(default_factory=list)
@@ -93,7 +92,8 @@ def run_steps(stepper, obj: Objective, budget: EvalBudget,
     Stopping order per iteration: gradient budget (checked before the
     step), then divergence (non-finite or capped error), then the error
     floor.  ``record_alpha`` snapshots the stepper's ``last_alpha``
-    attribute, which planners set only on planning-event iterations.
+    attribute, which planners set only on planning-event iterations and
+    IDBD on every step.  IDBD's ``obj`` is the LMS stream.
     """
     trace = Trace()
     append = trace.records.append

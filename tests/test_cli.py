@@ -57,6 +57,19 @@ class TestRun:
         assert result.exit_code == 1
         assert "diverged" in result.output
 
+    def test_diverged_stream_writes_csv_and_exits_1(self, runner, tmp_path):
+        # exp(710) overflows: the first IDBD sample makes the iterate non-finite
+        config = {"problem": {"name": "lms", "w_star": [1.0, -1.0]},
+                  "optimizer": {"name": "idbd", "eta": 0.0, "beta0": 710.0},
+                  "budget": {"max_iterations": 100}, "label": "boom"}
+        cfg = write_config(tmp_path, config)
+        out = tmp_path / "o"
+        result = runner.invoke(cli, ["run", "--config", str(cfg), "--out", str(out)])
+        assert result.exit_code == 1
+        assert "diverged" in result.output
+        assert (out / "boom.csv").read_text() == "iteration,grad_evals,error\n1,1,inf\n"
+        assert (out / "boom.svg").exists()
+
     def test_set_override(self, runner, tmp_path):
         cfg = write_config(tmp_path)
         out = tmp_path / "out"
@@ -71,7 +84,7 @@ class TestRun:
         assert result.exit_code == 2
 
     @pytest.mark.parametrize("override", ["optimizer.gamma=NaN", "optimizer.gamma=Infinity",
-                                          "budget.max_iterations=2.5"])
+                                          "budget.max_iterations=2.5", "optimizer.k=2.5"])
     def test_non_finite_or_fractional_override_exits_2(self, runner, tmp_path, override):
         cfg = write_config(tmp_path)
         out = tmp_path / "out"

@@ -1,4 +1,7 @@
+import hashlib
 import json
+import math
+import warnings
 
 import numpy as np
 import pytest
@@ -110,7 +113,48 @@ class TestRunExperiment:
         assert np.array_equal(a.errors(), b.errors())
 
 
+    @pytest.mark.parametrize("beta0", [700.0, 710.0])
+    def test_idbd_divergence_is_recorded(self, beta0):
+        # exp(710) overflows at once; exp(700) makes a finite iterate whose
+        # error overflows.  Either way the run ends with one inf row.
+        c = cfg({"name": "lms", "w_star": [1.0, -1.0]},
+                {"name": "idbd", "eta": 0.0, "beta0": beta0},
+                EvalBudget(max_iterations=100), record_w=True)
+        before = np.geterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            trace = run_experiment(c)
+        assert np.geterr() == before
+        assert trace.status == DIVERGED
+        assert len(trace) == 1
+        last = trace.records[-1]
+        assert last.error == math.inf
+        assert last.grad_evals == trace.total_grad_evals == 1
+        if beta0 == 710.0:
+            assert np.array_equal(last.w, [0.0, 0.0])  # the last finite iterate: w0
+
+
 class TestDeterminism:
+    def test_idbd_stream_golden_bytes(self, tmp_path):
+        # sha256 of this CSV as written by the former dedicated stream loop.
+        # numpy's float64 exp rounds differently in its AVX-512 kernel and in
+        # its AVX2/baseline one; both hashes were measured on x86-64.
+        golden = {
+            "c6654ac296bb2851c95203131e6ef38b81fb0498772e073d2b9f7d0f0a73343b",
+            "d004ec664d77e737421a139e2448d825cb5fa2ceb7e8d82bcf7d68a785e8d9a4",
+        }
+        c = cfg({"name": "lms", "w_star": [1.0, -2.0, 0.5], "noise_std": 0.1},
+                {"name": "idbd", "eta": 0.02, "beta0": -3.0},
+                EvalBudget(max_iterations=1000, max_grad_evals=300, error_floor=None),
+                seed=5, record_w=True, record_alpha=True)
+        trace = run_experiment(c)
+        assert trace.status == BUDGET_EXHAUSTED
+        assert len(trace) == trace.total_grad_evals == 300
+        assert trace.total_func_evals == 0
+        path = tmp_path / "idbd.csv"
+        write_csv(trace, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() in golden
+
     def test_byte_identical_csvs(self, tmp_path):
         c = cfg(CONVEX, {"name": "csawg", "gamma": 0.0009, "k": 2},
                 EvalBudget(max_iterations=300, error_floor=None),

@@ -6,7 +6,7 @@ from stepplan.optimizers import (Adam, GradientDescent, HeavyBall,
                                  HyperGradient, Idbd, IdbdScalar, L4,
                                  LossGrad, NesterovAGD, PolyakStep, RMSprop,
                                  make_optimizer)
-from stepplan.problems import QuadraticProblem, random_spd
+from stepplan.problems import LmsStream, QuadraticProblem, random_spd
 
 from conftest import make_objective, quadratic_objective, scalar_objective
 
@@ -395,6 +395,28 @@ class TestIdbd:
             assert np.all(s.alpha > 0.0)
             decay = np.maximum(0.0, 1.0 - s.alpha * x * x)
             assert np.all((decay >= 0.0) & (decay <= 1.0))
+
+    def test_divergent_sample_commits_nothing(self):
+        s = Idbd([0.5, -0.5], eta=0.0, beta0=710.0)  # alpha = exp(710) = inf
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DivergenceError):
+                s.step_sample(np.array([1.0, 0.5]), 2.0)
+        assert np.array_equal(s.w, [0.5, -0.5])
+        assert np.array_equal(s.beta, [710.0, 710.0])
+        assert np.array_equal(s.h, [0.0, 0.0])
+        assert s.k == 0
+
+    def test_step_draws_one_counted_sample(self):
+        stream = LmsStream([1.0, -1.0], seed=4)
+        twin = LmsStream([1.0, -1.0], seed=4)
+        a = Idbd([0.0, 0.0], eta=0.01, beta0=-2.0)
+        b = Idbd([0.0, 0.0], eta=0.01, beta0=-2.0)
+        for n in range(1, 6):
+            a.step(stream)
+            b.step_sample(*twin.next())
+            assert np.array_equal(a.w, b.w)
+            assert np.array_equal(a.last_alpha, np.exp(a.beta))
+            assert stream.grad_evals == n and stream.func_evals == 0
 
 
 class TestStepAccounting:

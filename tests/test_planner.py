@@ -21,9 +21,12 @@ class TestExperienceBuffer:
         buf = ExperienceBuffer(2)
         assert buf.record(pair([1.0], [1.0])) is False
         assert buf.record(pair([2.0], [1.0])) is False
-        assert len(buf.b1) == 2 and len(buf.b2) == 0
+        with pytest.raises(ValueError, match="full"):
+            compute_alpha(buf)  # one window recorded, no pair yet
         assert buf.record(pair([3.0], [1.0])) is False
         assert buf.record(pair([4.0], [1.0])) is True
+        # records 1, 2 pair with 3, 4: sum1 = 1 * (1 - 3) + 1 * (2 - 4)
+        assert compute_alpha(buf).sum1[0] == -4.0
 
     def test_k1_triggers_every_record_after_first(self):
         buf = ExperienceBuffer(1)
@@ -32,18 +35,26 @@ class TestExperienceBuffer:
             assert buf.record(pair([v], [1.0])) is True
             buf.rotate()
 
-    def test_rotation_cadence(self):
-        # triggers land at record counts 2K, 3K, 4K, ...
+    def test_rotation_cadence(self, rng):
+        # triggers land at record counts 2K, 3K, 4K, ...; after a rotation
+        # the next event fits only the newer window
         k = 3
+        records = [(rng.standard_normal(2), rng.standard_normal(2)) for _ in range(12)]
         buf = ExperienceBuffer(k)
-        triggers = []
-        for n in range(1, 13):
-            if buf.record(pair([float(n)], [1.0])):
+        triggers, events = [], []
+        for n, (w, g) in enumerate(records, 1):
+            if buf.record(pair(w, g)):
                 triggers.append(n)
+                events.append(compute_alpha(buf))
                 buf.rotate()
         assert triggers == [6, 9, 12]
-        # rotated b1 holds the previous window
-        assert [p.w[0] for p in buf.b1] == [10.0, 11.0, 12.0]
+        for j, stats in enumerate(events):
+            fresh = ExperienceBuffer(k)
+            fired = [fresh.record(pair(w, g)) for w, g in records[j * k:(j + 2) * k]]
+            assert fired == [False] * (2 * k - 1) + [True]
+            alone = compute_alpha(fresh)
+            for name in ("sum1", "sum2", "alpha"):
+                assert getattr(stats, name).tobytes() == getattr(alone, name).tobytes()
 
     def test_mid_planning_state_rejected(self):
         buf = ExperienceBuffer(1)
@@ -122,6 +133,32 @@ class TestComputeAlpha:
             assert np.all(stats.sum2 >= 0.0)
             assert np.all(stats.alpha[stats.sum2 == 0.0] == 0.0)
 
+    def test_matches_pair_sum_loop_bitwise(self, rng):
+        # the running sums equal a loop over the K pairs of each window, in
+        # pair order, bit for bit, over several consecutive events
+        for _ in range(40):
+            k = int(rng.integers(1, 7))
+            d = int(rng.integers(1, 6))
+            events = 5
+            ws = rng.standard_normal((k * (events + 1), d))
+            gs = rng.standard_normal((k * (events + 1), d))
+            gs[:, rng.integers(0, 2, size=d).astype(bool)] = 0.0
+            buf = ExperienceBuffer(k)
+            fitted = []
+            for w, g in zip(ws, gs):
+                if buf.record(pair(w, g)):
+                    fitted.append(compute_alpha(buf))
+                    buf.rotate()
+            assert len(fitted) == events
+            for j, stats in enumerate(fitted):
+                sum1, sum2 = np.zeros(d), np.zeros(d)
+                for s in range(j * k, (j + 1) * k):
+                    sum1 += gs[s] * (ws[s] - ws[s + k])
+                    sum2 += gs[s] * gs[s]
+                ref = compute_alpha_from_arrays(sum1, sum2)
+                for name in ("sum1", "sum2", "alpha"):
+                    assert getattr(stats, name).tobytes() == getattr(ref, name).tobytes()
+
     def test_same_point_pairs_predict_k_steps_ahead(self):
         # pairs built from (w, f'(w)) at the same point: the fitted step
         # projects exactly to the GD iterate K steps ahead on a 1-d quadratic
@@ -192,6 +229,10 @@ class TestPlannerConfig:
         dict(gamma=0.1, k=0),
         dict(gamma=0.1, k=1, p=0),
         dict(gamma=0.1, k=1, m=-1),
+        dict(gamma=0.1, k=2.5),
+        dict(gamma=0.1, k=2, p=True),
+        dict(gamma=0.1, k=2, m=1.9),
+        dict(gamma=0.1, k=np.float64(2.0)),
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):

@@ -42,6 +42,15 @@ def test_zero_errors_are_clamped(tmp_path):
     assert "NaN" not in content and "inf" not in content
 
 
+def test_non_finite_points_are_left_out(tmp_path):
+    a, b = tmp_path / "a.svg", tmp_path / "b.svg"
+    render_svg([("boom", [1, 2, 3], [1.0, 0.5, float("inf")]),
+                ("nan", [1, 2], [0.1, float("nan")]), ("gone", [1], [float("inf")])], a)
+    render_svg([("boom", [1, 2], [1.0, 0.5]), ("nan", [1], [0.1]), ("gone", [], [])], b)
+    assert a.read_bytes() == b.read_bytes()
+    assert len(ET.parse(a).getroot().findall(f"{SVG_NS}polyline")) == 2
+
+
 def test_render_traces_from_runs(tmp_path):
     c = ExperimentConfig(problem={"name": "rosenbrock"},
                          optimizer={"name": "gd", "gamma": 0.001},
