@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
+from math import isfinite
 from typing import Callable, Optional
 
 import numpy as np
@@ -25,6 +26,18 @@ class StationaryPointError(RuntimeError):
     """A step-size rule met a zero gradient away from the known optimum."""
 
 
+def all_finite(v: Array) -> bool:
+    """Whether every entry of the 1-d array ``v`` is finite.
+
+    Exact, and about the cost of a scalar operation for small ``v``: a
+    finite float sum means every term is finite; a non-finite sum can come
+    from finite terms that overflow (``[1e308, 1e308]``), so that case
+    falls back to a per-element check.
+    """
+    values = v.tolist()
+    return isfinite(sum(values)) or all(map(isfinite, values))
+
+
 def as_vector(x, dim: Optional[int] = None) -> Array:
     """Validate and return ``x`` as a finite 1-d float64 array.
 
@@ -34,7 +47,7 @@ def as_vector(x, dim: Optional[int] = None) -> Array:
     v = np.asarray(x, dtype=float)
     if v.ndim != 1 or v.size < 1:
         raise ValueError(f"expected a 1-d vector of dimension >= 1, got shape {v.shape}")
-    if not np.isfinite(v).all():
+    if not all_finite(v):
         raise ValueError("vector contains non-finite entries")
     if dim is not None and v.size != dim:
         raise ValueError(f"dimension mismatch: expected {dim}, got {v.size}")

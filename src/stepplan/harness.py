@@ -15,7 +15,7 @@ import json
 from dataclasses import asdict, dataclass
 from typing import List, Tuple
 
-from .core import EvalBudget, Objective
+from .core import EvalBudget, Objective, _count
 from .optimizers import make_optimizer
 from .problems import LmsStream, make_problem
 from .tracing import Trace, run_steps, write_csv
@@ -30,9 +30,10 @@ __all__ = [
 class ExperimentConfig:
     """A fully-specified run: problem + optimizer + budget + recording flags.
 
-    ``problem`` and ``optimizer`` are dicts with a ``name`` key and the
-    registry parameters; the whole config round-trips through JSON
-    losslessly.
+    ``problem`` and ``optimizer`` are dicts with a string ``name`` key and
+    the registry parameters; the whole config round-trips through JSON
+    losslessly.  Field types are checked on construction: a wrong one is a
+    ``ValueError``, so the CLI exits 2 before anything runs.
     """
 
     problem: dict
@@ -42,6 +43,18 @@ class ExperimentConfig:
     record_w: bool = False
     record_alpha: bool = False
     label: str = ""
+
+    def __post_init__(self):
+        for field in ("problem", "optimizer"):
+            entry = getattr(self, field)
+            if not isinstance(entry, dict) or not isinstance(entry.get("name"), str):
+                raise ValueError(f"{field} must be an object with a string 'name', got {entry!r}")
+        if not isinstance(self.label, str):
+            raise ValueError(f"label must be a string, got {self.label!r}")
+        self.seed = _count("seed", self.seed)
+        for field in ("record_w", "record_alpha"):
+            if not isinstance(getattr(self, field), bool):
+                raise ValueError(f"{field} must be true or false, got {getattr(self, field)!r}")
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -64,19 +77,9 @@ def load_config(path) -> ExperimentConfig:
         return ExperimentConfig.from_dict(json.load(fh))
 
 
-def save_config(cfg: ExperimentConfig, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(cfg.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def _split(entry: dict) -> tuple[str, dict]:
     entry = dict(entry)
-    try:
-        name = entry.pop("name")
-    except KeyError:
-        raise ValueError("problem/optimizer config needs a 'name' key") from None
-    return name, entry
+    return entry.pop("name"), entry
 
 
 def run_experiment(cfg: ExperimentConfig) -> Trace:

@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .core import Array, DivergenceError, Objective, StationaryPointError, as_vector
+from .core import Array, DivergenceError, Objective, StationaryPointError, all_finite, as_vector
 
 
 def _finite(name: str, value) -> float:
@@ -36,7 +36,7 @@ class _Stepper:
         self.k = 0
 
     def _commit(self, w_new: Array):
-        if not np.isfinite(w_new).all():
+        if not all_finite(w_new):
             raise DivergenceError(f"non-finite iterate after step {self.k + 1}")
         self.w = w_new
         self.k += 1
@@ -353,7 +353,7 @@ class Idbd(_Stepper):
         alpha = np.exp(beta)
         w = self.w + alpha * delta * x
         h = self.h * np.maximum(0.0, 1.0 - alpha * x * x) + alpha * delta * x
-        if not np.isfinite(beta).all():
+        if not all_finite(beta):
             raise DivergenceError(f"non-finite step-size after sample {self.k + 1}")
         self._commit(w)
         self.beta, self.h = beta, h

@@ -29,7 +29,8 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Array, DivergenceError, EvalBudget, Objective, _count, as_vector
+from .core import (Array, DivergenceError, EvalBudget, Objective, _count, all_finite,
+                   as_vector)
 from .tracing import Trace, run_steps
 
 
@@ -129,7 +130,7 @@ def apply_projection(w, g, stats: PlanningStatistics) -> Array:
     if stats.alpha.size != w.size:
         raise ValueError(f"dimension mismatch: alpha has {stats.alpha.size}, w has {w.size}")
     out = w - stats.alpha * g
-    if not np.isfinite(out).all():
+    if not all_finite(out):
         raise DivergenceError("non-finite iterate after projection")
     return out
 
@@ -183,7 +184,7 @@ class StepSizePlanner:
         self.last_alpha = None
         g = obj.grad(self.w)
         w = self.w - cfg.gamma * g
-        if not np.isfinite(w).all():
+        if not all_finite(w):
             raise DivergenceError(f"non-finite iterate after step {self.k + 1}")
         if self.buffer.push(w, g):
             stats = compute_alpha(self.buffer)
@@ -193,7 +194,7 @@ class StepSizePlanner:
                 for _ in range(cfg.m):
                     gm = obj.grad(w)
                     w = w - cfg.gamma * gm
-                    if not np.isfinite(w).all():
+                    if not all_finite(w):
                         raise DivergenceError("non-finite iterate during corrective GD")
             self.buffer.rotate()
             self.planning_events += 1

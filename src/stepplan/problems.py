@@ -74,11 +74,11 @@ class RosenbrockProblem:
         self.L = None
 
     def value(self, w) -> float:
-        w1, w2 = float(w[0]), float(w[1])
+        w1, w2 = np.asarray(w, dtype=float).tolist()
         return (w1 - 1.0) ** 2 + 100.0 * (w2 - w1 * w1) ** 2
 
     def gradient(self, w) -> Array:
-        w1, w2 = float(w[0]), float(w[1])
+        w1, w2 = np.asarray(w, dtype=float).tolist()
         return np.array(
             [
                 2.0 * (w1 - 1.0) - 400.0 * w1 * (w2 - w1 * w1),

@@ -12,6 +12,8 @@ import math
 from itertools import chain
 from typing import Iterable, Sequence, Tuple
 
+import numpy as np
+
 PALETTE = [
     "#1f77b4", "#d62728", "#2ca02c", "#ff7f0e", "#9467bd",
     "#8c564b", "#e377c2", "#7f7f7f", "#bcbd22", "#17becf",
@@ -60,7 +62,8 @@ def render_svg(series: Sequence[Tuple[str, Iterable[float], Iterable[float]]],
         if len(xs) != len(ys):
             raise ValueError(f"series {label!r} has mismatched lengths")
         if log_y:
-            ys = [math.log10(max(y, Y_FLOOR)) for y in ys]
+            # math.log10, not np.log10, whose SIMD kernel may differ by one ulp
+            ys = list(map(math.log10, np.maximum(ys, Y_FLOOR).tolist()))
         if not all(map(math.isfinite, ys)):
             kept = [(x, y) for x, y in zip(xs, ys) if math.isfinite(y)]
             xs, ys = [x for x, _ in kept], [y for _, y in kept]
@@ -139,11 +142,11 @@ def render_svg(series: Sequence[Tuple[str, Iterable[float], Iterable[float]]],
     for idx, (label, xs, ys) in enumerate(prepared):
         color = PALETTE[idx % len(PALETTE)]
         if xs:
-            # px/py inlined, with their operation order kept
-            coords = " ".join([
-                f"{MARGIN_L + (x - x_lo) / x_span * plot_w:.2f},"
-                f"{MARGIN_T + (y_hi - y) / y_span * plot_h:.2f}"
-                for x, y in zip(xs, ys)])
+            # px/py over arrays, with their operation order kept
+            cx = MARGIN_L + (np.array(xs) - x_lo) / x_span * plot_w
+            cy = MARGIN_T + (y_hi - np.array(ys)) / y_span * plot_h
+            points = np.column_stack((cx, cy)).ravel().tolist()
+            coords = " ".join(["%.2f,%.2f"] * len(xs)) % tuple(points)
             out.append(f'<polyline points="{coords}" fill="none" stroke="{color}" stroke-width="1.5"/>')
         ly = MARGIN_T + 14 + 16 * idx
         lx = MARGIN_L + plot_w + 12

@@ -84,7 +84,9 @@ class TestRun:
         assert result.exit_code == 2
 
     @pytest.mark.parametrize("override", ["optimizer.gamma=NaN", "optimizer.gamma=Infinity",
-                                          "budget.max_iterations=2.5", "optimizer.k=2.5"])
+                                          "budget.max_iterations=2.5", "optimizer.k=2.5",
+                                          "label=5", "optimizer=[1]", 'seed="a"',
+                                          'record_w="yes"'])
     def test_non_finite_or_fractional_override_exits_2(self, runner, tmp_path, override):
         cfg = write_config(tmp_path)
         out = tmp_path / "out"

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from stepplan.core import (EvalBudget, Objective, as_vector, finite_diff_grad,
-                           hadamard)
+from stepplan.core import (EvalBudget, Objective, all_finite, as_vector,
+                           finite_diff_grad, hadamard)
 
 from conftest import rosenbrock_objective, scalar_objective
 
@@ -43,6 +43,30 @@ class TestAsVector:
     def test_checks_dim(self):
         with pytest.raises(ValueError, match="dimension mismatch"):
             as_vector([1.0, 2.0], dim=3)
+
+
+edge_floats = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([1e308, -1e308, 1.7976931348623157e308, -0.0, 5e-324, -5e-324,
+                     2.2250738585072014e-308]),
+)
+
+
+class TestAllFinite:
+    @given(st.lists(edge_floats, min_size=1, max_size=64),
+           st.lists(st.tuples(st.integers(0, 63),
+                              st.sampled_from([np.inf, -np.inf, np.nan])), max_size=3))
+    def test_matches_numpy(self, values, injected):
+        for i, bad in injected:
+            values[i % len(values)] = bad
+        v = np.array(values)
+        assert all_finite(v) == bool(np.isfinite(v).all())
+
+    def test_overflowing_sum_of_finite_entries(self):
+        assert all_finite(np.array([1e308, 1e308]))
+
+    def test_infinities_of_both_signs(self):
+        assert not all_finite(np.array([np.inf, -np.inf]))
 
 
 class TestObjective:

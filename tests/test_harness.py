@@ -9,7 +9,7 @@ import pytest
 from stepplan.core import EvalBudget
 from stepplan.harness import (ExperimentConfig, apply_override, empirical_rate,
                               load_config, parse_override_value, run_experiment,
-                              save_config, speedup_at_budget, sweep)
+                              speedup_at_budget, sweep)
 from stepplan.tracing import (BUDGET_EXHAUSTED, CONVERGED, DIVERGED, Trace,
                               TraceRecord, write_csv)
 
@@ -307,10 +307,24 @@ class TestConfigSerialization:
                 EvalBudget(max_iterations=100, max_grad_evals=500, error_floor=1e-12),
                 seed=3, record_w=True, record_alpha=True, label="demo")
         path = tmp_path / "cfg.json"
-        save_config(c, path)
+        path.write_text(json.dumps(c.to_dict()))
         loaded = load_config(path)
         assert loaded == c
-        assert json.loads(path.read_text())["optimizer"]["k"] == 2
+
+    @pytest.mark.parametrize("field, value", [
+        ("problem", ["rosenbrock"]), ("problem", {"w0": [0.0, 0.0]}), ("optimizer", {"name": 1}),
+        ("label", 5), ("seed", "a"), ("seed", 1.0), ("seed", True),
+        ("record_w", "yes"), ("record_alpha", 1)])
+    def test_field_types_rejected(self, field, value):
+        d = cfg(ROSEN, {"name": "gd", "gamma": 0.001}, EvalBudget(max_iterations=10)).to_dict()
+        d[field] = value
+        with pytest.raises(ValueError, match=field):
+            ExperimentConfig.from_dict(d)
+
+    def test_numpy_seed_becomes_int(self):
+        c = cfg(ROSEN, {"name": "gd", "gamma": 0.001}, EvalBudget(max_iterations=10),
+                seed=np.int64(4))
+        assert type(c.seed) is int and c.seed == 4
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(ValueError, match="unknown config keys"):

@@ -98,6 +98,13 @@ class TestRosenbrock:
         with pytest.raises(ValueError, match="dimension"):
             make_problem("rosenbrock", {"w0": [1.0, 1.0, 1.0]})
 
+    @pytest.mark.parametrize("w", [[1.0], [1.0, 1.0, 1.0]])
+    def test_methods_reject_other_lengths(self, w):
+        p = RosenbrockProblem()
+        for method in (p.value, p.gradient):
+            with pytest.raises(ValueError):
+                method(w)
+
     def test_positive_away_from_minimum(self, rng):
         p = RosenbrockProblem()
         for _ in range(100):

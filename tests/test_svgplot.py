@@ -1,8 +1,12 @@
+import math
+import random
+import re
 import xml.etree.ElementTree as ET
 
 from stepplan.core import EvalBudget
 from stepplan.harness import ExperimentConfig, run_experiment
-from stepplan.svgplot import render_svg, render_traces
+from stepplan.svgplot import (HEIGHT, MARGIN_B, MARGIN_L, MARGIN_R, MARGIN_T, WIDTH, Y_FLOOR,
+                              render_svg, render_traces)
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -99,3 +103,47 @@ def test_golden_bytes_two_series(tmp_path):
     render_svg([("fast", [1, 2, 4, 8], [1.0, 0.25, 0.05, 0.01]),
                 ("slow", [1, 3, 5, 8], [2.0, 1.5, 0.9, 0.5])], path)
     assert path.read_bytes() == TWO_SERIES_SVG.encode()
+
+
+def reference_points(series):
+    """Each drawn series' log-y polyline points, one f-string per point."""
+    kept = []
+    for _, xs, ys in series:
+        pts = [(float(x), math.log10(max(float(y), Y_FLOOR))) for x, y in zip(xs, ys)]
+        kept.append([(x, y) for x, y in pts if math.isfinite(y)])
+    flat = [p for pts in kept for p in pts]
+    if flat:
+        x_lo, x_hi = min(x for x, _ in flat), max(x for x, _ in flat)
+        y_lo, y_hi = min(y for _, y in flat), max(y for _, y in flat)
+    else:
+        x_lo, x_hi, y_lo, y_hi = 0.0, 1.0, 0.0, 1.0
+    if x_hi == x_lo:
+        x_hi = x_lo + 1.0
+    if y_hi == y_lo:
+        y_hi = y_lo + 1.0
+    plot_w = WIDTH - MARGIN_L - MARGIN_R
+    plot_h = HEIGHT - MARGIN_T - MARGIN_B
+    return [" ".join(f"{MARGIN_L + (x - x_lo) / (x_hi - x_lo) * plot_w:.2f},"
+                     f"{MARGIN_T + (y_hi - y) / (y_hi - y_lo) * plot_h:.2f}" for x, y in pts)
+            for pts in kept if pts]
+
+
+def test_polyline_points_match_per_point_formatting(tmp_path):
+    rng = random.Random(20240611)
+    specials = [float("nan"), float("inf"), float("-inf"), 0.0, -0.0, -2.5, 1e300, 1.7e308,
+                5e-324]
+    path = tmp_path / "fuzz.svg"
+    for _ in range(300):
+        series = []
+        for idx in range(rng.randint(1, 3)):
+            n = rng.choice([0, 1, 2, rng.randint(0, 500)])
+            if rng.random() < 0.5:
+                xs = sorted(rng.randint(0, n // 3 + 1) for _ in range(n))  # repeated x values
+            else:
+                xs = [rng.uniform(-1e6, 1e6) for _ in range(n)]
+            ys = [rng.choice(specials) if rng.random() < 0.1 else 10.0 ** rng.uniform(-40, 40)
+                  for _ in range(n)]
+            series.append((f"s{idx}", xs, ys))
+        render_svg(series, path)
+        drawn = re.findall(r'<polyline points="([^"]*)"', path.read_text())
+        assert drawn == reference_points(series)
