@@ -43,6 +43,28 @@ def rosenbrock_objective() -> Objective:
     return make_objective(RosenbrockProblem())
 
 
+def hd_reference(grad_fn, w0, eta: float, alpha0: float):
+    """Hypergradient descent as Baydin et al. state it, one step per ``next``.
+
+    ``alpha += eta * g.g_prev``, then ``w -= alpha * g``, with ``g_prev``
+    zero before the first step.  Yields ``(w, alpha, g)`` after each step.
+    """
+    w = np.array(w0, dtype=float)
+    alpha = float(alpha0)
+    g_prev = np.zeros_like(w)
+    while True:
+        g = np.asarray(grad_fn(w), dtype=float)
+        alpha = alpha + eta * float(g @ g_prev)
+        w = w - alpha * g
+        g_prev = g
+        yield w, alpha, g
+
+
+def same_bits(a, b) -> bool:
+    """Whether two floats or float arrays hold the same bytes."""
+    return np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

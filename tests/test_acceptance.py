@@ -9,13 +9,13 @@ import numpy as np
 import pytest
 
 import conftest
-from conftest import make_objective
+from conftest import hd_reference, make_objective, same_bits
 
 from stepplan.core import EvalBudget, Objective, finite_diff_grad
 from stepplan.harness import (ExperimentConfig, empirical_rate, run_experiment,
                               speedup_at_budget)
-from stepplan.optimizers import (GradientDescent, HeavyBall, HyperGradient,
-                                 IdbdScalar, PolyakStep)
+from stepplan.optimizers import (GradientDescent, HeavyBall, IdbdScalar,
+                                 PolyakStep, make_optimizer)
 from stepplan.planner import StepSizePlanner
 from stepplan.problems import (LmsStream, QuadraticProblem, RosenbrockProblem,
                                random_spd)
@@ -220,29 +220,38 @@ def test_criterion_9_property_suite():
             in_range &= 1.0 / (2 * L) - 1e-15 <= s.alpha <= 1.0 / (2 * mu) + 1e-15
     checks["Polyak range"] = in_range
 
-    # hypergradient sign property, exact
+    # hypergradient sign property, exact, on the Baydin et al. update
     q, _, _ = random_spd(rng, 2, 10.0)
     p = QuadraticProblem(q, np.zeros(2))
     obj = make_objective(p)
-    s = HyperGradient(rng.standard_normal(2), eta=1e-8, alpha0=0.01)
-    sign_ok = True
+    w0 = rng.standard_normal(2)
+    s = make_optimizer("hd", w0, {"eta": 1e-8, "alpha0": 0.01})
+    ref = hd_reference(p.gradient, w0, 1e-8, 0.01)
+    sign_ok, g_prev = True, np.zeros(2)
     for _ in range(500):
-        prev_alpha, prev_g = s.alpha, s.prev_g.copy()
+        prev_alpha = s.alpha
         s.step(obj)
-        sign_ok &= np.sign(s.alpha - prev_alpha) == np.sign(float(s.prev_g @ prev_g))
+        w, alpha, g = next(ref)
+        sign_ok &= same_bits(s.w, w) and same_bits(s.alpha, alpha)
+        sign_ok &= np.sign(s.alpha - prev_alpha) == np.sign(float(g @ g_prev))
+        g_prev = g
     checks["HD sign property"] = sign_ok
 
-    # IdbdScalar(lam=0) bit-identical to HD over 1000 steps
+    # hd and IdbdScalar(lam=0) bit-identical to the Baydin et al. update over 1000 steps
     q, _, _ = random_spd(rng, 2, 10.0)
     p = QuadraticProblem(q, np.array([1.0, -1.0]))
     w0 = rng.standard_normal(2)
-    hd, scalar = HyperGradient(w0, 1e-8, 0.01), IdbdScalar(w0, 1e-8, 0.0, 0.01)
+    hd = make_optimizer("hd", w0, {"eta": 1e-8, "alpha0": 0.01})
+    scalar = IdbdScalar(w0, 1e-8, 0.0, 0.01)
+    ref = hd_reference(p.gradient, w0, 1e-8, 0.01)
     obj_a, obj_b = make_objective(p), make_objective(p)
     same = True
     for _ in range(1000):
         hd.step(obj_a)
         scalar.step(obj_b)
-        same &= np.array_equal(hd.w, scalar.w) and hd.alpha == scalar.alpha
+        w, alpha, _ = next(ref)
+        same &= same_bits(hd.w, w) and same_bits(hd.alpha, alpha)
+        same &= same_bits(scalar.w, w) and same_bits(scalar.alpha, alpha)
     checks["idbd1(lam=0) == hd"] = same
 
     # heavy ball p=0 bit-identical to gd

@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 
 from stepplan.core import DivergenceError, Objective, StationaryPointError
-from stepplan.optimizers import (Adam, GradientDescent, HeavyBall,
-                                 HyperGradient, Idbd, IdbdScalar, L4,
-                                 LossGrad, NesterovAGD, PolyakStep, RMSprop,
-                                 make_optimizer)
+from stepplan.optimizers import (Adam, GradientDescent, HeavyBall, Idbd,
+                                 IdbdScalar, L4, LossGrad, NesterovAGD,
+                                 PolyakStep, RMSprop, make_optimizer)
 from stepplan.problems import LmsStream, QuadraticProblem, random_spd
 
-from conftest import make_objective, quadratic_objective, scalar_objective
+from conftest import (hd_reference, make_objective, quadratic_objective, same_bits,
+                      scalar_objective)
 
 
 def constant_objective(value=5.0, dim=2):
@@ -301,7 +301,7 @@ class TestAdam:
 class TestHyperGradient:
     def test_hand_recurrence(self):
         obj = scalar_objective()
-        s = HyperGradient([1.0], eta=0.01, alpha0=0.1)
+        s = make_optimizer("hd", [1.0], {"eta": 0.01, "alpha0": 0.1})
         s.step(obj)
         assert s.alpha == 0.1  # no previous gradient yet
         assert np.isclose(s.w[0], 0.9)
@@ -313,28 +313,35 @@ class TestHyperGradient:
         q, _, _ = random_spd(rng, 2, 10.0)
         p = QuadraticProblem(q, np.zeros(2))
         obj = make_objective(p)
-        s = HyperGradient(rng.standard_normal(2), eta=1e-7, alpha0=1e-3)
+        w0 = rng.standard_normal(2)
+        s = make_optimizer("hd", w0, {"eta": 1e-7, "alpha0": 1e-3})
+        ref = hd_reference(p.gradient, w0, 1e-7, 1e-3)
+        g_prev = np.zeros(2)
         for _ in range(200):
             prev_alpha = s.alpha
-            prev_g = s.prev_g.copy()
             s.step(obj)
-            g_dot = float(s.prev_g @ prev_g)  # prev_g now holds this step's gradient
-            assert np.sign(s.alpha - prev_alpha) == np.sign(g_dot)
+            w, alpha, g = next(ref)
+            assert same_bits(s.w, w) and same_bits(s.alpha, alpha)
+            assert np.sign(s.alpha - prev_alpha) == np.sign(float(g @ g_prev))
+            g_prev = g
 
 
 class TestIdbdScalar:
     def test_lambda_zero_reduces_to_hd(self, rng):
+        # hd and idbd1(lam=0) both follow the Baydin et al. update bit for bit
         q, _, _ = random_spd(rng, 2, 10.0)
         p = QuadraticProblem(q, np.array([1.0, -1.0]))
         w0 = rng.standard_normal(2)
-        hd = HyperGradient(w0, eta=1e-8, alpha0=0.01)
+        hd = make_optimizer("hd", w0, {"eta": 1e-8, "alpha0": 0.01})
         scalar = IdbdScalar(w0, eta=1e-8, lam=0.0, alpha0=0.01)
+        ref = hd_reference(p.gradient, w0, 1e-8, 0.01)
         obj_a, obj_b = make_objective(p), make_objective(p)
         for _ in range(1000):
             hd.step(obj_a)
             scalar.step(obj_b)
-            assert np.array_equal(hd.w, scalar.w)
-            assert hd.alpha == scalar.alpha
+            w, alpha, _ = next(ref)
+            assert same_bits(hd.w, w) and same_bits(hd.alpha, alpha)
+            assert same_bits(scalar.w, w) and same_bits(scalar.alpha, alpha)
 
     def test_hand_recurrence_with_trace(self):
         obj = scalar_objective()
