@@ -262,36 +262,13 @@ class Adam(_Stepper):
         self._commit(self.w - self.alpha * m_hat / (np.sqrt(v_hat) + self.eps))
 
 
-class HyperGradient(_Stepper):
-    """Adapt a scalar step-size by the correlation of successive gradients.
-
-    alpha <- alpha + eta * f'(w_k).f'(w_{k-1}), then w <- w - alpha g.
-    The previous gradient starts at zero, so the first step leaves alpha
-    unchanged.  alpha may go negative; no clamping.
-    """
-
-    def __init__(self, w0, eta: float, alpha0: float):
-        super().__init__(w0)
-        self.eta = _finite("eta", eta)
-        self.alpha = _finite("alpha0", alpha0)
-        self.prev_g = np.zeros_like(self.w)
-
-    def step(self, obj: Objective):
-        g = obj.grad(self.w)
-        self.alpha = self.alpha + self.eta * float(g @ self.prev_g)
-        if not math.isfinite(self.alpha):
-            raise DivergenceError("non-finite adapted step-size")
-        w_new = self.w - self.alpha * g
-        self.prev_g = g
-        self._commit(w_new)
-
-
 class IdbdScalar(_Stepper):
     """Scalar step-size adaptation against a decaying gradient trace.
 
     alpha <- alpha + eta * g.h;  w <- w - alpha g;  h <- lam * h + g.
-    With lam = 0 the trace holds exactly the previous gradient and the
-    update reduces to :class:`HyperGradient`.
+    With lam = 0 the trace holds exactly the previous gradient, and the
+    update is hypergradient descent (registered as "hd"): the first step
+    leaves alpha unchanged.  alpha may go negative; no clamping.
     """
 
     def __init__(self, w0, eta: float, lam: float, alpha0: float):
@@ -359,6 +336,11 @@ class Idbd(_Stepper):
         self.beta, self.h = beta, h
 
 
+def _hd(w0, eta: float, alpha0: float) -> IdbdScalar:
+    """Hypergradient descent: alpha <- alpha + eta * f'(w_k).f'(w_{k-1})."""
+    return IdbdScalar(w0, eta, 0.0, alpha0)
+
+
 def make_optimizer(name: str, w0, params: dict | None = None):
     """Build a stepper by its registry name.
 
@@ -375,7 +357,7 @@ def make_optimizer(name: str, w0, params: dict | None = None):
         "lossgrad": LossGrad,
         "rmsprop": RMSprop,
         "adam": Adam,
-        "hd": HyperGradient,
+        "hd": _hd,
         "idbd1": IdbdScalar,
         "idbd": Idbd,
     }
