@@ -101,35 +101,24 @@ class ExperienceBuffer:
         self.planning = False
 
 
-@dataclass
-class PlanningStatistics:
-    """Accumulated sums and the fitted diagonal step-size.
+def compute_alpha(buf: ExperienceBuffer) -> Array:
+    """Fit the diagonal step-size from the buffer's window of K pairs.
 
-    ``sum1_i = sum_s g_s_i (w_s_i - w_{s+K}_i)`` and ``sum2_i = sum_s g_s_i^2``;
-    ``alpha_i = sum1_i / sum2_i`` except alpha_i = 0 where sum2_i = 0.
+    ``alpha_i = sum1_i / sum2_i``, except alpha_i = 0 where sum2_i = 0.
     """
-
-    sum1: Array
-    sum2: Array
-    alpha: Array
-
-
-def compute_alpha(buf: ExperienceBuffer) -> PlanningStatistics:
-    """Fit the diagonal step-size from the buffer's window of K pairs."""
     if not buf.planning:
         raise ValueError("planning requires a full window of K pairs")
     zero = buf.sum2 == 0.0
-    alpha = np.where(zero, 0.0, buf.sum1 / np.where(zero, 1.0, buf.sum2))
-    return PlanningStatistics(sum1=buf.sum1, sum2=buf.sum2, alpha=alpha)
+    return np.where(zero, 0.0, buf.sum1 / np.where(zero, 1.0, buf.sum2))
 
 
-def apply_projection(w, g, stats: PlanningStatistics) -> Array:
+def apply_projection(w, g, alpha: Array) -> Array:
     """Project the iterate with the fitted step-size: w_i - alpha_i g_i."""
     w = as_vector(w)
     g = as_vector(g, dim=w.size)
-    if stats.alpha.size != w.size:
-        raise ValueError(f"dimension mismatch: alpha has {stats.alpha.size}, w has {w.size}")
-    out = w - stats.alpha * g
+    if alpha.size != w.size:
+        raise ValueError(f"dimension mismatch: alpha has {alpha.size}, w has {w.size}")
+    out = w - alpha * g
     if not all_finite(out):
         raise DivergenceError("non-finite iterate after projection")
     return out
@@ -177,7 +166,6 @@ class StepSizePlanner:
         self.buffer = ExperienceBuffer(self.config.k)
         self.planning_events = 0
         self.last_alpha: Optional[Array] = None
-        self.last_stats: Optional[PlanningStatistics] = None
 
     def step(self, obj: Objective):
         cfg = self.config
@@ -187,10 +175,10 @@ class StepSizePlanner:
         if not all_finite(w):
             raise DivergenceError(f"non-finite iterate after step {self.k + 1}")
         if self.buffer.push(w, g):
-            stats = compute_alpha(self.buffer)
+            alpha = compute_alpha(self.buffer)
             for _ in range(cfg.p):
                 gp = obj.grad(w)
-                w = apply_projection(w, gp, stats)
+                w = apply_projection(w, gp, alpha)
                 for _ in range(cfg.m):
                     gm = obj.grad(w)
                     w = w - cfg.gamma * gm
@@ -198,8 +186,7 @@ class StepSizePlanner:
                         raise DivergenceError("non-finite iterate during corrective GD")
             self.buffer.rotate()
             self.planning_events += 1
-            self.last_alpha = stats.alpha
-            self.last_stats = stats
+            self.last_alpha = alpha
         self.w = w
         self.k += 1
 

@@ -16,6 +16,16 @@ def pair(w, g):
     return ExperiencePair(w=np.asarray(w, float), g=np.asarray(g, float))
 
 
+def fit(buf):
+    """The buffer's pair sums and the step-size fitted from them."""
+    return buf.sum1, buf.sum2, compute_alpha(buf)
+
+
+def alpha_from_sums(sum1, sum2):
+    zero = sum2 == 0.0
+    return np.where(zero, 0.0, sum1 / np.where(zero, 1.0, sum2))
+
+
 class TestExperienceBuffer:
     def test_fill_order_and_trigger(self):
         buf = ExperienceBuffer(2)
@@ -26,7 +36,8 @@ class TestExperienceBuffer:
         assert buf.record(pair([3.0], [1.0])) is False
         assert buf.record(pair([4.0], [1.0])) is True
         # records 1, 2 pair with 3, 4: sum1 = 1 * (1 - 3) + 1 * (2 - 4)
-        assert compute_alpha(buf).sum1[0] == -4.0
+        assert buf.sum1[0] == -4.0
+        assert compute_alpha(buf)[0] == -4.0 / 2.0
 
     def test_k1_triggers_every_record_after_first(self):
         buf = ExperienceBuffer(1)
@@ -45,16 +56,15 @@ class TestExperienceBuffer:
         for n, (w, g) in enumerate(records, 1):
             if buf.record(pair(w, g)):
                 triggers.append(n)
-                events.append(compute_alpha(buf))
+                events.append(fit(buf))
                 buf.rotate()
         assert triggers == [6, 9, 12]
         for j, stats in enumerate(events):
             fresh = ExperienceBuffer(k)
             fired = [fresh.record(pair(w, g)) for w, g in records[j * k:(j + 2) * k]]
             assert fired == [False] * (2 * k - 1) + [True]
-            alone = compute_alpha(fresh)
-            for name in ("sum1", "sum2", "alpha"):
-                assert getattr(stats, name).tobytes() == getattr(alone, name).tobytes()
+            for got, want in zip(stats, fit(fresh)):
+                assert got.tobytes() == want.tobytes()
 
     def test_mid_planning_state_rejected(self):
         buf = ExperienceBuffer(1)
@@ -90,28 +100,27 @@ class TestComputeAlpha:
         for _ in range(2 * k):
             buf.record(pair([w], [c]))
             w -= gamma * c
-        stats = compute_alpha(buf)
-        assert stats.alpha[0] == k * gamma
-        assert stats.sum2[0] == k * c * c
+        assert compute_alpha(buf)[0] == k * gamma
+        assert buf.sum2[0] == k * c * c
 
     def test_zero_gradient_component(self):
         buf = ExperienceBuffer(2)
         for w in ([1.0, 5.0], [0.9, 5.0], [0.8, 5.0], [0.7, 5.0]):
             buf.record(pair(w, [w[0], 0.0]))
-        stats = compute_alpha(buf)
-        assert stats.sum2[1] == 0.0
-        assert stats.alpha[1] == 0.0
-        assert stats.alpha[0] != 0.0
+        alpha = compute_alpha(buf)
+        assert buf.sum2[1] == 0.0
+        assert alpha[1] == 0.0
+        assert alpha[0] != 0.0
 
     def test_k1_worked_example(self):
         buf = ExperienceBuffer(1)
         buf.record(pair([1.0], [1.0]))
         buf.record(pair([0.5], [0.5]))
-        stats = compute_alpha(buf)
-        assert stats.sum1[0] == 0.5
-        assert stats.sum2[0] == 1.0
-        assert stats.alpha[0] == 0.5
-        assert apply_projection([0.5], [0.5], stats)[0] == 0.25
+        alpha = compute_alpha(buf)
+        assert buf.sum1[0] == 0.5
+        assert buf.sum2[0] == 1.0
+        assert alpha[0] == 0.5
+        assert apply_projection([0.5], [0.5], alpha)[0] == 0.25
 
     def test_requires_full_buffers(self):
         buf = ExperienceBuffer(2)
@@ -129,9 +138,9 @@ class TestComputeAlpha:
                 g = rng.standard_normal(d)
                 g[mask] = 0.0
                 buf.record(pair(rng.standard_normal(d), g))
-            stats = compute_alpha(buf)
-            assert np.all(stats.sum2 >= 0.0)
-            assert np.all(stats.alpha[stats.sum2 == 0.0] == 0.0)
+            alpha = compute_alpha(buf)
+            assert np.all(buf.sum2 >= 0.0)
+            assert np.all(alpha[buf.sum2 == 0.0] == 0.0)
 
     def test_matches_pair_sum_loop_bitwise(self, rng):
         # the running sums equal a loop over the K pairs of each window, in
@@ -147,7 +156,7 @@ class TestComputeAlpha:
             fitted = []
             for w, g in zip(ws, gs):
                 if buf.record(pair(w, g)):
-                    fitted.append(compute_alpha(buf))
+                    fitted.append(fit(buf))
                     buf.rotate()
             assert len(fitted) == events
             for j, stats in enumerate(fitted):
@@ -155,9 +164,8 @@ class TestComputeAlpha:
                 for s in range(j * k, (j + 1) * k):
                     sum1 += gs[s] * (ws[s] - ws[s + k])
                     sum2 += gs[s] * gs[s]
-                ref = compute_alpha_from_arrays(sum1, sum2)
-                for name in ("sum1", "sum2", "alpha"):
-                    assert getattr(stats, name).tobytes() == getattr(ref, name).tobytes()
+                for got, want in zip(stats, (sum1, sum2, alpha_from_sums(sum1, sum2))):
+                    assert got.tobytes() == want.tobytes()
 
     def test_same_point_pairs_predict_k_steps_ahead(self):
         # pairs built from (w, f'(w)) at the same point: the fitted step
@@ -169,17 +177,17 @@ class TestComputeAlpha:
         for _ in range(2 * k):
             buf.record(pair([w], [q * w]))
             w *= r
-        stats = compute_alpha(buf)
-        assert np.isclose(stats.alpha[0], (1.0 - r ** k) / q, rtol=1e-12)
+        alpha = compute_alpha(buf)
+        assert np.isclose(alpha[0], (1.0 - r ** k) / q, rtol=1e-12)
         for start in (0.7, -2.0):
-            planned = apply_projection([start], [q * start], stats)[0]
+            planned = apply_projection([start], [q * start], alpha)[0]
             assert np.isclose(planned, start * r ** k, rtol=1e-12)
 
 
 class TestApplyProjection:
     def test_zero_alpha_is_identity(self):
-        stats = compute_alpha_from_arrays(np.zeros(2), np.zeros(2))
-        out = apply_projection([1.0, 2.0], [3.0, 4.0], stats)
+        alpha = alpha_from_sums(np.zeros(2), np.zeros(2))
+        out = apply_projection([1.0, 2.0], [3.0, 4.0], alpha)
         assert np.array_equal(out, [1.0, 2.0])
 
     def test_ideal_step_lands_on_target(self, rng):
@@ -190,7 +198,7 @@ class TestApplyProjection:
             g[g == 0.0] = 1.0
             target = rng.standard_normal(d)
             alpha = ideal_diag_step(w, g, target)
-            out = apply_projection(w, g, stats_with_alpha(alpha))
+            out = apply_projection(w, g, alpha)
             assert np.allclose(out, target, atol=1e-12)
 
     def test_error_reduction_identity(self, rng):
@@ -199,7 +207,7 @@ class TestApplyProjection:
         w_star = rng.standard_normal(4)
         g = rng.standard_normal(4)
         alpha = (w - w_star) / g
-        out = apply_projection(w, g, stats_with_alpha(alpha))
+        out = apply_projection(w, g, alpha)
         before = float(np.sum((w - w_star) ** 2))
         drop = float(np.sum(alpha ** 2 * g ** 2))
         assert np.isclose(before - drop, 0.0, atol=1e-12)
@@ -207,20 +215,7 @@ class TestApplyProjection:
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            apply_projection([1.0, 2.0], [1.0, 2.0], stats_with_alpha(np.zeros(3)))
-
-
-def stats_with_alpha(alpha):
-    from stepplan.planner import PlanningStatistics
-    alpha = np.asarray(alpha, float)
-    return PlanningStatistics(sum1=alpha.copy(), sum2=np.ones_like(alpha), alpha=alpha)
-
-
-def compute_alpha_from_arrays(sum1, sum2):
-    from stepplan.planner import PlanningStatistics
-    zero = sum2 == 0.0
-    alpha = np.where(zero, 0.0, sum1 / np.where(zero, 1.0, sum2))
-    return PlanningStatistics(sum1=sum1, sum2=sum2, alpha=alpha)
+            apply_projection([1.0, 2.0], [1.0, 2.0], np.zeros(3))
 
 
 class TestPlannerConfig:
