@@ -29,9 +29,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import (Array, DivergenceError, EvalBudget, Objective, _count, all_finite,
-                   as_vector)
-from .tracing import Trace, run_steps
+from .core import Array, DivergenceError, Objective, _count, all_finite, as_vector
 
 
 @dataclass
@@ -190,15 +188,3 @@ class StepSizePlanner:
         self.w = w
         self.k += 1
 
-
-def csawg_run(obj: Objective, w0, cfg: PlannerConfig, budget: EvalBudget,
-              record_w: bool = False, record_alpha: bool = True) -> Trace:
-    """Run the planner against an objective under a budget.
-
-    The trace's error column is the objective value above its optimum
-    (raw value when no optimum is declared), evaluated without charging
-    the objective's counters.
-    """
-    planner = StepSizePlanner(w0, gamma=cfg.gamma, k=cfg.k, p=cfg.p, m=cfg.m)
-    return run_steps(planner, obj, budget, obj.error,
-                     record_w=record_w, record_alpha=record_alpha)

@@ -3,10 +3,9 @@ import pytest
 
 from stepplan.core import EvalBudget
 from stepplan.planner import (ExperienceBuffer, ExperiencePair, PlannerConfig,
-                              StepSizePlanner, apply_projection, compute_alpha,
-                              csawg_run)
+                              StepSizePlanner, apply_projection, compute_alpha)
 from stepplan.theory import ideal_diag_step
-from stepplan.tracing import BUDGET_EXHAUSTED, CONVERGED, DIVERGED
+from stepplan.tracing import BUDGET_EXHAUSTED, CONVERGED, DIVERGED, run_steps
 
 from conftest import make_objective, quadratic_objective
 from stepplan.problems import RosenbrockProblem
@@ -24,6 +23,12 @@ def fit(buf):
 def alpha_from_sums(sum1, sum2):
     zero = sum2 == 0.0
     return np.where(zero, 0.0, sum1 / np.where(zero, 1.0, sum2))
+
+
+def run_planner(obj, w0, budget, gamma, k, record_w=False):
+    """A planner run through the one run loop, snapshotting alpha at events."""
+    return run_steps(StepSizePlanner(w0, gamma=gamma, k=k), obj, budget, obj.error,
+                     record_w=record_w, record_alpha=True)
 
 
 class TestExperienceBuffer:
@@ -266,17 +271,16 @@ class TestCsawgRun:
 
     def test_convex_run_converges_fast(self):
         obj = quadratic_objective()
-        cfg = PlannerConfig(gamma=0.0009, k=2)
-        trace = csawg_run(obj, [-1.0, 2.0], cfg, EvalBudget(max_iterations=500, error_floor=1e-8))
+        trace = run_planner(obj, [-1.0, 2.0], EvalBudget(max_iterations=500, error_floor=1e-8),
+                            gamma=0.0009, k=2)
         assert trace.status == CONVERGED
         assert trace.records[-1].iteration < 500
         assert trace.records[-1].error <= 1e-8
 
     def test_zero_gradient_start_is_fixed_point(self):
         obj = quadratic_objective()
-        cfg = PlannerConfig(gamma=0.0009, k=2)
-        trace = csawg_run(obj, [1.0, 1.0], cfg, EvalBudget(max_iterations=20, error_floor=None),
-                          record_w=True, record_alpha=True)
+        trace = run_planner(obj, [1.0, 1.0], EvalBudget(max_iterations=20, error_floor=None),
+                            gamma=0.0009, k=2, record_w=True)
         for r in trace.records:
             assert np.array_equal(r.w, [1.0, 1.0])
             assert r.error == 0.0
@@ -285,16 +289,15 @@ class TestCsawgRun:
 
     def test_negative_alpha_occurs_on_rosenbrock(self):
         obj = make_objective(RosenbrockProblem())
-        cfg = PlannerConfig(gamma=0.001, k=2)
-        trace = csawg_run(obj, [-1.0, 0.0], cfg,
-                          EvalBudget(max_iterations=4000, error_floor=None))
+        trace = run_planner(obj, [-1.0, 0.0], EvalBudget(max_iterations=4000, error_floor=None),
+                            gamma=0.001, k=2)
         planner_alphas = [r.alpha for r in trace.records if r.alpha is not None]
         assert any(a[1] < 0.0 for a in planner_alphas)
 
     def test_divergence_truncates(self):
         obj = make_objective(RosenbrockProblem())
-        cfg = PlannerConfig(gamma=0.02, k=2)  # far above the stability limit
-        trace = csawg_run(obj, [-1.0, 0.0], cfg, EvalBudget(max_iterations=5000))
+        # gamma far above the stability limit
+        trace = run_planner(obj, [-1.0, 0.0], EvalBudget(max_iterations=5000), gamma=0.02, k=2)
         assert trace.status == DIVERGED
         assert len(trace.records) < 5000
         cap_ok = (not np.isfinite(trace.records[-1].error)) or trace.records[-1].error > 1e12
@@ -304,9 +307,9 @@ class TestCsawgRun:
 
     def test_budget_exhaustion_partial_trace(self):
         obj = quadratic_objective()
-        cfg = PlannerConfig(gamma=0.0009, k=2)
-        trace = csawg_run(obj, [-1.0, 2.0], cfg,
-                          EvalBudget(max_iterations=10 ** 6, max_grad_evals=50, error_floor=None))
+        trace = run_planner(obj, [-1.0, 2.0],
+                            EvalBudget(max_iterations=10 ** 6, max_grad_evals=50, error_floor=None),
+                            gamma=0.0009, k=2)
         assert trace.status == BUDGET_EXHAUSTED
         assert trace.total_grad_evals >= 50
         # overshoot bounded by one event plus the main-loop evaluation
