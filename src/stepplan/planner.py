@@ -30,6 +30,7 @@ from typing import Optional
 import numpy as np
 
 from .core import Array, DivergenceError, Objective, _count, all_finite, as_vector
+from .optimizers import _finite
 
 
 @dataclass
@@ -122,30 +123,6 @@ def apply_projection(w, g, alpha: Array) -> Array:
     return out
 
 
-@dataclass
-class PlannerConfig:
-    """gamma: inner GD step; K: buffer size / planning horizon;
-    P: planning repetitions per event; M: corrective GD steps per repetition."""
-
-    gamma: float
-    k: int
-    p: int = 1
-    m: int = 0
-
-    def __post_init__(self):
-        if not np.isfinite(self.gamma):
-            raise ValueError("gamma must be finite")
-        self.k = _count("K", self.k)
-        self.p = _count("P", self.p)
-        self.m = _count("M", self.m)
-        if self.k < 1:
-            raise ValueError("K must be >= 1")
-        if self.p < 1:
-            raise ValueError("P must be >= 1")
-        if self.m < 0:
-            raise ValueError("M must be >= 0")
-
-
 class StepSizePlanner:
     """Stepper that interleaves GD with learned step-size projections.
 
@@ -155,31 +132,41 @@ class StepSizePlanner:
     first 2K — run a planning event.  ``last_alpha`` exposes the fitted
     step-size on event iterations (None otherwise) so traces can snapshot
     exactly the planned values.
+
+    ``gamma`` is the inner GD step, ``k`` the buffer size and planning
+    horizon K, ``p`` the projections P per event and ``m`` the corrective
+    GD steps M after each projection.
     """
 
     def __init__(self, w0, gamma: float, k: int, p: int = 1, m: int = 0):
-        self.config = PlannerConfig(gamma=float(gamma), k=k, p=p, m=m)
+        self.gamma = _finite("gamma", gamma)
+        self.p = _count("P", p)
+        self.m = _count("M", m)
+        if self.p < 1:
+            raise ValueError("P must be >= 1")
+        if self.m < 0:
+            raise ValueError("M must be >= 0")
+        self.buffer = ExperienceBuffer(k)
         self.w = as_vector(w0).copy()
         self.k = 0
-        self.buffer = ExperienceBuffer(self.config.k)
         self.planning_events = 0
         self.last_alpha: Optional[Array] = None
 
     def step(self, obj: Objective):
-        cfg = self.config
+        gamma = self.gamma
         self.last_alpha = None
         g = obj.grad(self.w)
-        w = self.w - cfg.gamma * g
+        w = self.w - gamma * g
         if not all_finite(w):
             raise DivergenceError(f"non-finite iterate after step {self.k + 1}")
         if self.buffer.push(w, g):
             alpha = compute_alpha(self.buffer)
-            for _ in range(cfg.p):
+            for _ in range(self.p):
                 gp = obj.grad(w)
                 w = apply_projection(w, gp, alpha)
-                for _ in range(cfg.m):
+                for _ in range(self.m):
                     gm = obj.grad(w)
-                    w = w - cfg.gamma * gm
+                    w = w - gamma * gm
                     if not all_finite(w):
                         raise DivergenceError("non-finite iterate during corrective GD")
             self.buffer.rotate()
@@ -187,4 +174,3 @@ class StepSizePlanner:
             self.last_alpha = alpha
         self.w = w
         self.k += 1
-

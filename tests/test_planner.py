@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from stepplan.core import EvalBudget
-from stepplan.planner import (ExperienceBuffer, ExperiencePair, PlannerConfig,
-                              StepSizePlanner, apply_projection, compute_alpha)
+from stepplan.planner import (ExperienceBuffer, ExperiencePair, StepSizePlanner,
+                              apply_projection, compute_alpha)
 from stepplan.theory import ideal_diag_step
 from stepplan.tracing import BUDGET_EXHAUSTED, CONVERGED, DIVERGED, run_steps
 
@@ -236,7 +236,7 @@ class TestPlannerConfig:
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
-            PlannerConfig(**kwargs)
+            StepSizePlanner([0.0], **kwargs)
 
 
 class TestCsawgRun:
