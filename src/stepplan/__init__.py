@@ -1,7 +1,7 @@
 """Step-size planning for gradient descent, with baselines and a harness."""
 
 from .core import (Array, DivergenceError, EvalBudget, Objective,
-                   StationaryPointError, finite_diff_grad, hadamard)
+                   StationaryPointError, finite_diff_grad)
 from .harness import (ExperimentConfig, empirical_rate, run_experiment,
                       speedup_at_budget, sweep)
 from .optimizers import make_optimizer

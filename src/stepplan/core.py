@@ -54,13 +54,6 @@ def as_vector(x, dim: Optional[int] = None) -> Array:
     return v
 
 
-def hadamard(x, y) -> Array:
-    """Element-wise product of two equal-length vectors."""
-    xv = as_vector(x)
-    yv = as_vector(y, dim=xv.size)
-    return xv * yv
-
-
 class Objective:
     """A loss function with gradient access and evaluation accounting.
 
