@@ -1,8 +1,8 @@
 """Minimal SVG line charts for convergence curves, no plotting dependency.
 
 Emits SVG 1.1 by hand with fixed-precision coordinates so identical inputs
-produce byte-identical files.  The y axis is log-scaled by default (errors
-span many decades); non-positive values are clamped to ``Y_FLOOR`` so
+produce byte-identical files.  The y axis is log-scaled (errors span many
+decades); non-positive values are clamped to ``Y_FLOOR`` so
 exactly-converged runs still plot.
 """
 
@@ -47,13 +47,12 @@ def _nice_linear_ticks(lo: float, hi: float, target: int = 6) -> list:
 
 
 def render_svg(series: Sequence[Tuple[str, Iterable[float], Iterable[float]]],
-               path, log_y: bool = True, x_label: str = "gradient evaluations",
-               y_label: str = "error") -> None:
+               path, x_label: str = "gradient evaluations", y_label: str = "error") -> None:
     """Write a line chart of (label, xs, ys) series to ``path``.
 
-    With ``log_y`` the y coordinates are log10-scaled and decade ticks are
-    drawn; values below ``Y_FLOOR`` are clamped before scaling.  Points
-    whose y is inf or NaN (a diverged run's last error) are left out.
+    The y coordinates are log10-scaled and decade ticks are drawn; values
+    below ``Y_FLOOR`` are clamped before scaling.  Points whose y is inf or
+    NaN (a diverged run's last error) are left out.
     """
     prepared = []
     for label, xs, ys in series:
@@ -61,9 +60,8 @@ def render_svg(series: Sequence[Tuple[str, Iterable[float], Iterable[float]]],
         ys = list(map(float, ys))
         if len(xs) != len(ys):
             raise ValueError(f"series {label!r} has mismatched lengths")
-        if log_y:
-            # math.log10, not np.log10, whose SIMD kernel may differ by one ulp
-            ys = list(map(math.log10, np.maximum(ys, Y_FLOOR).tolist()))
+        # math.log10, not np.log10, whose SIMD kernel may differ by one ulp
+        ys = list(map(math.log10, np.maximum(ys, Y_FLOOR).tolist()))
         if not all(map(math.isfinite, ys)):
             kept = [(x, y) for x, y in zip(xs, ys) if math.isfinite(y)]
             xs, ys = [x for x, _ in kept], [y for _, y in kept]
@@ -106,19 +104,14 @@ def render_svg(series: Sequence[Tuple[str, Iterable[float], Iterable[float]]],
     )
     out.append(f'<path d="{axis}" stroke="black" fill="none" stroke-width="1"/>')
 
-    if log_y:
-        y_ticks = range(math.ceil(y_lo - 1e-9), math.floor(y_hi + 1e-9) + 1)
-        y_tick_items = [(float(t), f"1e{t:d}") for t in y_ticks]
-    else:
-        y_tick_items = [(t, f"{t:g}") for t in _nice_linear_ticks(y_lo, y_hi)]
-    for t, text in y_tick_items:
-        y = py(t)
+    for t in range(math.ceil(y_lo - 1e-9), math.floor(y_hi + 1e-9) + 1):
+        y = py(float(t))
         out.append(
             f'<line x1="{_f(MARGIN_L - 4)}" y1="{_f(y)}" x2="{_f(MARGIN_L)}" y2="{_f(y)}" stroke="black"/>'
         )
         out.append(
             f'<text x="{_f(MARGIN_L - 8)}" y="{_f(y + 3)}" font-size="11" '
-            f'font-family="sans-serif" text-anchor="end">{text}</text>'
+            f'font-family="sans-serif" text-anchor="end">1e{t:d}</text>'
         )
     for t in _nice_linear_ticks(x_lo, x_hi):
         x = px(t)
@@ -162,11 +155,11 @@ def render_svg(series: Sequence[Tuple[str, Iterable[float], Iterable[float]]],
         fh.write("\n".join(out) + "\n")
 
 
-def render_traces(labeled_traces, path, log_y: bool = True) -> None:
+def render_traces(labeled_traces, path) -> None:
     """Plot (label, Trace) pairs as error versus gradient evaluations."""
     series = []
     for label, trace in labeled_traces:
         xs = [r.grad_evals for r in trace.records]
         ys = [r.error for r in trace.records]
         series.append((label, xs, ys))
-    render_svg(series, path, log_y=log_y)
+    render_svg(series, path)

@@ -55,6 +55,15 @@ def test_non_finite_points_are_left_out(tmp_path):
     assert len(ET.parse(a).getroot().findall(f"{SVG_NS}polyline")) == 2
 
 
+def test_one_valued_series_at_any_magnitude(tmp_path):
+    # log10 of a clamped value lies in [-16, 308.3], so widening a flat
+    # y range by one decade never rounds back onto itself
+    path = tmp_path / "flat.svg"
+    for y in (1e40, 2.0 ** 60, 1.7e308, 0.0):
+        render_svg([("flat", [1, 2], [y, y])], path)
+        assert len(ET.parse(path).getroot().findall(f"{SVG_NS}polyline")) == 1
+
+
 def test_render_traces_from_runs(tmp_path):
     c = ExperimentConfig(problem={"name": "rosenbrock"},
                          optimizer={"name": "gd", "gamma": 0.001},
