@@ -14,7 +14,7 @@ import re
 
 import click
 
-from .harness import (ExperimentConfig, apply_override, load_config,
+from .harness import (ExperimentConfig, _prepare, apply_override, load_config,
                       parse_override_value, run_experiment, sweep)
 from .presets import PRESETS
 from .svgplot import render_traces
@@ -28,7 +28,10 @@ def _slug(text: str) -> str:
 
 
 def _load_with_overrides(config_path, overrides, seed) -> ExperimentConfig:
-    cfg = load_config(config_path)
+    try:
+        cfg = load_config(config_path)
+    except (OSError, ValueError, RecursionError) as exc:  # RecursionError: JSON nested too deep
+        raise click.UsageError(f"invalid config {config_path}: {exc}")
     d = cfg.to_dict()
     for item in overrides:
         if "=" not in item:
@@ -42,13 +45,14 @@ def _load_with_overrides(config_path, overrides, seed) -> ExperimentConfig:
         d["seed"] = seed
     try:
         return ExperimentConfig.from_dict(d)
-    except (ValueError, TypeError) as exc:
+    except ValueError as exc:
         raise click.UsageError(f"invalid config: {exc}")
 
 
-def _run_or_fail(cfg: ExperimentConfig):
+def _or_fail(fn, *args):
+    """``fn(*args)``, with a ``ValueError`` exiting 2 and any other error 1."""
     try:
-        return run_experiment(cfg)
+        return fn(*args)
     except ValueError as exc:
         raise click.UsageError(str(exc))
     except Exception as exc:
@@ -80,7 +84,7 @@ def cli():
 def run(config_path, out_dir, seed, svg, overrides):
     """Run one experiment and write its trace as CSV (and SVG)."""
     cfg = _load_with_overrides(config_path, overrides, seed)
-    trace = _run_or_fail(cfg)
+    trace = _or_fail(run_experiment, cfg)
     label = cfg.label or pathlib.Path(config_path).stem
     _emit(pathlib.Path(out_dir), label, [(label, trace)], svg)
     final = trace.records[-1].error if trace.records else float("nan")
@@ -99,12 +103,15 @@ def run(config_path, out_dir, seed, svg, overrides):
 @click.option("--svg/--no-svg", default=True)
 @click.option("--set", "overrides", multiple=True, metavar="KEY=VALUE")
 def compare(config_paths, out_dir, seed, svg, overrides):
-    """Run several configs and overlay them in one chart + combined CSV."""
-    labeled = []
+    """Run several configs and overlay them in one chart + combined CSV.
+
+    Every config is loaded and built before the first one runs.
+    """
+    prepared = []
     for path in config_paths:
         cfg = _load_with_overrides(path, overrides, seed)
-        label = cfg.label or pathlib.Path(path).stem
-        labeled.append((label, _run_or_fail(cfg)))
+        prepared.append((cfg.label or pathlib.Path(path).stem, _or_fail(_prepare, cfg)))
+    labeled = [(label, _or_fail(run)) for label, run in prepared]
     out = pathlib.Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     combined = out / "compare.csv"
@@ -138,12 +145,7 @@ def sweep_cmd(config_path, grid_items, out_dir, seed, svg, overrides):
             raise click.UsageError(f"--grid expects key=v1,v2,..., got {item!r}")
         key, _, values = item.partition("=")
         grid[key] = [parse_override_value(v) for v in values.split(",") if v != ""]
-    try:
-        results = sweep(grid, base)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
-    except Exception as exc:
-        raise click.ClickException(str(exc))
+    results = _or_fail(sweep, grid, base)
     labeled = [(cfg.label, trace) for cfg, trace in results]
     _emit(pathlib.Path(out_dir), "sweep", labeled, svg)
     click.echo(f"{'label':<40} {'status':<18} {'grad_evals':>10} {'final_error':>14}")
@@ -200,7 +202,7 @@ def repro(preset, out_dir, svg):
     out.mkdir(parents=True, exist_ok=True)
     labeled = []
     for cfg in configs:
-        trace = _run_or_fail(cfg)
+        trace = _or_fail(run_experiment, cfg)
         labeled.append((cfg.label, trace))
         write_csv(trace, out / f"{_slug(cfg.label)}.csv")
         if svg:

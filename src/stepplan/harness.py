@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import asdict, dataclass
-from typing import List, Tuple
+from typing import Callable, List, Tuple
 
 from .core import EvalBudget, Objective, _count
 from .optimizers import make_optimizer
@@ -63,13 +63,28 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        d = json.loads(json.dumps(d))  # deep copy + reject non-JSON values
-        budget = d.pop("budget")
-        known = {"problem", "optimizer", "seed", "record_w", "record_alpha", "label"}
+        """Build a config from JSON data; malformed data is a ``ValueError``."""
+        try:
+            d = json.loads(json.dumps(d))  # deep copy + reject non-JSON values
+        except TypeError as exc:
+            raise ValueError(f"config is not JSON data: {exc}") from None
+        if not isinstance(d, dict):
+            raise ValueError(f"config must be an object, got {type(d).__name__}")
+        known = {"problem", "optimizer", "budget", "seed", "record_w", "record_alpha", "label"}
         extra = set(d) - known
         if extra:
             raise ValueError(f"unknown config keys: {sorted(extra)}")
-        return cls(budget=EvalBudget(**budget), **d)
+        missing = {"problem", "optimizer", "budget"} - set(d)
+        if missing:
+            raise ValueError(f"missing config keys: {sorted(missing)}")
+        budget = d.pop("budget")
+        if not isinstance(budget, dict):
+            raise ValueError(f"budget must be an object, got {budget!r}")
+        try:
+            budget = EvalBudget(**budget)
+        except TypeError as exc:  # unknown or missing keys, a non-number error_floor
+            raise ValueError(f"invalid budget: {exc}") from None
+        return cls(budget=budget, **d)
 
 
 def load_config(path) -> ExperimentConfig:
@@ -82,14 +97,11 @@ def _split(entry: dict) -> tuple[str, dict]:
     return entry.pop("name"), entry
 
 
-def run_experiment(cfg: ExperimentConfig) -> Trace:
-    """Execute one config and return its trace.
+def _prepare(cfg: ExperimentConfig) -> Callable[[], Trace]:
+    """Build the problem, objective and stepper of ``cfg``; return its run.
 
-    Every optimizer runs through ``run_steps``; on the ``lms`` problem the
-    stream itself is the objective, counting one gradient evaluation per
-    sample.  Divergence is recorded in the trace status, not raised; unknown
-    problem/optimizer names and a mismatched lms/idbd pairing raise
-    ``ValueError``.
+    Unknown problem/optimizer names, bad parameters and a mismatched
+    lms/idbd pairing raise ``ValueError`` here, before anything runs.
     """
     problem_name, problem_params = _split(cfg.problem)
     if problem_name == "lms":
@@ -113,8 +125,20 @@ def run_experiment(cfg: ExperimentConfig) -> Trace:
         )
         error_fn = objective.error
     stepper = make_optimizer(optimizer_name, w0, optimizer_params)
-    return run_steps(stepper, objective, cfg.budget, error_fn,
-                     record_w=cfg.record_w, record_alpha=cfg.record_alpha)
+    return lambda: run_steps(stepper, objective, cfg.budget, error_fn,
+                             record_w=cfg.record_w, record_alpha=cfg.record_alpha)
+
+
+def run_experiment(cfg: ExperimentConfig) -> Trace:
+    """Execute one config and return its trace.
+
+    Every optimizer runs through ``run_steps``; on the ``lms`` problem the
+    stream itself is the objective, counting one gradient evaluation per
+    sample.  Divergence is recorded in the trace status, not raised; unknown
+    problem/optimizer names and a mismatched lms/idbd pairing raise
+    ``ValueError``.
+    """
+    return _prepare(cfg)()
 
 
 def speedup_at_budget(a: Trace, b: Trace, grad_evals: int) -> float:
@@ -176,7 +200,8 @@ def sweep(grid: dict, base: ExperimentConfig) -> List[Tuple[ExperimentConfig, Tr
     """Run the Cartesian product of dotted-path value lists over a base config.
 
     Results come back in deterministic grid order (keys in the given
-    order, values left to right).
+    order, values left to right).  Every config is built before the first
+    runs, so a bad grid value raises ``ValueError`` before any work.
     """
     if not grid:
         raise ValueError("sweep grid must be non-empty")
@@ -187,7 +212,7 @@ def sweep(grid: dict, base: ExperimentConfig) -> List[Tuple[ExperimentConfig, Tr
         if not values:
             raise ValueError(f"empty value list for sweep key {key!r}")
         value_lists.append(values)
-    results = []
+    prepared = []
     for combo in itertools.product(*value_lists):
         d = base.to_dict()
         for key, value in zip(keys, combo):
@@ -195,5 +220,5 @@ def sweep(grid: dict, base: ExperimentConfig) -> List[Tuple[ExperimentConfig, Tr
         tags = ",".join(f"{k}={v}" for k, v in zip(keys, combo))
         d["label"] = f"{base.label}[{tags}]" if base.label else tags
         cfg = ExperimentConfig.from_dict(d)
-        results.append((cfg, run_experiment(cfg)))
-    return results
+        prepared.append((cfg, _prepare(cfg)))
+    return [(cfg, run()) for cfg, run in prepared]

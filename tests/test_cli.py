@@ -1,9 +1,13 @@
 import json
+import pathlib
 
 import pytest
 from click.testing import CliRunner
 
+import stepplan.harness
 from stepplan.cli import cli
+
+CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
 
 CONFIG = {
     "problem": {"name": "quadratic", "q_diag": [1000.0, 1.0],
@@ -24,6 +28,19 @@ def write_config(tmp_path, config=CONFIG, name="cfg.json"):
     path = tmp_path / name
     path.write_text(json.dumps(config))
     return path
+
+
+@pytest.fixture
+def runs(monkeypatch):
+    """The steppers that reached the run loop, in order."""
+    started, run_steps = [], stepplan.harness.run_steps
+
+    def counted(stepper, *args, **kw):
+        started.append(stepper)
+        return run_steps(stepper, *args, **kw)
+
+    monkeypatch.setattr(stepplan.harness, "run_steps", counted)
+    return started
 
 
 class TestRun:
@@ -77,6 +94,32 @@ class TestRun:
                                      "--set", "optimizer.k=10", "--no-svg"])
         assert result.exit_code == 0
 
+    @pytest.mark.parametrize("text", [
+        json.dumps({k: v for k, v in CONFIG.items() if k != "budget"}),
+        json.dumps(CONFIG)[:40],
+        json.dumps(dict(CONFIG, budget=5)),
+        json.dumps(dict(CONFIG, budget={"max_iterations": 10, "wall_clock": 60})),
+        "[1, 2]",
+    ], ids=["missing-budget", "truncated", "budget-number", "unknown-budget-key", "top-level-list"])
+    def test_malformed_config_file_exits_2(self, runner, tmp_path, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        out = tmp_path / "out"
+        result = runner.invoke(cli, ["run", "--config", str(path), "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert "invalid config" in result.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name", ["convex-planner", "lms-idbd", "rosenbrock-gd"])
+    def test_shipped_config_runs(self, runner, tmp_path, name):
+        path = CONFIGS / f"{name}.json"
+        label = json.loads(path.read_text())["label"]
+        out = tmp_path / "out"
+        result = runner.invoke(cli, ["run", "--config", str(path), "--out", str(out), "--no-svg",
+                                     "--set", "budget.max_iterations=50"])
+        assert result.exit_code == 0, result.output
+        assert len((out / f"{label}.csv").read_text().splitlines()) == 1 + 50
+
     def test_bad_override_exits_2(self, runner, tmp_path):
         cfg = write_config(tmp_path)
         result = runner.invoke(cli, ["run", "--config", str(cfg),
@@ -113,6 +156,19 @@ class TestCompare:
         assert labels == {"convex-k2", "gd"}
         assert (out / "compare.svg").exists()
 
+    def test_bad_config_stops_before_any_run(self, runner, tmp_path, runs):
+        good = dict(CONFIG, optimizer={"name": "heavy_ball", "gamma": 0.0009, "p": 0.5},
+                    label="good")
+        bad = dict(good, optimizer={"name": "heavy_ball", "gamma": 0.0009, "p": 1.0}, label="bad")
+        paths = [write_config(tmp_path, good, "good.json"), write_config(tmp_path, bad, "bad.json")]
+        out = tmp_path / "out"
+        result = runner.invoke(cli, ["compare", "--config", str(paths[0]), "--config", str(paths[1]),
+                                     "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert "momentum rate p" in result.output
+        assert runs == []
+        assert not out.exists()
+
 
 class TestSweep:
     def test_grid_runs_and_table(self, runner, tmp_path):
@@ -127,6 +183,19 @@ class TestSweep:
         assert "optimizer.gamma=0.0005" in result.output
         csvs = list(out.glob("*.csv"))
         assert len(csvs) == 2
+
+    def test_bad_grid_value_stops_before_any_run(self, runner, tmp_path, runs):
+        config = dict(CONFIG, optimizer={"name": "heavy_ball", "gamma": 0.001, "p": 0.5},
+                      problem={"name": "rosenbrock"}, label="hb", record_alpha=False,
+                      budget={"max_iterations": 100, "error_floor": None})
+        cfg = write_config(tmp_path, config)
+        out = tmp_path / "out"
+        result = runner.invoke(cli, ["sweep", "--config", str(cfg), "--out", str(out),
+                                     "--grid", "optimizer.p=0.5,1.0"])
+        assert result.exit_code == 2, result.output
+        assert "momentum rate p" in result.output
+        assert runs == []
+        assert not out.exists()
 
     def test_bad_grid_exits_2(self, runner, tmp_path):
         cfg = write_config(tmp_path)

@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stepplan.core import EvalBudget
 from stepplan.harness import (ExperimentConfig, apply_override, empirical_rate,
@@ -16,6 +17,28 @@ from stepplan.tracing import (BUDGET_EXHAUSTED, CONVERGED, DIVERGED, Trace,
 CONVEX = {"name": "quadratic", "q_diag": [1000.0, 1.0],
           "w_star": [1.0, 1.0], "w0": [-1.0, 2.0]}
 ROSEN = {"name": "rosenbrock", "w0": [-1.0, 0.0]}
+
+
+# any JSON value, including the NaN and Infinity that Python's json reads
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=5), inner,
+                                                                 max_size=4),
+    max_leaves=12)
+# objects shaped like a config, so that the checks past the top level are reached
+scalars = st.integers(-2, 5) | st.booleans() | st.none() | st.floats()
+budget_like = st.fixed_dictionaries(
+    {"max_iterations": scalars},
+    optional={"max_grad_evals": scalars, "error_floor": scalars | st.text(max_size=2),
+              "wall_clock": scalars})
+entry_like = st.fixed_dictionaries({"name": st.sampled_from(["gd", "rosenbrock"]) | scalars})
+config_like = st.fixed_dictionaries(
+    {"problem": entry_like, "optimizer": entry_like, "budget": budget_like | scalars},
+    optional={"seed": scalars, "record_w": scalars, "record_alpha": scalars,
+              "label": st.text(max_size=2) | scalars, "extra": scalars})
+# and objects with a few config keys of any value, some missing
+partial_like = st.dictionaries(st.sampled_from(["problem", "optimizer", "budget", "seed"]),
+                               json_values, max_size=4)
 
 
 def cfg(problem, optimizer, budget, **kw):
@@ -325,6 +348,29 @@ class TestConfigSerialization:
         c = cfg(ROSEN, {"name": "gd", "gamma": 0.001}, EvalBudget(max_iterations=10),
                 seed=np.int64(4))
         assert type(c.seed) is int and c.seed == 4
+
+    @settings(max_examples=300, deadline=None)
+    @given(json_values | config_like | partial_like)
+    def test_from_dict_returns_config_or_raises_value_error(self, d):
+        try:
+            c = ExperimentConfig.from_dict(d)
+        except ValueError:
+            return
+        assert isinstance(c, ExperimentConfig) and isinstance(c.budget, EvalBudget)
+
+    @pytest.mark.parametrize("d", [
+        {"problem": {"name": "rosenbrock"}, "optimizer": {"name": "gd"}},
+        {"problem": {"name": "rosenbrock"}, "optimizer": {"name": "gd"}, "budget": 5},
+        {"problem": {"name": "rosenbrock"}, "optimizer": {"name": "gd"},
+         "budget": {"max_iterations": 1, "wall_clock": 60}},
+        {"problem": {"name": "rosenbrock"}, "optimizer": {"name": "gd"},
+         "budget": {"max_iterations": 1, "error_floor": "low"}},
+        {"optimizer": {"name": "gd"}, "budget": {"max_iterations": 1}},
+        [1, 2], "config", None,
+    ])
+    def test_malformed_dicts_raise_value_error(self, d):
+        with pytest.raises(ValueError):
+            ExperimentConfig.from_dict(d)
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(ValueError, match="unknown config keys"):
