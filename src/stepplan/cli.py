@@ -103,10 +103,7 @@ def run(config_path, out_dir, seed, svg, overrides):
 @click.option("--svg/--no-svg", default=True)
 @click.option("--set", "overrides", multiple=True, metavar="KEY=VALUE")
 def compare(config_paths, out_dir, seed, svg, overrides):
-    """Run several configs and overlay them in one chart + combined CSV.
-
-    Every config is loaded and built before the first one runs.
-    """
+    """Build several configs, then run and overlay them in one chart + combined CSV."""
     prepared = []
     for path in config_paths:
         cfg = _load_with_overrides(path, overrides, seed)

@@ -57,9 +57,7 @@ class ExperimentConfig:
                 raise ValueError(f"{field} must be true or false, got {getattr(self, field)!r}")
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        d["budget"] = {k: v for k, v in asdict(self.budget).items()}
-        return d
+        return asdict(self)  # recurses into the budget
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
@@ -77,12 +75,9 @@ class ExperimentConfig:
         missing = {"problem", "optimizer", "budget"} - set(d)
         if missing:
             raise ValueError(f"missing config keys: {sorted(missing)}")
-        budget = d.pop("budget")
-        if not isinstance(budget, dict):
-            raise ValueError(f"budget must be an object, got {budget!r}")
         try:
-            budget = EvalBudget(**budget)
-        except TypeError as exc:  # unknown or missing keys, a non-number error_floor
+            budget = EvalBudget(**d.pop("budget"))
+        except TypeError as exc:  # not an object, unknown or missing keys, a non-number floor
             raise ValueError(f"invalid budget: {exc}") from None
         return cls(budget=budget, **d)
 
@@ -98,11 +93,7 @@ def _split(entry: dict) -> tuple[str, dict]:
 
 
 def _prepare(cfg: ExperimentConfig) -> Callable[[], Trace]:
-    """Build the problem, objective and stepper of ``cfg``; return its run.
-
-    Unknown problem/optimizer names, bad parameters and a mismatched
-    lms/idbd pairing raise ``ValueError`` here, before anything runs.
-    """
+    """Build the problem, objective and stepper of ``cfg``; return its run."""
     problem_name, problem_params = _split(cfg.problem)
     if problem_name == "lms":
         problem_params.setdefault("seed", cfg.seed)
@@ -135,8 +126,8 @@ def run_experiment(cfg: ExperimentConfig) -> Trace:
     Every optimizer runs through ``run_steps``; on the ``lms`` problem the
     stream itself is the objective, counting one gradient evaluation per
     sample.  Divergence is recorded in the trace status, not raised; unknown
-    problem/optimizer names and a mismatched lms/idbd pairing raise
-    ``ValueError``.
+    problem/optimizer names, bad parameters and a mismatched lms/idbd
+    pairing raise ``ValueError`` before the run starts.
     """
     return _prepare(cfg)()
 
