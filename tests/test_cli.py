@@ -100,7 +100,9 @@ class TestRun:
         json.dumps(dict(CONFIG, budget=5)),
         json.dumps(dict(CONFIG, budget={"max_iterations": 10, "wall_clock": 60})),
         "[1, 2]",
-    ], ids=["missing-budget", "truncated", "budget-number", "unknown-budget-key", "top-level-list"])
+        "[" * 100000,
+    ], ids=["missing-budget", "truncated", "budget-number", "unknown-budget-key", "top-level-list",
+            "nested-too-deep"])
     def test_malformed_config_file_exits_2(self, runner, tmp_path, text):
         path = tmp_path / "bad.json"
         path.write_text(text)
