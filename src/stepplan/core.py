@@ -1,6 +1,7 @@
 """Vector validation, the objective contract, and run budgets.
 
-Everything in this package works on one-dimensional float64 numpy arrays.
+Iterates and gradients are one-dimensional float64 numpy arrays
+(the elementwise steppers keep their state vectors as lists of floats).
 The helpers here validate finiteness and dimension at public boundaries;
 hot loops elsewhere assume validated inputs and only re-check where an
 update can blow up.
@@ -11,7 +12,7 @@ from __future__ import annotations
 import numbers
 from dataclasses import dataclass
 from math import isfinite
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -26,15 +27,14 @@ class StationaryPointError(RuntimeError):
     """A step-size rule met a zero gradient away from the known optimum."""
 
 
-def all_finite(v: Array) -> bool:
-    """Whether every entry of the 1-d array ``v`` is finite.
+def all_finite(values: Sequence[float]) -> bool:
+    """Whether every float in ``values`` is finite; pass an array as ``.tolist()``.
 
-    Exact, and about the cost of a scalar operation for small ``v``: a
+    Exact, and about the cost of a scalar operation for short sequences: a
     finite float sum means every term is finite; a non-finite sum can come
     from finite terms that overflow (``[1e308, 1e308]``), so that case
     falls back to a per-element check.
     """
-    values = v.tolist()
     return isfinite(sum(values)) or all(map(isfinite, values))
 
 
@@ -47,7 +47,7 @@ def as_vector(x, dim: Optional[int] = None) -> Array:
     v = np.asarray(x, dtype=float)
     if v.ndim != 1 or v.size < 1:
         raise ValueError(f"expected a 1-d vector of dimension >= 1, got shape {v.shape}")
-    if not all_finite(v):
+    if not all_finite(v.tolist()):
         raise ValueError("vector contains non-finite entries")
     if dim is not None and v.size != dim:
         raise ValueError(f"dimension mismatch: expected {dim}, got {v.size}")

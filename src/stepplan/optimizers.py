@@ -6,6 +6,15 @@ exactly one gradient evaluation; the function-value based rules (Polyak,
 L4, LossGrad) additionally consume function evaluations, which the
 objective counts separately.  Steppers do not police stability — finite
 oscillation passes through, and only a non-finite iterate aborts.
+
+The purely elementwise rules (gd, heavy_ball, nesterov, rmsprop, adam)
+update each component on Python floats and keep their state vectors as
+lists: at the dimensions they run in, a numpy ufunc call on a tiny array
+costs more than the arithmetic.  ``+ - * /`` and ``sqrt`` round correctly
+in both, so the bytes are those of the whole-array form.  Reductions
+(``g @ v``) and ``exp`` stay numpy, whose results may round differently
+from a Python sum or ``math.exp``.  ``w`` stays a float64 array for every
+stepper.
 """
 
 from __future__ import annotations
@@ -35,10 +44,10 @@ class _Stepper:
         self.w = as_vector(w0).copy()
         self.k = 0
 
-    def _commit(self, w_new: Array):
+    def _commit(self, w_new: list[float]):
         if not all_finite(w_new):
             raise DivergenceError(f"non-finite iterate after step {self.k + 1}")
-        self.w = w_new
+        self.w = np.array(w_new)
         self.k += 1
 
 
@@ -50,8 +59,9 @@ class GradientDescent(_Stepper):
         self.gamma = _finite("gamma", gamma)
 
     def step(self, obj: Objective):
-        g = obj.grad(self.w)
-        self._commit(self.w - self.gamma * g)
+        gamma = self.gamma
+        g = obj.grad(self.w).tolist()
+        self._commit([wi - gamma * gi for wi, gi in zip(self.w.tolist(), g)])
 
 
 class HeavyBall(_Stepper):
@@ -63,12 +73,14 @@ class HeavyBall(_Stepper):
         self.p = _finite("p", p)
         if not (0.0 <= self.p < 1.0):
             raise ValueError("momentum rate p must be in [0, 1)")
-        self.delta = np.zeros_like(self.w)
+        self.delta = [0.0] * self.w.size
 
     def step(self, obj: Objective):
-        g = obj.grad(self.w)
-        w_new = self.w - self.gamma * g + self.p * self.delta
-        self.delta = w_new - self.w
+        gamma, p = self.gamma, self.p
+        w = self.w.tolist()
+        g = obj.grad(self.w).tolist()
+        w_new = [wi - gamma * gi + p * di for wi, gi, di in zip(w, g, self.delta)]
+        self.delta = [wn - wi for wn, wi in zip(w_new, w)]
         self._commit(w_new)
 
 
@@ -97,12 +109,13 @@ class NesterovAGD(_Stepper):
                 raise ValueError("strongly_convex mode needs 0 < mu <= L")
         self.mode = mode
         self.step_size = _finite("step", step) if step is not None else 1.0 / self.L
-        self.x = self.w.copy()
+        self.x = self.w.tolist()
         self.t = 1.0
 
     def step(self, obj: Objective):
-        g = obj.grad(self.x)
-        w_new = self.x - self.step_size * g
+        step_size = self.step_size
+        g = obj.grad(np.array(self.x)).tolist()
+        w_new = [xi - step_size * gi for xi, gi in zip(self.x, g)]
         if self.mode == "strongly_convex":
             gamma_k = (math.sqrt(self.L) - math.sqrt(self.mu)) / (
                 math.sqrt(self.L) + math.sqrt(self.mu)
@@ -111,7 +124,7 @@ class NesterovAGD(_Stepper):
             t_next = (1.0 + math.sqrt(1.0 + 4.0 * self.t * self.t)) / 2.0
             gamma_k = (self.t - 1.0) / t_next
             self.t = t_next
-        self.x = w_new + gamma_k * (w_new - self.w)
+        self.x = [wn + gamma_k * (wn - wi) for wn, wi in zip(w_new, self.w.tolist())]
         self._commit(w_new)
 
 
@@ -133,10 +146,10 @@ class PolyakStep(_Stepper):
                     f"zero gradient with f(w) = {fval} above f* = {self.f_star}"
                 )
             self.alpha = 0.0
-            self._commit(self.w.copy())
+            self._commit(self.w.tolist())
             return
         self.alpha = (fval - self.f_star) / gg
-        self._commit(self.w - self.alpha * g)
+        self._commit((self.w - self.alpha * g).tolist())
 
 
 class L4(_Stepper):
@@ -172,7 +185,7 @@ class L4(_Stepper):
         self.alpha = (fval - self.f_star) / (float(g @ v) + self.eps)
         if not math.isfinite(self.alpha):
             raise DivergenceError("non-finite L4 step-size")
-        self._commit(self.w - self.alpha * v)
+        self._commit((self.w - self.alpha * v).tolist())
 
 
 class LossGrad(_Stepper):
@@ -198,7 +211,7 @@ class LossGrad(_Stepper):
         g = obj.grad(self.w)
         gg = float(g @ g)
         if gg == 0.0:
-            self._commit(self.w.copy())
+            self._commit(self.w.tolist())
             return
         fval = obj.value(self.w)
         probe = obj.value(self.w - self.alpha * g)
@@ -208,7 +221,7 @@ class LossGrad(_Stepper):
             self.alpha *= self.rho
         else:
             self.alpha /= self.rho
-        self._commit(self.w - self.alpha * g)
+        self._commit((self.w - self.alpha * g).tolist())
 
 
 class RMSprop(_Stepper):
@@ -227,12 +240,14 @@ class RMSprop(_Stepper):
             raise ValueError("beta must be in [0, 1)")
         if self.eps <= 0:
             raise ValueError("eps must be positive")
-        self.v = np.zeros_like(self.w)
+        self.v = [0.0] * self.w.size
 
     def step(self, obj: Objective):
-        g = obj.grad(self.w)
-        self.v = self.beta * self.v + (1.0 - self.beta) * g * g
-        self._commit(self.w - self.alpha * g / np.sqrt(self.v + self.eps))
+        alpha, beta, eps = self.alpha, self.beta, self.eps
+        g = obj.grad(self.w).tolist()
+        self.v = v = [beta * vi + (1.0 - beta) * gi * gi for vi, gi in zip(self.v, g)]
+        self._commit([wi - alpha * gi / math.sqrt(vi + eps)
+                      for wi, gi, vi in zip(self.w.tolist(), g, v)])
 
 
 class Adam(_Stepper):
@@ -249,17 +264,19 @@ class Adam(_Stepper):
             raise ValueError("beta1, beta2 must be in [0, 1)")
         if self.eps <= 0:
             raise ValueError("eps must be positive")
-        self.m = np.zeros_like(self.w)
-        self.v = np.zeros_like(self.w)
+        self.m = [0.0] * self.w.size
+        self.v = [0.0] * self.w.size
 
     def step(self, obj: Objective):
-        g = obj.grad(self.w)
+        alpha, b1, b2, eps = self.alpha, self.beta1, self.beta2, self.eps
+        g = obj.grad(self.w).tolist()
         k = self.k + 1
-        self.m = self.beta1 * self.m + (1.0 - self.beta1) * g
-        self.v = self.beta2 * self.v + (1.0 - self.beta2) * g * g
-        m_hat = self.m / (1.0 - self.beta1 ** k)
-        v_hat = self.v / (1.0 - self.beta2 ** k)
-        self._commit(self.w - self.alpha * m_hat / (np.sqrt(v_hat) + self.eps))
+        self.m = m = [b1 * mi + (1.0 - b1) * gi for mi, gi in zip(self.m, g)]
+        self.v = v = [b2 * vi + (1.0 - b2) * gi * gi for vi, gi in zip(self.v, g)]
+        d1 = 1.0 - b1 ** k
+        d2 = 1.0 - b2 ** k
+        self._commit([wi - alpha * (mi / d1) / (math.sqrt(vi / d2) + eps)
+                      for wi, mi, vi in zip(self.w.tolist(), m, v)])
 
 
 class IdbdScalar(_Stepper):
@@ -287,7 +304,7 @@ class IdbdScalar(_Stepper):
             raise DivergenceError("non-finite adapted step-size")
         w_new = self.w - self.alpha * g
         self.h = self.lam * self.h + g
-        self._commit(w_new)
+        self._commit(w_new.tolist())
 
 
 class Idbd(_Stepper):
@@ -330,9 +347,9 @@ class Idbd(_Stepper):
         alpha = np.exp(beta)
         w = self.w + alpha * delta * x
         h = self.h * np.maximum(0.0, 1.0 - alpha * x * x) + alpha * delta * x
-        if not all_finite(beta):
+        if not all_finite(beta.tolist()):
             raise DivergenceError(f"non-finite step-size after sample {self.k + 1}")
-        self._commit(w)
+        self._commit(w.tolist())
         self.beta, self.h = beta, h
 
 

@@ -118,7 +118,7 @@ def apply_projection(w, g, alpha: Array) -> Array:
     if alpha.size != w.size:
         raise ValueError(f"dimension mismatch: alpha has {alpha.size}, w has {w.size}")
     out = w - alpha * g
-    if not all_finite(out):
+    if not all_finite(out.tolist()):
         raise DivergenceError("non-finite iterate after projection")
     return out
 
@@ -157,7 +157,7 @@ class StepSizePlanner:
         self.last_alpha = None
         g = obj.grad(self.w)
         w = self.w - gamma * g
-        if not all_finite(w):
+        if not all_finite(w.tolist()):
             raise DivergenceError(f"non-finite iterate after step {self.k + 1}")
         if self.buffer.push(w, g):
             alpha = compute_alpha(self.buffer)
@@ -167,7 +167,7 @@ class StepSizePlanner:
                 for _ in range(self.m):
                     gm = obj.grad(w)
                     w = w - gamma * gm
-                    if not all_finite(w):
+                    if not all_finite(w.tolist()):
                         raise DivergenceError("non-finite iterate during corrective GD")
             self.buffer.rotate()
             self.planning_events += 1

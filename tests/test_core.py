@@ -36,14 +36,13 @@ class TestAllFinite:
     def test_matches_numpy(self, values, injected):
         for i, bad in injected:
             values[i % len(values)] = bad
-        v = np.array(values)
-        assert all_finite(v) == bool(np.isfinite(v).all())
+        assert all_finite(values) == bool(np.isfinite(values).all())
 
     def test_overflowing_sum_of_finite_entries(self):
-        assert all_finite(np.array([1e308, 1e308]))
+        assert all_finite([1e308, 1e308])
 
     def test_infinities_of_both_signs(self):
-        assert not all_finite(np.array([np.inf, -np.inf]))
+        assert not all_finite([np.inf, -np.inf])
 
 
 class TestObjective:

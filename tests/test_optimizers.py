@@ -7,8 +7,8 @@ from stepplan.optimizers import (Adam, GradientDescent, HeavyBall, Idbd,
                                  PolyakStep, RMSprop, make_optimizer)
 from stepplan.problems import LmsStream, QuadraticProblem, random_spd
 
-from conftest import (hd_reference, make_objective, quadratic_objective, same_bits,
-                      scalar_objective)
+from conftest import (elementwise_reference, hd_reference, make_objective,
+                      quadratic_objective, same_bits, scalar_objective)
 
 
 def constant_objective(value=5.0, dim=2):
@@ -296,6 +296,83 @@ class TestAdam:
                 adam.step(obj)
                 w_sign = w_sign - alpha * np.sign(g)
                 assert np.max(np.abs(adam.w - w_sign)) <= 1e-12
+
+
+def _random_params(name: str, rng) -> dict:
+    """Finite hyperparameters for ``name``, negative step-sizes included."""
+    u = rng.uniform
+    if name == "gd":
+        return {"gamma": u(-0.05, 0.3)}
+    if name == "heavy_ball":
+        return {"gamma": u(-0.05, 0.2), "p": u(0.0, 0.99)}
+    if name == "nesterov":
+        mu = u(0.1, 1.0)
+        return {"mode": str(rng.choice(["convex", "strongly_convex"])), "mu": mu,
+                "L": mu + u(0.0, 10.0), "step": None if rng.random() < 0.5 else u(-0.05, 0.3)}
+    if name == "rmsprop":
+        return {"alpha": u(-0.1, 0.1), "beta": u(0.0, 0.999), "eps": 10.0 ** u(-10, -2)}
+    return {"alpha": u(-0.1, 0.1), "beta1": u(0.0, 0.999), "beta2": u(0.0, 0.9999),
+            "eps": 10.0 ** u(-10, -2)}
+
+
+def _compare_with_reference(name: str, params: dict, d: int, rng, steps: int = 200):
+    """Step ``name`` and its numpy reference side by side on a random quadratic.
+
+    Asserts the same bytes in the iterate and every state vector after each
+    step, one gradient evaluation per step, and a float64 array iterate.
+    Returns the step that raised ``DivergenceError`` in both, or None.
+    """
+    q, _, _ = random_spd(rng, d, 10.0 ** rng.uniform(0, 3), scale=rng.uniform(0.1, 2.0))
+    c = rng.standard_normal(d)
+    w0 = rng.standard_normal(d) * 10.0 ** rng.uniform(-3, 3)
+    grad_fn = lambda w: q @ (w - c)  # noqa: E731
+    obj = Objective(d, lambda w: 0.0, grad_fn)
+    stepper = make_optimizer(name, w0, params)
+    ref = elementwise_reference(name, grad_fn, w0, params)
+    last_w = w0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, steps + 1):
+            try:
+                expected = next(ref)
+            except DivergenceError:
+                with pytest.raises(DivergenceError, match=f"after step {k}$"):
+                    stepper.step(obj)
+                assert same_bits(stepper.w, last_w) and stepper.k == k - 1
+                assert obj.grad_evals == k
+                return k
+            stepper.step(obj)
+            assert obj.grad_evals == k
+            assert type(stepper.w) is np.ndarray and stepper.w.dtype == np.float64
+            for key, value in expected.items():
+                assert same_bits(getattr(stepper, key), value), (name, k, key)
+            last_w = expected["w"]
+    return None
+
+
+ELEMENTWISE = ("gd", "heavy_ball", "nesterov", "rmsprop", "adam")
+
+
+class TestElementwiseBitIdentity:
+    """The float steppers reproduce the whole-array numpy rules byte for byte."""
+
+    @pytest.mark.parametrize("d", range(1, 9))
+    @pytest.mark.parametrize("name", ELEMENTWISE)
+    def test_random_runs(self, name, d):
+        rng = np.random.default_rng([ELEMENTWISE.index(name), d])
+        for _ in range(3):
+            _compare_with_reference(name, _random_params(name, rng), d, rng)
+
+    @pytest.mark.parametrize("name,params", [
+        ("gd", {"gamma": -100.0}),
+        ("heavy_ball", {"gamma": -10.0, "p": 0.5}),
+        ("nesterov", {"mode": "convex", "mu": 0.0, "L": 1.0, "step": -10.0}),
+        # ascent until g*g overflows: v turns inf, then 0 * inf makes it nan
+        ("rmsprop", {"alpha": -1e200, "beta": 0.0, "eps": 1e300}),
+        ("adam", {"alpha": -1e200, "beta1": 0.9, "beta2": 0.0, "eps": 1e150}),
+    ])
+    def test_overflow_diverges_at_the_same_step(self, name, params):
+        diverged_at = _compare_with_reference(name, params, 3, np.random.default_rng(7))
+        assert diverged_at is not None and diverged_at > 1
 
 
 class TestHyperGradient:
