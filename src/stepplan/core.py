@@ -156,5 +156,8 @@ class EvalBudget:
             raise ValueError("max_iterations must be >= 0")
         if self.max_grad_evals is not None and self.max_grad_evals <= 0:
             raise ValueError("max_grad_evals must be positive when set")
-        if self.error_floor is not None and not self.error_floor >= 0:
-            raise ValueError("error_floor must be non-negative when set")
+        floor = self.error_floor
+        if floor is not None:
+            if isinstance(floor, bool) or not isinstance(floor, numbers.Real) or not floor >= 0:
+                raise ValueError(f"error_floor must be a non-negative number or None, got {floor!r}")
+            self.error_floor = float(floor)

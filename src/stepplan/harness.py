@@ -77,7 +77,7 @@ class ExperimentConfig:
             raise ValueError(f"missing config keys: {sorted(missing)}")
         try:
             budget = EvalBudget(**d.pop("budget"))
-        except TypeError as exc:  # not an object, unknown or missing keys, a non-number floor
+        except TypeError as exc:  # not an object, unknown or missing keys
             raise ValueError(f"invalid budget: {exc}") from None
         return cls(budget=budget, **d)
 

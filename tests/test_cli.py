@@ -131,7 +131,8 @@ class TestRun:
     @pytest.mark.parametrize("override", ["optimizer.gamma=NaN", "optimizer.gamma=Infinity",
                                           "budget.max_iterations=2.5", "optimizer.k=2.5",
                                           "label=5", "optimizer=[1]", 'seed="a"',
-                                          'record_w="yes"'])
+                                          'record_w="yes"', "budget.error_floor=true",
+                                          'budget.error_floor="x"'])
     def test_non_finite_or_fractional_override_exits_2(self, runner, tmp_path, override):
         cfg = write_config(tmp_path)
         out = tmp_path / "out"

@@ -126,10 +126,18 @@ class TestEvalBudget:
         dict(max_iterations=10, max_grad_evals=2.5),
         dict(max_iterations=10, max_grad_evals=True),
         dict(max_iterations=10, error_floor=float("nan")),
+        dict(max_iterations=10, error_floor="x"),
+        dict(max_iterations=10, error_floor=True),
+        dict(max_iterations=10, error_floor=np.bool_(False)),
     ])
     def test_counts_are_integers_and_floor_is_a_number(self, kwargs):
         with pytest.raises(ValueError):
             EvalBudget(**kwargs)
+
+    @pytest.mark.parametrize("floor", [0, 1, np.float64(1e-12), np.int64(2)])
+    def test_floor_is_stored_as_a_float(self, floor):
+        b = EvalBudget(max_iterations=1, error_floor=floor)
+        assert type(b.error_floor) is float and b.error_floor == floor
 
     def test_numpy_integers_become_ints(self):
         b = EvalBudget(max_iterations=np.int64(7), max_grad_evals=np.int32(9))
