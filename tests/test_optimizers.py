@@ -249,7 +249,7 @@ class TestRMSprop:
 
     def test_zero_gradient_decays_v(self):
         s = RMSprop([1.0], alpha=0.01, beta=0.9)
-        s.v = np.array([0.4])
+        s.v = [0.4]
         s.step(constant_objective(dim=1))
         assert s.w[0] == 1.0
         assert np.isclose(s.v[0], 0.36)
