@@ -325,7 +325,10 @@ def _compare_with_reference(name: str, params: dict, d: int, rng, steps: int = 2
     q, _, _ = random_spd(rng, d, 10.0 ** rng.uniform(0, 3), scale=rng.uniform(0.1, 2.0))
     c = rng.standard_normal(d)
     w0 = rng.standard_normal(d) * 10.0 ** rng.uniform(-3, 3)
-    grad_fn = lambda w: q @ (w - c)  # noqa: E731
+
+    def grad_fn(w):
+        return q @ (w - c)
+
     obj = Objective(d, lambda w: 0.0, grad_fn)
     stepper = make_optimizer(name, w0, params)
     ref = elementwise_reference(name, grad_fn, w0, params)
