@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from stepplan.core import EvalBudget
+from stepplan.core import EvalBudget, Objective
 from stepplan.planner import (ExperienceBuffer, ExperiencePair, StepSizePlanner,
                               apply_projection, compute_alpha)
 from stepplan.theory import ideal_diag_step
-from stepplan.tracing import BUDGET_EXHAUSTED, CONVERGED, DIVERGED, run_steps
+from stepplan.tracing import BUDGET_EXHAUSTED, CONVERGED, DIVERGED, run_steps, write_csv
 
 from conftest import make_objective, quadratic_objective
 from stepplan.problems import RosenbrockProblem
@@ -304,6 +304,33 @@ class TestCsawgRun:
         assert cap_ok
         for r in trace.records[:-1]:
             assert np.isfinite(r.error) and r.error <= 1e12
+
+    @pytest.mark.parametrize("gamma, m, grads, golden", [
+        # K=1: the event at iteration 2 fits alpha = 1 and completes; the
+        # one at iteration 3 fits alpha = 2 and its projection overflows
+        (1.0, 0, [1.0, 1.0, 1.0, 1.0, 1e308],
+         "iteration,grad_evals,error,w_0,alpha_0\n"
+         "1,1,0.5,-1.0,\n2,3,4.5,-3.0,1.0\n3,5,inf,-3.0,\n"),
+        # M=1: the second event's projection stays finite, its corrective
+        # step overflows
+        (2.0, 1, [1.0] * 6 + [1e308],
+         "iteration,grad_evals,error,w_0,alpha_0\n"
+         "1,1,2.0,-2.0,\n2,4,32.0,-8.0,2.0\n3,7,inf,-8.0,\n"),
+    ])
+    def test_divergence_inside_planning_event(self, tmp_path, gamma, m, grads, golden):
+        script = iter(grads)
+        obj = Objective(1, lambda w: 0.5 * float(w[0]) ** 2, lambda w: np.array([next(script)]),
+                        optimum_value=0.0)
+        trace = run_steps(StepSizePlanner([0.0], gamma=gamma, k=1, p=1, m=m), obj,
+                          EvalBudget(max_iterations=10), obj.error, record_w=True, record_alpha=True)
+        assert trace.status == DIVERGED
+        last = trace.records[-1]
+        assert [r.error for r in trace.records].count(np.inf) == 1 and last.error == np.inf
+        assert last.grad_evals == len(grads) == trace.total_grad_evals
+        assert last.alpha is None
+        assert np.array_equal(last.w, trace.records[-2].w)
+        write_csv(trace, tmp_path / "t.csv")
+        assert (tmp_path / "t.csv").read_bytes() == golden.encode()
 
     def test_budget_exhaustion_partial_trace(self):
         obj = quadratic_objective()
