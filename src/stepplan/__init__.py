@@ -5,8 +5,7 @@ from .core import (Array, DivergenceError, EvalBudget, Objective,
 from .harness import (ExperimentConfig, empirical_rate, run_experiment,
                       speedup_at_budget, sweep)
 from .optimizers import make_optimizer
-from .planner import (ExperienceBuffer, ExperiencePair, StepSizePlanner,
-                      apply_projection, compute_alpha)
+from .planner import ExperienceBuffer, ExperiencePair, StepSizePlanner, compute_alpha
 from .problems import LmsStream, QuadraticProblem, RosenbrockProblem, make_problem
 from .theory import (RateReport, kantorovich_bound, optimal_diag_step,
                      optimal_scalar_step, reduction_ratio, verify_theorems)

@@ -87,9 +87,8 @@ def run(config_path, out_dir, seed, svg, overrides):
     trace = _or_fail(run_experiment, cfg)
     label = cfg.label or pathlib.Path(config_path).stem
     _emit(pathlib.Path(out_dir), label, [(label, trace)], svg)
-    final = trace.records[-1].error if trace.records else float("nan")
     click.echo(f"{label}: status={trace.status} iterations={len(trace)} "
-               f"grad_evals={trace.total_grad_evals} final_error={final:.6g}")
+               f"grad_evals={trace.total_grad_evals} final_error={trace.final_error():.6g}")
     if trace.status == "diverged":
         raise click.ClickException("run diverged")
 
@@ -120,8 +119,7 @@ def compare(config_paths, out_dir, seed, svg, overrides):
     if svg:
         render_traces(labeled, out / "compare.svg")
     for label, trace in labeled:
-        final = trace.records[-1].error if trace.records else float("nan")
-        click.echo(f"{label}: status={trace.status} final_error={final:.6g}")
+        click.echo(f"{label}: status={trace.status} final_error={trace.final_error():.6g}")
 
 
 @cli.command("sweep")
@@ -147,8 +145,8 @@ def sweep_cmd(config_path, grid_items, out_dir, seed, svg, overrides):
     _emit(pathlib.Path(out_dir), "sweep", labeled, svg)
     click.echo(f"{'label':<40} {'status':<18} {'grad_evals':>10} {'final_error':>14}")
     for cfg, trace in results:
-        final = trace.records[-1].error if trace.records else float("nan")
-        click.echo(f"{cfg.label:<40} {trace.status:<18} {trace.total_grad_evals:>10} {final:>14.6g}")
+        click.echo(f"{cfg.label:<40} {trace.status:<18} {trace.total_grad_evals:>10} "
+                   f"{trace.final_error():>14.6g}")
 
 
 @cli.command()
@@ -204,9 +202,8 @@ def repro(preset, out_dir, svg):
         write_csv(trace, out / f"{_slug(cfg.label)}.csv")
         if svg:
             render_traces([(cfg.label, trace)], out / f"{_slug(cfg.label)}.svg")
-        final = trace.records[-1].error if trace.records else float("nan")
         click.echo(f"{cfg.label}: status={trace.status} grad_evals={trace.total_grad_evals} "
-                   f"final_error={final:.6g}")
+                   f"final_error={trace.final_error():.6g}")
     if svg:
         render_traces(labeled, out / "overlay.svg")
 

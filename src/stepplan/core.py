@@ -132,6 +132,20 @@ def _count(name: str, value) -> int:
     return int(value)
 
 
+def _finite(name: str, value) -> float:
+    """``value`` as a float; ``ValueError`` unless it is a finite number.
+
+    Only finiteness is checked: negative step-sizes stay allowed.
+    """
+    try:
+        value = float(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be a number, got {value!r}") from None
+    if not isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    return value
+
+
 @dataclass
 class EvalBudget:
     """Stopping conditions for a run.

@@ -23,18 +23,8 @@ import math
 
 import numpy as np
 
-from .core import Array, DivergenceError, Objective, StationaryPointError, all_finite, as_vector
-
-
-def _finite(name: str, value) -> float:
-    """``value`` as a float; ``ValueError`` unless it is finite.
-
-    Only finiteness is checked: negative step-sizes stay allowed.
-    """
-    value = float(value)
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value!r}")
-    return value
+from .core import (Array, DivergenceError, Objective, StationaryPointError, _finite, all_finite,
+                   as_vector)
 
 
 class _Stepper:
@@ -44,9 +34,13 @@ class _Stepper:
         self.w = as_vector(w0).copy()
         self.k = 0
 
-    def _commit(self, w_new: list[float]):
+    def _check(self, w_new: list[float]):
+        """The one divergence rule: a non-finite iterate ends step ``k + 1``."""
         if not all_finite(w_new):
             raise DivergenceError(f"non-finite iterate after step {self.k + 1}")
+
+    def _commit(self, w_new: list[float]):
+        self._check(w_new)
         self.w = np.array(w_new)
         self.k += 1
 
@@ -340,8 +334,12 @@ class Idbd(_Stepper):
         x, y_star = stream.next()
         self.step_sample(x, y_star)
 
-    def step_sample(self, x, y_star: float):
-        x = as_vector(x, dim=self.w.size)
+    def step_sample(self, x: Array, y_star: float):
+        """One update on the sample ``(x, y_star)``.
+
+        ``x`` is the float64 array of ``w``'s dimension that
+        ``LmsStream.next()`` returns; it is not validated here.
+        """
         delta = float(y_star) - float(self.w @ x)
         beta = self.beta + self.eta * delta * x * self.h
         alpha = np.exp(beta)

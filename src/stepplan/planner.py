@@ -29,8 +29,8 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Array, DivergenceError, Objective, _count, all_finite, as_vector
-from .optimizers import _finite
+from .core import Array, Objective, _count, _finite, as_vector
+from .optimizers import _Stepper
 
 
 @dataclass
@@ -111,19 +111,7 @@ def compute_alpha(buf: ExperienceBuffer) -> Array:
     return np.where(zero, 0.0, buf.sum1 / np.where(zero, 1.0, buf.sum2))
 
 
-def apply_projection(w, g, alpha: Array) -> Array:
-    """Project the iterate with the fitted step-size: w_i - alpha_i g_i."""
-    w = as_vector(w)
-    g = as_vector(g, dim=w.size)
-    if alpha.size != w.size:
-        raise ValueError(f"dimension mismatch: alpha has {alpha.size}, w has {w.size}")
-    out = w - alpha * g
-    if not all_finite(out.tolist()):
-        raise DivergenceError("non-finite iterate after projection")
-    return out
-
-
-class StepSizePlanner:
+class StepSizePlanner(_Stepper):
     """Stepper that interleaves GD with learned step-size projections.
 
     One ``step`` call is one main-loop iteration: evaluate the gradient,
@@ -139,6 +127,7 @@ class StepSizePlanner:
     """
 
     def __init__(self, w0, gamma: float, k: int, p: int = 1, m: int = 0):
+        super().__init__(w0)
         self.gamma = _finite("gamma", gamma)
         self.p = _count("P", p)
         self.m = _count("M", m)
@@ -147,8 +136,6 @@ class StepSizePlanner:
         if self.m < 0:
             raise ValueError("M must be >= 0")
         self.buffer = ExperienceBuffer(k)
-        self.w = as_vector(w0).copy()
-        self.k = 0
         self.planning_events = 0
         self.last_alpha: Optional[Array] = None
 
@@ -157,20 +144,17 @@ class StepSizePlanner:
         self.last_alpha = None
         g = obj.grad(self.w)
         w = self.w - gamma * g
-        if not all_finite(w.tolist()):
-            raise DivergenceError(f"non-finite iterate after step {self.k + 1}")
+        self._check(w.tolist())
         if self.buffer.push(w, g):
             alpha = compute_alpha(self.buffer)
             for _ in range(self.p):
-                gp = obj.grad(w)
-                w = apply_projection(w, gp, alpha)
+                w = w - alpha * obj.grad(w)
+                self._check(w.tolist())
                 for _ in range(self.m):
-                    gm = obj.grad(w)
-                    w = w - gamma * gm
-                    if not all_finite(w.tolist()):
-                        raise DivergenceError("non-finite iterate during corrective GD")
+                    w = w - gamma * obj.grad(w)
+                    self._check(w.tolist())
             self.buffer.rotate()
             self.planning_events += 1
             self.last_alpha = alpha
-        self.w = w
+        self.w = w  # already a checked array: ``_commit`` would copy it through a list
         self.k += 1

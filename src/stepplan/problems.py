@@ -10,11 +10,12 @@ sample counter, and is single-threaded.
 
 from __future__ import annotations
 
+from math import isfinite
 from typing import Optional
 
 import numpy as np
 
-from .core import Array, as_vector
+from .core import Array, _count, _finite, as_vector
 
 
 class QuadraticProblem:
@@ -41,10 +42,6 @@ class QuadraticProblem:
         self.w_star = as_vector(w_star, dim=q.shape[0])
         self.mu = float(eigs[0])
         self.L = float(eigs[-1])
-
-    @classmethod
-    def diagonal(cls, entries, w_star) -> "QuadraticProblem":
-        return cls(np.diag(np.asarray(entries, dtype=float)), w_star)
 
     @property
     def dimension(self) -> int:
@@ -103,14 +100,14 @@ class LmsStream:
     def __init__(self, w_star, low: float = -1.0, high: float = 1.0,
                  noise_std: float = 0.0, seed: int = 0):
         self.w_star = as_vector(w_star)
-        if not (high > low):
-            raise ValueError("need high > low for the input range")
-        if noise_std < 0:
+        self.low = low = _finite("low", low)
+        self.high = high = _finite("high", high)
+        if not (high > low and isfinite(high - low)):
+            raise ValueError(f"need high > low with a finite width, got [{low!r}, {high!r}]")
+        self.noise_std = _finite("noise_std", noise_std)
+        if self.noise_std < 0:
             raise ValueError("noise_std must be non-negative")
-        self.low = float(low)
-        self.high = float(high)
-        self.noise_std = float(noise_std)
-        self.seed = int(seed)
+        self.seed = _count("seed", seed)
         self._rng = np.random.default_rng(self.seed)
         # E[x_i^2] for uniform [low, high]
         self._second_moment = (low * low + low * high + high * high) / 3.0
@@ -183,9 +180,10 @@ def make_problem(name: str, params: Optional[dict] = None):
     elif name == "rosenbrock":
         problem = RosenbrockProblem()
     elif name == "lms":
-        w_star = params.pop("w_star")
+        if "w_star" not in params:
+            raise ValueError("lms problem needs 'w_star'")
         problem = LmsStream(
-            w_star,
+            params.pop("w_star"),
             low=params.pop("low", -1.0),
             high=params.pop("high", 1.0),
             noise_std=params.pop("noise_std", 0.0),

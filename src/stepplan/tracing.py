@@ -56,9 +56,8 @@ class Trace:
         return np.array([r.error for r in self.records])
 
     def final_error(self) -> float:
-        if not self.records:
-            raise ValueError("empty trace has no final error")
-        return self.records[-1].error
+        """The last record's error; ``nan`` for an empty trace."""
+        return self.records[-1].error if self.records else float("nan")
 
     def record_at_iteration(self, iteration: int) -> TraceRecord:
         if 1 <= iteration <= len(self.records):

@@ -27,7 +27,7 @@ def make_objective(problem) -> Objective:
 
 
 def quadratic_objective(q_diag=(1000.0, 1.0), w_star=(1.0, 1.0)) -> Objective:
-    return make_objective(QuadraticProblem.diagonal(q_diag, w_star))
+    return make_objective(QuadraticProblem(np.diag(q_diag), w_star))
 
 
 def scalar_objective(curvature: float = 1.0) -> Objective:

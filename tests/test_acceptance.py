@@ -191,7 +191,7 @@ def test_criterion_9_property_suite():
         return float(np.max(np.abs(g - fd) / denom))
 
     worst = 0.0
-    quad = QuadraticProblem.diagonal([1000.0, 1.0], [1.0, 1.0])
+    quad = QuadraticProblem(np.diag([1000.0, 1.0]), [1.0, 1.0])
     rosen = RosenbrockProblem()
     for problem in (quad, rosen):
         obj = make_objective(problem)

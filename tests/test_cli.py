@@ -87,6 +87,14 @@ class TestRun:
         assert (out / "boom.csv").read_text() == "iteration,grad_evals,error\n1,1,inf\n"
         assert (out / "boom.svg").exists()
 
+    def test_zero_iterations_prints_nan_final_error(self, runner, tmp_path):
+        cfg = write_config(tmp_path)
+        result = runner.invoke(cli, ["run", "--config", str(cfg), "--out", str(tmp_path / "o"),
+                                     "--no-svg", "--set", "budget.max_iterations=0"])
+        assert result.exit_code == 0, result.output
+        assert "iterations=0" in result.output
+        assert "final_error=nan" in result.output
+
     def test_set_override(self, runner, tmp_path):
         cfg = write_config(tmp_path)
         out = tmp_path / "out"
@@ -140,6 +148,25 @@ class TestRun:
                                      "--set", override])
         assert result.exit_code == 2, result.output
         assert "diverged" not in result.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("override, field", [
+        ('problem={"name": "lms", "noise_std": 0.1}', "w_star"),
+        ('problem.noise_std="x"', "noise_std"),
+        ('problem.low="a"', "low"),
+        ("problem.high=Infinity", "high"),
+        ('problem={"name": "lms", "w_star": [1.0], "low": -1e308, "high": 1e308}', "width"),
+        ("problem.noise_std=NaN", "noise_std"),
+        ("problem.noise_std=null", "noise_std"),
+        ("problem.seed=2.5", "seed"),
+    ], ids=["no-w_star", "noise_std-string", "low-string", "high-infinite", "width-overflows",
+            "noise_std-nan", "noise_std-null", "seed-fractional"])
+    def test_bad_lms_parameter_exits_2(self, runner, tmp_path, override, field):
+        out = tmp_path / "out"
+        result = runner.invoke(cli, ["run", "--config", str(CONFIGS / "lms-idbd.json"),
+                                     "--out", str(out), "--set", override])
+        assert result.exit_code == 2, result.output
+        assert field in result.output
         assert not out.exists()
 
 

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from stepplan.core import EvalBudget, Objective
-from stepplan.planner import (ExperienceBuffer, ExperiencePair, StepSizePlanner,
-                              apply_projection, compute_alpha)
+from stepplan.planner import ExperienceBuffer, ExperiencePair, StepSizePlanner, compute_alpha
 from stepplan.theory import ideal_diag_step
 from stepplan.tracing import BUDGET_EXHAUSTED, CONVERGED, DIVERGED, run_steps, write_csv
 
@@ -125,7 +124,7 @@ class TestComputeAlpha:
         assert buf.sum1[0] == 0.5
         assert buf.sum2[0] == 1.0
         assert alpha[0] == 0.5
-        assert apply_projection([0.5], [0.5], alpha)[0] == 0.25
+        assert 0.5 - alpha[0] * 0.5 == 0.25
 
     def test_requires_full_buffers(self):
         buf = ExperienceBuffer(2)
@@ -185,16 +184,11 @@ class TestComputeAlpha:
         alpha = compute_alpha(buf)
         assert np.isclose(alpha[0], (1.0 - r ** k) / q, rtol=1e-12)
         for start in (0.7, -2.0):
-            planned = apply_projection([start], [q * start], alpha)[0]
+            planned = start - alpha[0] * (q * start)
             assert np.isclose(planned, start * r ** k, rtol=1e-12)
 
 
 class TestApplyProjection:
-    def test_zero_alpha_is_identity(self):
-        alpha = alpha_from_sums(np.zeros(2), np.zeros(2))
-        out = apply_projection([1.0, 2.0], [3.0, 4.0], alpha)
-        assert np.array_equal(out, [1.0, 2.0])
-
     def test_ideal_step_lands_on_target(self, rng):
         for _ in range(20):
             d = int(rng.integers(1, 6))
@@ -203,24 +197,7 @@ class TestApplyProjection:
             g[g == 0.0] = 1.0
             target = rng.standard_normal(d)
             alpha = ideal_diag_step(w, g, target)
-            out = apply_projection(w, g, alpha)
-            assert np.allclose(out, target, atol=1e-12)
-
-    def test_error_reduction_identity(self, rng):
-        # with the ideal step the squared distance drops by sum(alpha_i^2 g_i^2) to zero
-        w = rng.standard_normal(4)
-        w_star = rng.standard_normal(4)
-        g = rng.standard_normal(4)
-        alpha = (w - w_star) / g
-        out = apply_projection(w, g, alpha)
-        before = float(np.sum((w - w_star) ** 2))
-        drop = float(np.sum(alpha ** 2 * g ** 2))
-        assert np.isclose(before - drop, 0.0, atol=1e-12)
-        assert float(np.sum((out - w_star) ** 2)) <= 1e-20
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            apply_projection([1.0, 2.0], [1.0, 2.0], np.zeros(3))
+            assert np.allclose(w - alpha * g, target, atol=1e-12)
 
 
 class TestPlannerConfig:

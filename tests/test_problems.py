@@ -10,13 +10,13 @@ from conftest import make_objective
 
 class TestQuadratic:
     def test_at_optimum(self):
-        p = QuadraticProblem.diagonal([1000.0, 1.0], [1.0, 1.0])
+        p = QuadraticProblem(np.diag([1000.0, 1.0]), [1.0, 1.0])
         f, g = p.value([1.0, 1.0]), p.gradient([1.0, 1.0])
         assert f == 0.0
         assert np.array_equal(g, [0.0, 0.0])
 
     def test_canonical_instance(self):
-        p = QuadraticProblem.diagonal([1000.0, 1.0], [1.0, 1.0])
+        p = QuadraticProblem(np.diag([1000.0, 1.0]), [1.0, 1.0])
         f, g = p.value([-1.0, 2.0]), p.gradient([-1.0, 2.0])
         assert f == 2000.5
         assert np.array_equal(g, [-2000.0, 1.0])

@@ -49,6 +49,10 @@ class TestLookups:
             with pytest.raises(ValueError, match=f"no record at iteration {missing}"):
                 t.record_at_iteration(missing)
 
+    def test_final_error(self):
+        assert trace_of([1, 3, 5]).final_error() == 1.0 / 3
+        assert math.isnan(Trace().final_error())
+
 
 class TestRunStepsErrstate:
     def test_errstate_restored_after_converged_and_diverged_runs(self):
