@@ -114,8 +114,8 @@ def compare(config_paths, out_dir, seed, svg, overrides):
     with open(combined, "w", newline="") as fh:
         fh.write("label,iteration,grad_evals,error\n")
         for label, trace in labeled:
-            for r in trace.records:
-                fh.write(f"{label},{r.iteration},{r.grad_evals},{r.error!r}\n")
+            fh.writelines(f"{label},{it},{g},{e!r}\n" for it, g, e in
+                          zip(range(1, len(trace) + 1), trace.grad_evals, trace.error))
     if svg:
         render_traces(labeled, out / "compare.svg")
     for label, trace in labeled:

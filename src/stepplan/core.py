@@ -133,14 +133,14 @@ def _count(name: str, value) -> int:
 
 
 def _finite(name: str, value) -> float:
-    """``value`` as a float; ``ValueError`` unless it is a finite number.
+    """``value`` as a float; ``ValueError`` unless it is a finite real number.
 
+    Bools and strings are rejected; ints and numpy floats are accepted.
     Only finiteness is checked: negative step-sizes stay allowed.
     """
-    try:
-        value = float(value)
-    except (TypeError, ValueError):
-        raise ValueError(f"{name} must be a number, got {value!r}") from None
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    value = float(value)
     if not isfinite(value):
         raise ValueError(f"{name} must be finite, got {value!r}")
     return value

@@ -160,9 +160,9 @@ def empirical_rate(trace: Trace, window: Tuple[int, int]) -> float:
     e_start = trace.record_at_iteration(start).error
     e_end = trace.record_at_iteration(end).error
     # every record in between must be positive for the geometric mean to exist
-    for r in trace.records[start - 1:end]:
-        if r.error <= 0.0:
-            raise ValueError(f"non-positive error inside the window at iteration {r.iteration}")
+    for it, e in enumerate(trace.error[start - 1:end], start):
+        if e <= 0.0:
+            raise ValueError(f"non-positive error inside the window at iteration {it}")
     return float((e_end / e_start) ** (1.0 / (end - start)))
 
 

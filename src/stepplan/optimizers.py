@@ -40,8 +40,19 @@ class _Stepper:
             raise DivergenceError(f"non-finite iterate after step {self.k + 1}")
 
     def _commit(self, w_new: list[float]):
+        """End the step at an iterate computed as a list of floats."""
         self._check(w_new)
         self.w = np.array(w_new)
+        self.k += 1
+
+    def _commit_array(self, w_new: Array, checked: bool = False):
+        """End the step at an iterate computed as an array, stored as it is.
+
+        ``checked`` skips ``_check`` for an iterate that already passed it.
+        """
+        if not checked:
+            self._check(w_new.tolist())
+        self.w = w_new
         self.k += 1
 
 
@@ -140,10 +151,10 @@ class PolyakStep(_Stepper):
                     f"zero gradient with f(w) = {fval} above f* = {self.f_star}"
                 )
             self.alpha = 0.0
-            self._commit(self.w.tolist())
+            self._commit_array(self.w)
             return
         self.alpha = (fval - self.f_star) / gg
-        self._commit((self.w - self.alpha * g).tolist())
+        self._commit_array(self.w - self.alpha * g)
 
 
 class L4(_Stepper):
@@ -179,7 +190,7 @@ class L4(_Stepper):
         self.alpha = (fval - self.f_star) / (float(g @ v) + self.eps)
         if not math.isfinite(self.alpha):
             raise DivergenceError("non-finite L4 step-size")
-        self._commit((self.w - self.alpha * v).tolist())
+        self._commit_array(self.w - self.alpha * v)
 
 
 class LossGrad(_Stepper):
@@ -205,7 +216,7 @@ class LossGrad(_Stepper):
         g = obj.grad(self.w)
         gg = float(g @ g)
         if gg == 0.0:
-            self._commit(self.w.tolist())
+            self._commit_array(self.w)
             return
         fval = obj.value(self.w)
         probe = obj.value(self.w - self.alpha * g)
@@ -215,7 +226,7 @@ class LossGrad(_Stepper):
             self.alpha *= self.rho
         else:
             self.alpha /= self.rho
-        self._commit((self.w - self.alpha * g).tolist())
+        self._commit_array(self.w - self.alpha * g)
 
 
 class RMSprop(_Stepper):
@@ -298,7 +309,7 @@ class IdbdScalar(_Stepper):
             raise DivergenceError("non-finite adapted step-size")
         w_new = self.w - self.alpha * g
         self.h = self.lam * self.h + g
-        self._commit(w_new.tolist())
+        self._commit_array(w_new)
 
 
 class Idbd(_Stepper):
@@ -347,7 +358,7 @@ class Idbd(_Stepper):
         h = self.h * np.maximum(0.0, 1.0 - alpha * x * x) + alpha * delta * x
         if not all_finite(beta.tolist()):
             raise DivergenceError(f"non-finite step-size after sample {self.k + 1}")
-        self._commit(w.tolist())
+        self._commit_array(w)
         self.beta, self.h = beta, h
 
 

@@ -156,5 +156,4 @@ class StepSizePlanner(_Stepper):
             self.buffer.rotate()
             self.planning_events += 1
             self.last_alpha = alpha
-        self.w = w  # already a checked array: ``_commit`` would copy it through a list
-        self.k += 1
+        self._commit_array(w, checked=True)  # each path above ends with a check of ``w``

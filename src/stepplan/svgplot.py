@@ -157,9 +157,4 @@ def render_svg(series: Sequence[Tuple[str, Iterable[float], Iterable[float]]],
 
 def render_traces(labeled_traces, path) -> None:
     """Plot (label, Trace) pairs as error versus gradient evaluations."""
-    series = []
-    for label, trace in labeled_traces:
-        xs = [r.grad_evals for r in trace.records]
-        ys = [r.error for r in trace.records]
-        series.append((label, xs, ys))
-    render_svg(series, path)
+    render_svg([(label, trace.grad_evals, trace.error) for label, trace in labeled_traces], path)

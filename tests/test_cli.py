@@ -150,6 +150,18 @@ class TestRun:
         assert "diverged" not in result.output
         assert not out.exists()
 
+    @pytest.mark.parametrize("config, override, field", [
+        ("rosenbrock-gd", 'optimizer.gamma="0.001"', "gamma"),
+        ("lms-idbd", "problem.noise_std=true", "noise_std"),
+    ], ids=["gamma-string", "noise_std-bool"])
+    def test_string_or_bool_float_exits_2(self, runner, tmp_path, config, override, field):
+        out = tmp_path / "out"
+        result = runner.invoke(cli, ["run", "--config", str(CONFIGS / f"{config}.json"),
+                                     "--out", str(out), "--set", override])
+        assert result.exit_code == 2, result.output
+        assert f"{field} must be a number" in result.output
+        assert not out.exists()
+
     @pytest.mark.parametrize("override, field", [
         ('problem={"name": "lms", "noise_std": 0.1}', "w_star"),
         ('problem.noise_std="x"', "noise_std"),

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from stepplan.core import (EvalBudget, Objective, all_finite, as_vector,
+from stepplan.core import (EvalBudget, Objective, _finite, all_finite, as_vector,
                            finite_diff_grad)
 
 from conftest import rosenbrock_objective, scalar_objective
@@ -143,3 +143,22 @@ class TestEvalBudget:
         b = EvalBudget(max_iterations=np.int64(7), max_grad_evals=np.int32(9))
         assert (b.max_iterations, b.max_grad_evals) == (7, 9)
         assert type(b.max_iterations) is int and type(b.max_grad_evals) is int
+
+
+class TestFinite:
+    @pytest.mark.parametrize("value", [True, False, np.bool_(True), "0.001", "x", None, [1.0],
+                                       1j])
+    def test_rejects_non_real_values(self, value):
+        with pytest.raises(ValueError, match="gamma must be a number"):
+            _finite("gamma", value)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), np.float64("-inf")])
+    def test_rejects_non_finite_values(self, value):
+        with pytest.raises(ValueError, match="gamma must be finite"):
+            _finite("gamma", value)
+
+    @pytest.mark.parametrize("value", [0, -3, 0.5, np.float64(1e-3), np.float32(0.25),
+                                       np.int64(2)])
+    def test_accepts_ints_and_numpy_reals_as_floats(self, value):
+        out = _finite("gamma", value)
+        assert type(out) is float and out == float(value)

@@ -46,11 +46,9 @@ def cfg(problem, optimizer, budget, **kw):
 
 
 def synthetic_trace(errors, grad_per_iter=1):
-    t = Trace()
-    for i, e in enumerate(errors, start=1):
-        t.records.append(TraceRecord(iteration=i, grad_evals=i * grad_per_iter, error=e))
-    t.total_grad_evals = len(errors) * grad_per_iter
-    return t
+    return Trace(records=[TraceRecord(iteration=i, grad_evals=i * grad_per_iter, error=e)
+                          for i, e in enumerate(errors, start=1)],
+                 total_grad_evals=len(errors) * grad_per_iter)
 
 
 class TestRunExperiment:
