@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from stepplan.core import DivergenceError, Objective, StationaryPointError
+from stepplan.core import DivergenceError, EvalBudget, Objective, StationaryPointError
 from stepplan.optimizers import (Adam, GradientDescent, HeavyBall, Idbd,
                                  IdbdScalar, L4, LossGrad, NesterovAGD,
                                  PolyakStep, RMSprop, make_optimizer)
 from stepplan.problems import LmsStream, QuadraticProblem, random_spd
+from stepplan.tracing import DIVERGED, run_steps, write_csv
 
 from conftest import (elementwise_reference, hd_reference, make_objective,
                       quadratic_objective, same_bits, scalar_objective)
@@ -444,6 +445,36 @@ class TestIdbdScalar:
     def test_validation(self):
         with pytest.raises(ValueError):
             IdbdScalar([0.0], eta=0.1, lam=1.0, alpha0=0.1)
+
+
+class TestNonFiniteStepSize:
+    """A scalar step-size that turns non-finite ends the run as a diverged row."""
+
+    @pytest.mark.parametrize("name, params, curvature, w0, golden", [
+        # f(w) - f* overflows at the start, so the first step-size is inf
+        ("l4", {"f_star": -1e308}, 0.01, 1.3e155,
+         "iteration,grad_evals,error,w_0\n1,1,inf,1.3e+155\n"),
+        ("l4", {"f_star": -1e308, "direction": "momentum"}, 0.01, 1.3e155,
+         "iteration,grad_evals,error,w_0\n1,1,inf,1.3e+155\n"),
+        # alpha = 0.5 + 1e308 * g.h overflows at step 2, once the trace holds g
+        ("idbd1", {"eta": 1e308, "lam": 0.5, "alpha0": 0.5}, 1.0, 10.0,
+         "iteration,grad_evals,error,w_0\n1,1,12.5,5.0\n2,2,inf,5.0\n"),
+        ("hd", {"eta": 1e308, "alpha0": 0.5}, 1.0, 10.0,
+         "iteration,grad_evals,error,w_0\n1,1,12.5,5.0\n2,2,inf,5.0\n"),
+    ])
+    def test_diverged_row(self, tmp_path, name, params, curvature, w0, golden):
+        obj = make_objective(QuadraticProblem([[curvature]], [0.0]))
+        s = make_optimizer(name, [w0], params)
+        trace = run_steps(s, obj, EvalBudget(max_iterations=10), obj.error,
+                          record_w=True, record_alpha=True)
+        assert trace.status == DIVERGED
+        assert list(trace.error).count(np.inf) == 1 and trace.error[-1] == np.inf
+        assert s.k == len(trace) - 1 and s.alpha == np.inf
+        assert np.array_equal(trace.w[len(trace) - 1], s.w)
+        if name != "l4":
+            assert np.array_equal(s.h, [10.0])  # the trace of step 1, not of the failed step
+        write_csv(trace, tmp_path / "t.csv")
+        assert (tmp_path / "t.csv").read_bytes() == golden.encode()
 
 
 class TestIdbd:
