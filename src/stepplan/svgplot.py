@@ -28,10 +28,10 @@ def _f(x: float) -> str:
     return f"{x:.2f}"
 
 
-def _nice_linear_ticks(lo: float, hi: float, target: int = 6) -> list:
+def _nice_linear_ticks(lo: float, hi: float) -> list:
     if hi <= lo:
         return [lo]
-    raw = (hi - lo) / target
+    raw = (hi - lo) / 6
     mag = 10 ** math.floor(math.log10(raw))
     for mult in (1, 2, 5, 10):
         if raw <= mult * mag:
@@ -46,8 +46,7 @@ def _nice_linear_ticks(lo: float, hi: float, target: int = 6) -> list:
     return ticks
 
 
-def render_svg(series: Sequence[Tuple[str, Iterable[float], Iterable[float]]],
-               path, x_label: str = "gradient evaluations", y_label: str = "error") -> None:
+def render_svg(series: Sequence[Tuple[str, Iterable[float], Iterable[float]]], path) -> None:
     """Write a line chart of (label, xs, ys) series to ``path``.
 
     The y coordinates are log10-scaled and decade ticks are drawn; values
@@ -125,11 +124,11 @@ def render_svg(series: Sequence[Tuple[str, Iterable[float], Iterable[float]]],
         )
     out.append(
         f'<text x="{_f(MARGIN_L + plot_w / 2)}" y="{_f(HEIGHT - 8)}" font-size="12" '
-        f'font-family="sans-serif" text-anchor="middle">{x_label}</text>'
+        f'font-family="sans-serif" text-anchor="middle">gradient evaluations</text>'
     )
     out.append(
         f'<text x="14" y="{_f(MARGIN_T + plot_h / 2)}" font-size="12" font-family="sans-serif" '
-        f'text-anchor="middle" transform="rotate(-90 14 {_f(MARGIN_T + plot_h / 2)})">{y_label}</text>'
+        f'text-anchor="middle" transform="rotate(-90 14 {_f(MARGIN_T + plot_h / 2)})">error</text>'
     )
 
     for idx, (label, xs, ys) in enumerate(prepared):

@@ -37,7 +37,7 @@ def report(num, name, passed, detail):
 
 @pytest.fixture(scope="module")
 def theorem_reports():
-    return verify_theorems(trials=1000, d_max=10, seed=2024, cond_max=1e6)
+    return verify_theorems(trials=1000, d_max=10, seed=2024)
 
 
 @pytest.fixture(scope="module")
