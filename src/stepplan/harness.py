@@ -112,7 +112,6 @@ def _prepare(cfg: ExperimentConfig) -> Callable[[], Trace]:
             value_fn=problem.value,
             grad_fn=problem.gradient,
             optimum_value=0.0,
-            optimum_point=problem.w_star,
         )
         error_fn = objective.error
     stepper = make_optimizer(optimizer_name, w0, optimizer_params)

@@ -25,8 +25,6 @@ class QuadraticProblem:
     convexity and gradient-smoothness constants.
     """
 
-    name = "quadratic"
-
     def __init__(self, q, w_star):
         q = np.asarray(q, dtype=float)
         if q.ndim != 2 or q.shape[0] != q.shape[1]:
@@ -62,13 +60,10 @@ class RosenbrockProblem:
     descent needs thousands of evaluations to trace it.
     """
 
-    name = "rosenbrock"
     dimension = 2
 
     def __init__(self):
         self.w_star = np.array([1.0, 1.0])
-        self.mu = None
-        self.L = None
 
     def value(self, w) -> float:
         w1, w2 = np.asarray(w, dtype=float).tolist()
@@ -94,8 +89,6 @@ class LmsStream:
     counts into ``grad_evals`` (``func_evals`` stays 0) and the stream
     serves as the objective of an :class:`~stepplan.optimizers.Idbd` run.
     """
-
-    name = "lms"
 
     def __init__(self, w_star, low: float = -1.0, high: float = 1.0,
                  noise_std: float = 0.0, seed: int = 0):

@@ -19,8 +19,6 @@ instances against brute-force grid oracles.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
-
 import numpy as np
 
 from .core import Array, as_vector
@@ -101,7 +99,6 @@ class RateReport:
     rho: float
     bound: float
     satisfied: bool
-    witness: Optional[tuple] = None
     skipped: bool = False
     note: str = ""
 
@@ -142,28 +139,27 @@ def check_instance(q, mu: float, L: float, w) -> list[RateReport]:
       distance within one grid spacing of the closed form.
     """
     q, w = _check_spd_input(q, w)
-    witness = (q, w)
     reports: list[RateReport] = []
 
     rho = reduction_ratio(q, w, optimal_scalar_step(q, w))
     bound = kantorovich_bound(mu, L)
-    reports.append(RateReport("scalar-rate", rho, bound, rho <= bound + 1e-12, witness))
+    reports.append(RateReport("scalar-rate", rho, bound, rho <= bound + 1e-12))
 
     grid_best = _grid_scalar_oracle(q, w, L)
-    reports.append(RateReport("scalar-grid", rho, grid_best, rho <= grid_best + 1e-12, witness))
+    reports.append(RateReport("scalar-grid", rho, grid_best, rho <= grid_best + 1e-12))
 
     y = q @ w
     if np.any(y == 0.0):
         for check in ("diag-one-step", "ideal-step-grid"):
             reports.append(RateReport(check, float("nan"), 1e-10, True,
-                                      witness, skipped=True, note="singular direction"))
+                                      skipped=True, note="singular direction"))
         return reports
 
     rho_d = reduction_ratio(q, w, optimal_diag_step(q, w))
-    reports.append(RateReport("diag-one-step", rho_d, 1e-10, rho_d <= 1e-10 + 1e-12, witness))
+    reports.append(RateReport("diag-one-step", rho_d, 1e-10, rho_d <= 1e-10 + 1e-12))
 
     gap = _grid_component_gap(w, y)
-    reports.append(RateReport("ideal-step-grid", gap, 1.0, gap <= 1.0 + 1e-12, witness))
+    reports.append(RateReport("ideal-step-grid", gap, 1.0, gap <= 1.0 + 1e-12))
     return reports
 
 
