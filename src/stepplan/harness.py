@@ -18,11 +18,11 @@ from typing import Callable, List, Tuple
 from .core import EvalBudget, Objective, _count
 from .optimizers import make_optimizer
 from .problems import LmsStream, make_problem
-from .tracing import Trace, run_steps, write_csv
+from .tracing import Trace, run_steps
 
 __all__ = [
     "ExperimentConfig", "run_experiment", "speedup_at_budget",
-    "empirical_rate", "sweep", "apply_override", "load_config", "write_csv",
+    "empirical_rate", "sweep", "apply_override", "load_config",
 ]
 
 

@@ -110,9 +110,6 @@ class Trace:
     def __len__(self) -> int:
         return len(self.error)
 
-    def errors(self) -> np.ndarray:
-        return np.array(self.error, dtype=float)
-
     def final_error(self) -> float:
         """The last row's error; ``nan`` for an empty trace."""
         return self.error[-1] if self.error else float("nan")

@@ -55,7 +55,7 @@ class TestRunExperiment:
     def test_gd_errors_strictly_decrease(self):
         trace = run_experiment(cfg(CONVEX, {"name": "gd", "gamma": 0.00099},
                                    EvalBudget(max_iterations=10)))
-        errs = trace.errors()
+        errs = np.array(trace.error)
         assert len(errs) == 10
         assert np.all(np.diff(errs) < 0)
 
@@ -76,7 +76,7 @@ class TestRunExperiment:
         trace = run_experiment(cfg(ROSEN, {"name": "gd", "gamma": 0.1},
                                    EvalBudget(max_iterations=1000)))
         assert trace.status == DIVERGED
-        errs = trace.errors()[:-1]
+        errs = np.array(trace.error)[:-1]
         assert np.all(np.isfinite(errs))
         # no records after the diverged one
         assert trace.records[-1].iteration == len(trace.records)
@@ -131,7 +131,7 @@ class TestRunExperiment:
                    EvalBudget(max_iterations=500, error_floor=None), seed=9)
         a = run_experiment(base)
         b = run_experiment(base)
-        assert np.array_equal(a.errors(), b.errors())
+        assert np.array_equal(np.array(a.error), np.array(b.error))
 
 
     @pytest.mark.parametrize("beta0", [700.0, 710.0])
@@ -299,7 +299,7 @@ class TestSweep:
             assert c.optimizer["gamma"] == gamma
             solo = run_experiment(cfg(ROSEN, {"name": "gd", "gamma": gamma},
                                       EvalBudget(max_iterations=200, error_floor=None)))
-            assert np.array_equal(trace.errors(), solo.errors())
+            assert np.array_equal(np.array(trace.error), np.array(solo.error))
 
     def test_adam_grid_cardinality(self):
         base = cfg(ROSEN, {"name": "adam", "alpha": 0.005},

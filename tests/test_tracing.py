@@ -196,7 +196,7 @@ class TestConstructor:
                   total_grad_evals=2, total_func_evals=3)
         assert (t.status, t.total_grad_evals, t.total_func_evals) == (CONVERGED, 2, 3)
         assert t.final_error() == 0.5
-        assert t.errors().tolist() == [0.5]
+        assert np.array(t.error).tolist() == [0.5]
 
 
 class TestColumnarTrace:
