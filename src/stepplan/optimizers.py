@@ -188,8 +188,6 @@ class L4(_Stepper):
             self.v = self.p * self.v + g
             v = self.v
         self.alpha = (fval - self.f_star) / (float(g @ v) + self.eps)
-        if not math.isfinite(self.alpha):
-            raise DivergenceError("non-finite L4 step-size")
         self._commit_array(self.w - self.alpha * v)
 
 
@@ -305,11 +303,8 @@ class IdbdScalar(_Stepper):
     def step(self, obj: Objective):
         g = obj.grad(self.w)
         self.alpha = self.alpha + self.eta * float(g @ self.h)
-        if not math.isfinite(self.alpha):
-            raise DivergenceError("non-finite adapted step-size")
-        w_new = self.w - self.alpha * g
+        self._commit_array(self.w - self.alpha * g)
         self.h = self.lam * self.h + g
-        self._commit_array(w_new)
 
 
 class Idbd(_Stepper):

@@ -138,7 +138,7 @@ def random_spd(rng: np.random.Generator, dim: int, cond: float, scale: float = 1
     if dim == 1:
         eigs = np.array([1.0])
     else:
-        interior = 10.0 ** rng.uniform(0.0, np.log10(cond), size=dim - 2) if dim > 2 else np.empty(0)
+        interior = 10.0 ** rng.uniform(0.0, np.log10(cond), size=dim - 2)
         eigs = np.concatenate([[1.0, cond], interior])
     eigs = np.sort(eigs) * scale
     gauss = rng.standard_normal((dim, dim))

@@ -29,8 +29,6 @@ def _f(x: float) -> str:
 
 
 def _nice_linear_ticks(lo: float, hi: float) -> list:
-    if hi <= lo:
-        return [lo]
     raw = (hi - lo) / 6
     mag = 10 ** math.floor(math.log10(raw))
     for mult in (1, 2, 5, 10):
@@ -124,7 +122,7 @@ def render_svg(series: Sequence[Tuple[str, Iterable[float], Iterable[float]]], p
         )
     out.append(
         f'<text x="{_f(MARGIN_L + plot_w / 2)}" y="{_f(HEIGHT - 8)}" font-size="12" '
-        f'font-family="sans-serif" text-anchor="middle">gradient evaluations</text>'
+        'font-family="sans-serif" text-anchor="middle">gradient evaluations</text>'
     )
     out.append(
         f'<text x="14" y="{_f(MARGIN_T + plot_h / 2)}" font-size="12" font-family="sans-serif" '
