@@ -198,7 +198,9 @@ class LossGrad(_Stepper):
     linear model f(w) - alpha ||g||^2.  The residual ratio
     r = e / (alpha ||g||^2) decides: increase alpha by the factor rho when
     r < 1/2, otherwise decrease.  Costs one extra function evaluation per
-    step (the probe) on top of f(w); no extra gradient.
+    step (the probe) on top of f(w); no extra gradient.  A step where
+    alpha ||g||^2 is 0.0 (a zero gradient, or one so small that the product
+    underflows) keeps w and alpha and evaluates no function value.
     """
 
     def __init__(self, w0, alpha0: float, rho: float = 1.1):
@@ -213,7 +215,7 @@ class LossGrad(_Stepper):
     def step(self, obj: Objective):
         g = obj.grad(self.w)
         gg = float(g @ g)
-        if gg == 0.0:
+        if self.alpha * gg == 0.0:
             self._commit_array(self.w)
             return
         fval = obj.value(self.w)

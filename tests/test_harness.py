@@ -154,6 +154,17 @@ class TestRunExperiment:
         if beta0 == 710.0:
             assert np.array_equal(last.w, [0.0, 0.0])  # the last finite iterate: w0
 
+    def test_lossgrad_runs_past_an_underflowing_model_decrease(self):
+        # near the optimum g.g turns subnormal and alpha * g.g underflows to
+        # 0.0 (first at iteration 1812); the run keeps w there and goes on
+        c = cfg({"name": "quadratic", "q_diag": [10.0, 1.0], "w0": [1.0, 1.0]},
+                {"name": "lossgrad", "alpha0": 0.05},
+                EvalBudget(max_iterations=20000, error_floor=None))
+        trace = run_experiment(c)
+        assert trace.status == BUDGET_EXHAUSTED
+        assert len(trace) == trace.total_grad_evals == 20000
+        assert 0.0 <= trace.final_error() < 1e-300
+
 
 class TestDeterminism:
     def test_idbd_stream_golden_bytes(self, tmp_path):

@@ -227,6 +227,15 @@ class TestLossGrad:
         assert s.alpha == 0.3
         assert np.array_equal(s.w, [1.0, 1.0])
 
+    def test_underflowing_model_decrease_noop(self):
+        # g.g = 1e-320 is nonzero, but alpha * g.g underflows to 0.0
+        obj = linear_objective([1e-160])
+        s = LossGrad([2.0], alpha0=1e-5)
+        s.step(obj)
+        assert s.alpha == 1e-5
+        assert np.array_equal(s.w, [2.0])
+        assert obj.grad_evals == 1 and obj.func_evals == 0
+
     def test_eval_accounting(self):
         obj = scalar_objective()
         s = LossGrad([1.0], alpha0=0.5)
