@@ -38,19 +38,37 @@ def all_finite(values: Sequence[float]) -> bool:
     return isfinite(sum(values)) or all(map(isfinite, values))
 
 
-def as_vector(x, dim: Optional[int] = None) -> Array:
+def _real_array(x, name: str) -> Array:
+    """``x`` as a float64 array; ``ValueError`` unless every entry is a real number.
+
+    Entries follow ``_finite``'s rule: bools, strings and anything else that
+    is not a ``numbers.Real`` are rejected.  A numeric array skips the
+    per-entry check.
+    """
+    if not (isinstance(x, np.ndarray) and x.dtype.kind in "fiu"):
+        for e in np.asarray(x, dtype=object).flat:
+            if isinstance(e, bool) or not isinstance(e, numbers.Real):
+                raise ValueError(f"{name} entries must be numbers, got {e!r}")
+    try:
+        return np.asarray(x, dtype=float)
+    except OverflowError:  # an integer beyond the float range
+        raise ValueError(f"{name} contains non-finite entries") from None
+
+
+def as_vector(x, dim: Optional[int] = None, name: str = "vector") -> Array:
     """Validate and return ``x`` as a finite 1-d float64 array.
 
-    Dimension is checked against ``dim`` when given.  Raises ``ValueError``
-    on non-finite entries, wrong rank, or mismatched length.
+    Dimension is checked against ``dim`` when given.  Raises ``ValueError``,
+    naming ``name``, on an entry that is not a real number (see
+    :func:`_real_array`), non-finite entries, wrong rank, or mismatched length.
     """
-    v = np.asarray(x, dtype=float)
+    v = _real_array(x, name)
     if v.ndim != 1 or v.size < 1:
-        raise ValueError(f"expected a 1-d vector of dimension >= 1, got shape {v.shape}")
+        raise ValueError(f"{name} must be 1-d with at least one entry, got shape {v.shape}")
     if not all_finite(v.tolist()):
-        raise ValueError("vector contains non-finite entries")
+        raise ValueError(f"{name} contains non-finite entries")
     if dim is not None and v.size != dim:
-        raise ValueError(f"dimension mismatch: expected {dim}, got {v.size}")
+        raise ValueError(f"{name} dimension mismatch: expected {dim}, got {v.size}")
     return v
 
 
@@ -82,7 +100,8 @@ class Objective:
         self.value_fn = value_fn
         self.grad_fn = grad_fn
         self.optimum_value = None if optimum_value is None else float(optimum_value)
-        self.optimum_point = None if optimum_point is None else as_vector(optimum_point, dim=dimension)
+        self.optimum_point = (None if optimum_point is None
+                              else as_vector(optimum_point, dim=dimension, name="optimum_point"))
         self.grad_evals = 0
         self.func_evals = 0
 
@@ -140,7 +159,10 @@ def _finite(name: str, value) -> float:
     """
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a number, got {value!r}")
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError:  # an integer beyond the float range
+        value = float("inf")
     if not isfinite(value):
         raise ValueError(f"{name} must be finite, got {value!r}")
     return value
@@ -174,4 +196,7 @@ class EvalBudget:
         if floor is not None:
             if isinstance(floor, bool) or not isinstance(floor, numbers.Real) or not floor >= 0:
                 raise ValueError(f"error_floor must be a non-negative number or None, got {floor!r}")
-            self.error_floor = float(floor)
+            try:
+                self.error_floor = float(floor)
+            except OverflowError:  # an integer beyond the float range
+                self.error_floor = float("inf")

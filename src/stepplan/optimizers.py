@@ -31,7 +31,7 @@ class _Stepper:
     """Shared state: current iterate ``w`` and a step counter ``k``."""
 
     def __init__(self, w0):
-        self.w = as_vector(w0).copy()
+        self.w = as_vector(w0, name="w0").copy()
         self.k = 0
 
     def _check(self, w_new: list[float]):

@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Array, _count, _finite, as_vector
+from .core import Array, _count, _finite, _real_array, as_vector
 
 
 class QuadraticProblem:
@@ -26,7 +26,7 @@ class QuadraticProblem:
     """
 
     def __init__(self, q, w_star):
-        q = np.asarray(q, dtype=float)
+        q = _real_array(q, "Q")
         if q.ndim != 2 or q.shape[0] != q.shape[1]:
             raise ValueError(f"Q must be square, got shape {q.shape}")
         if not np.isfinite(q).all():
@@ -37,7 +37,7 @@ class QuadraticProblem:
         if eigs[0] <= 0:
             raise ValueError(f"Q must be positive definite, smallest eigenvalue {eigs[0]}")
         self.q = q
-        self.w_star = as_vector(w_star, dim=q.shape[0])
+        self.w_star = as_vector(w_star, dim=q.shape[0], name="w_star")
         self.mu = float(eigs[0])
         self.L = float(eigs[-1])
 
@@ -92,7 +92,7 @@ class LmsStream:
 
     def __init__(self, w_star, low: float = -1.0, high: float = 1.0,
                  noise_std: float = 0.0, seed: int = 0):
-        self.w_star = as_vector(w_star)
+        self.w_star = as_vector(w_star, name="w_star")
         self.low = low = _finite("low", low)
         self.high = high = _finite("high", high)
         if not (high > low and isfinite(high - low)):
@@ -163,9 +163,9 @@ def make_problem(name: str, params: Optional[dict] = None):
     w0 = params.pop("w0", None)
     if name == "quadratic":
         if "q_diag" in params:
-            q = np.diag(np.asarray(params.pop("q_diag"), dtype=float))
+            q = np.diag(as_vector(params.pop("q_diag"), name="q_diag"))
         elif "q" in params:
-            q = np.asarray(params.pop("q"), dtype=float)
+            q = _real_array(params.pop("q"), "q")
         else:
             raise ValueError("quadratic problem needs 'q' or 'q_diag'")
         w_star = params.pop("w_star", np.zeros(q.shape[0]))
@@ -188,4 +188,4 @@ def make_problem(name: str, params: Optional[dict] = None):
         raise ValueError(f"unknown {name} parameters: {sorted(params)}")
     if w0 is None:
         w0 = _DEFAULT_STARTS.get(name, np.zeros(problem.dimension))
-    return problem, as_vector(w0, dim=problem.dimension)
+    return problem, as_vector(w0, dim=problem.dimension, name="w0")

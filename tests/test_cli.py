@@ -141,7 +141,11 @@ class TestRun:
                                           "label=5", "optimizer=[1]", 'seed="a"',
                                           'record_w="yes"', "budget.error_floor=true",
                                           'budget.error_floor="x"', 'optimizer.gamma="0.001"',
-                                          "optimizer.gamma=true"])
+                                          "optimizer.gamma=true", "optimizer.gamma=1" + "0" * 400,
+                                          "problem.w0={}", "problem.w_star={}", "problem.q_diag={}",
+                                          "problem.w0=[1,{}]", "problem.w0=[true,false]",
+                                          "problem.w_star=[true,true]", "problem.q_diag=[1,true]",
+                                          "problem.w0=[1,1" + "0" * 400 + "]"])
     def test_non_finite_or_fractional_override_exits_2(self, runner, tmp_path, override):
         cfg = write_config(tmp_path)
         out = tmp_path / "out"
@@ -161,8 +165,12 @@ class TestRun:
         ("problem.noise_std=null", "noise_std"),
         ("problem.noise_std=true", "noise_std"),
         ("problem.seed=2.5", "seed"),
+        ("problem.w_star={}", "w_star"),
+        ("problem.w_star=[true,false,true]", "w_star"),
+        ('problem.w0=["1","2"]', "w0"),
     ], ids=["no-w_star", "noise_std-string", "low-string", "high-infinite", "width-overflows",
-            "noise_std-nan", "noise_std-null", "noise_std-bool", "seed-fractional"])
+            "noise_std-nan", "noise_std-null", "noise_std-bool", "seed-fractional",
+            "w_star-dict", "w_star-bools", "w0-strings"])
     def test_bad_lms_parameter_exits_2(self, runner, tmp_path, override, field):
         out = tmp_path / "out"
         result = runner.invoke(cli, ["run", "--config", str(CONFIGS / "lms-idbd.json"),

@@ -21,6 +21,28 @@ class TestAsVector:
         with pytest.raises(ValueError, match="dimension mismatch"):
             as_vector([1.0, 2.0], dim=3)
 
+    @pytest.mark.parametrize("x", [[True, False], [1.0, True], [1, np.bool_(True)],
+                                   np.array([True, False]), ["1", "2"], [1.0, "x"],
+                                   np.array(["1.0"]), {}, [1.0, {}], {"a": 1.0}, [1.0, None],
+                                   [1.0, 1j], "12", [[1.0], [2.0, 3.0]]])
+    def test_rejects_entries_that_are_not_real_numbers(self, x):
+        with pytest.raises(ValueError, match="w0 entries must be numbers"):
+            as_vector(x, name="w0")
+
+    def test_rejects_an_integer_beyond_the_float_range(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            as_vector([1, 10 ** 400])
+
+    @pytest.mark.parametrize("x", [[1, 2], (1.0, 2), [np.int64(1), np.float32(2.0)],
+                                   np.array([1, 2]), np.array([1.0, 2.0], dtype=np.float32)])
+    def test_accepts_ints_and_numpy_reals(self, x):
+        v = as_vector(x)
+        assert v.dtype == np.float64 and v.tolist() == [1.0, 2.0]
+
+    def test_float_array_passes_as_it_is(self):
+        x = np.array([1.0, 2.0])
+        assert as_vector(x) is x
+
 
 edge_floats = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False),
@@ -129,6 +151,7 @@ class TestEvalBudget:
         dict(max_iterations=10, error_floor="x"),
         dict(max_iterations=10, error_floor=True),
         dict(max_iterations=10, error_floor=np.bool_(False)),
+        dict(max_iterations=10, error_floor=-10 ** 400),
     ])
     def test_counts_are_integers_and_floor_is_a_number(self, kwargs):
         with pytest.raises(ValueError):
@@ -138,6 +161,9 @@ class TestEvalBudget:
     def test_floor_is_stored_as_a_float(self, floor):
         b = EvalBudget(max_iterations=1, error_floor=floor)
         assert type(b.error_floor) is float and b.error_floor == floor
+
+    def test_floor_beyond_the_float_range_is_inf(self):
+        assert EvalBudget(max_iterations=1, error_floor=10 ** 400).error_floor == float("inf")
 
     def test_numpy_integers_become_ints(self):
         b = EvalBudget(max_iterations=np.int64(7), max_grad_evals=np.int32(9))
@@ -157,3 +183,8 @@ class TestFinite:
     def test_accepts_ints_and_numpy_reals_as_floats(self, value):
         out = _finite("gamma", value)
         assert type(out) is float and out == float(value)
+
+    @pytest.mark.parametrize("value", [10 ** 400, -10 ** 400])
+    def test_rejects_integers_beyond_the_float_range(self, value):
+        with pytest.raises(ValueError, match="gamma must be finite"):
+            _finite("gamma", value)

@@ -36,6 +36,20 @@ class TestQuadratic:
         with pytest.raises(ValueError, match="symmetric"):
             QuadraticProblem([[1.0, 0.1], [0.0, 1.0]], [0.0, 0.0])
 
+    @pytest.mark.parametrize("params, field", [
+        ({"q": [[1.0, True], [True, 1.0]]}, "q"),
+        ({"q": [["1", "0"], ["0", "1"]]}, "q"),
+        ({"q": {}}, "q"),
+        ({"q_diag": [1.0, "2"]}, "q_diag"),
+        ({"q_diag": [1.0, 2.0], "w_star": [0.0, False]}, "w_star"),
+    ])
+    def test_matrix_and_vector_entries_must_be_numbers(self, params, field):
+        with pytest.raises(ValueError, match=f"{field} entries must be numbers"):
+            make_problem("quadratic", params)
+        if "q" in params:
+            with pytest.raises(ValueError, match="Q entries must be numbers"):
+                QuadraticProblem(params["q"], [0.0, 0.0])
+
     def test_rejects_indefinite(self):
         with pytest.raises(ValueError, match="positive definite"):
             QuadraticProblem([[1.0, 0.0], [0.0, -2.0]], [0.0, 0.0])
