@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import pathlib
 import warnings
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stepplan.core import EvalBudget
-from stepplan.harness import (ExperimentConfig, apply_override, empirical_rate,
+from stepplan.harness import (ExperimentConfig, _prepare, apply_override, empirical_rate,
                               load_config, parse_override_value, run_experiment,
                               speedup_at_budget, sweep)
 from stepplan.tracing import (BUDGET_EXHAUSTED, CONVERGED, DIVERGED, Trace,
@@ -39,6 +40,21 @@ config_like = st.fixed_dictionaries(
 # and objects with a few config keys of any value, some missing
 partial_like = st.dictionaries(st.sampled_from(["problem", "optimizer", "budget", "seed"]),
                                json_values, max_size=4)
+# every shipped config, and every dotted path an override may set in it
+CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
+SHIPPED = {path.name: json.loads(path.read_text()) for path in sorted(CONFIGS.glob("*.json"))}
+
+
+def _dotted_paths(node: dict, prefix: str = ""):
+    for key, value in node.items():
+        yield prefix + key
+        if isinstance(value, dict):
+            yield from _dotted_paths(value, prefix + key + ".")
+
+
+override_targets = st.sampled_from(sorted(SHIPPED)).flatmap(
+    lambda name: st.tuples(st.just(name), st.sampled_from(
+        sorted(_dotted_paths(SHIPPED[name])) + ["problem.extra", "optimizer.extra"])))
 
 
 def cfg(problem, optimizer, budget, **kw):
@@ -366,6 +382,19 @@ class TestConfigSerialization:
         except ValueError:
             return
         assert isinstance(c, ExperimentConfig) and isinstance(c.budget, EvalBudget)
+
+    @settings(max_examples=500, deadline=None)
+    @given(override_targets, json_values)
+    def test_override_builds_or_raises_value_error(self, target, value):
+        # what `--set path=value` does before the run starts
+        name, path = target
+        d = json.loads(json.dumps(SHIPPED[name]))
+        apply_override(d, path, value)
+        try:
+            run = _prepare(ExperimentConfig.from_dict(d))
+        except ValueError:
+            return
+        assert callable(run)
 
     @pytest.mark.parametrize("d", [
         {"problem": {"name": "rosenbrock"}, "optimizer": {"name": "gd"}},
