@@ -39,12 +39,8 @@ def all_finite(values: Sequence[float]) -> bool:
 
 
 def _real_array(x, name: str) -> Array:
-    """``x`` as a float64 array; ``ValueError`` unless every entry is a real number.
-
-    Entries follow ``_finite``'s rule: bools, strings and anything else that
-    is not a ``numbers.Real`` are rejected.  A numeric array skips the
-    per-entry check.
-    """
+    """``x`` as a float64 array; ``ValueError`` naming ``name`` for any entry that
+    ``_finite`` rejects as not a number (a bool, a string, a dict, ...)."""
     if not (isinstance(x, np.ndarray) and x.dtype.kind in "fiu"):
         for e in np.asarray(x, dtype=object).flat:
             if isinstance(e, bool) or not isinstance(e, numbers.Real):
@@ -58,9 +54,9 @@ def _real_array(x, name: str) -> Array:
 def as_vector(x, dim: Optional[int] = None, name: str = "vector") -> Array:
     """Validate and return ``x`` as a finite 1-d float64 array.
 
-    Dimension is checked against ``dim`` when given.  Raises ``ValueError``,
-    naming ``name``, on an entry that is not a real number (see
-    :func:`_real_array`), non-finite entries, wrong rank, or mismatched length.
+    Dimension is checked against ``dim`` when given.  Raises ``ValueError``
+    naming ``name`` on an entry that is not a number, non-finite entries,
+    wrong rank, or mismatched length.
     """
     v = _real_array(x, name)
     if v.ndim != 1 or v.size < 1:
@@ -100,8 +96,7 @@ class Objective:
         self.value_fn = value_fn
         self.grad_fn = grad_fn
         self.optimum_value = None if optimum_value is None else float(optimum_value)
-        self.optimum_point = (None if optimum_point is None
-                              else as_vector(optimum_point, dim=dimension, name="optimum_point"))
+        self.optimum_point = None if optimum_point is None else as_vector(optimum_point, dim=dimension)
         self.grad_evals = 0
         self.func_evals = 0
 

@@ -107,12 +107,8 @@ def _prepare(cfg: ExperimentConfig) -> Callable[[], Trace]:
     elif optimizer_name == "idbd":
         raise ValueError("the idbd optimizer runs on the 'lms' problem only")
     else:
-        objective = Objective(
-            dimension=problem.dimension,
-            value_fn=problem.value,
-            grad_fn=problem.gradient,
-            optimum_value=0.0,
-        )
+        objective = Objective(problem.dimension, problem.value, problem.gradient,
+                              optimum_value=0.0)
         error_fn = objective.error
     stepper = make_optimizer(optimizer_name, w0, optimizer_params)
     return lambda: run_steps(stepper, objective, cfg.budget, error_fn,

@@ -198,9 +198,8 @@ class LossGrad(_Stepper):
     linear model f(w) - alpha ||g||^2.  The residual ratio
     r = e / (alpha ||g||^2) decides: increase alpha by the factor rho when
     r < 1/2, otherwise decrease.  Costs one extra function evaluation per
-    step (the probe) on top of f(w); no extra gradient.  A step where
-    alpha ||g||^2 is 0.0 (a zero gradient, or one so small that the product
-    underflows) keeps w and alpha and evaluates no function value.
+    step (the probe) on top of f(w); no extra gradient.  Where alpha ||g||^2
+    is 0.0 (g = 0, or the product underflows) a step keeps w and alpha.
     """
 
     def __init__(self, w0, alpha0: float, rho: float = 1.1):

@@ -19,6 +19,7 @@ instances against brute-force grid oracles.
 from __future__ import annotations
 
 from dataclasses import dataclass
+
 import numpy as np
 
 from .core import Array, as_vector
@@ -114,8 +115,7 @@ def _grid_scalar_oracle(q, w, L: float) -> float:
 
 def _grid_component_gap(w, g) -> float:
     """Largest distance (in grid spacings) between the per-component grid
-    minimizer of the post-update distance to the origin and the closed-form
-    step."""
+    minimizer of the post-update distance to 0 and the closed-form step."""
     exact = w / g
     worst = 0.0
     for i in range(w.size):
