@@ -39,16 +39,12 @@ def all_finite(values: Sequence[float]) -> bool:
 
 
 def _real_array(x, name: str) -> Array:
-    """``x`` as a float64 array; ``ValueError`` naming ``name`` for any entry that
-    ``_finite`` rejects as not a number (a bool, a string, a dict, ...)."""
+    """``x`` as a float64 array; each entry of anything but a numeric array must
+    pass ``_finite``, so a bool, a string or a dict is a ``ValueError``."""
     if not (isinstance(x, np.ndarray) and x.dtype.kind in "fiu"):
         for e in np.asarray(x, dtype=object).flat:
-            if isinstance(e, bool) or not isinstance(e, numbers.Real):
-                raise ValueError(f"{name} entries must be numbers, got {e!r}")
-    try:
-        return np.asarray(x, dtype=float)
-    except OverflowError:  # an integer beyond the float range
-        raise ValueError(f"{name} contains non-finite entries") from None
+            _finite(name, e)
+    return np.asarray(x, dtype=float)
 
 
 def as_vector(x, dim: Optional[int] = None, name: str = "vector") -> Array:

@@ -26,12 +26,12 @@ class TestAsVector:
                                    np.array(["1.0"]), {}, [1.0, {}], {"a": 1.0}, [1.0, None],
                                    [1.0, 1j], "12", [[1.0], [2.0, 3.0]]])
     def test_rejects_entries_that_are_not_real_numbers(self, x):
-        with pytest.raises(ValueError, match="w0 entries must be numbers"):
+        with pytest.raises(ValueError, match="w0 must be a number"):
             as_vector(x, name="w0")
 
     def test_rejects_an_integer_beyond_the_float_range(self):
-        with pytest.raises(ValueError, match="non-finite"):
-            as_vector([1, 10 ** 400])
+        with pytest.raises(ValueError, match="w0 must be finite"):
+            as_vector([1, 10 ** 400], name="w0")
 
     @pytest.mark.parametrize("x", [[1, 2], (1.0, 2), [np.int64(1), np.float32(2.0)],
                                    np.array([1, 2]), np.array([1.0, 2.0], dtype=np.float32)])

@@ -44,10 +44,10 @@ class TestQuadratic:
         ({"q_diag": [1.0, 2.0], "w_star": [0.0, False]}, "w_star"),
     ])
     def test_matrix_and_vector_entries_must_be_numbers(self, params, field):
-        with pytest.raises(ValueError, match=f"{field} entries must be numbers"):
+        with pytest.raises(ValueError, match=f"{field} must be a number"):
             make_problem("quadratic", params)
         if "q" in params:
-            with pytest.raises(ValueError, match="Q entries must be numbers"):
+            with pytest.raises(ValueError, match="Q must be a number"):
                 QuadraticProblem(params["q"], [0.0, 0.0])
 
     def test_rejects_indefinite(self):
