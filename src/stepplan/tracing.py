@@ -6,8 +6,9 @@ directly.  Runs that reach a non-finite error or exceed ``ERROR_CAP`` are
 marked diverged and truncated at the offending row.
 
 A trace keeps its rows as columns: ``grad_evals`` and ``error`` are
-growable typed arrays, and the ``w`` and ``alpha`` snapshots sit in maps
-keyed by row index, since ``alpha`` is set only on planning-event rows.
+growable typed arrays, and the ``w`` and ``alpha`` snapshots each sit in a
+``Snapshots`` column, a read-only mapping from row index to a copy of the
+snapshot, since ``alpha`` is set only on planning-event rows.
 ``Trace.records`` is a read-only view that builds a ``TraceRecord`` only
 when a row is read.
 """
@@ -15,9 +16,10 @@ when a row is read.
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_right
-from collections.abc import Iterable, Sequence
+from bisect import bisect_left, bisect_right
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
+from itertools import islice, repeat
 from math import inf as INF, isfinite
 from operator import index
 from typing import Callable, Optional
@@ -27,6 +29,7 @@ import numpy as np
 from .core import Array, DivergenceError, EvalBudget, Objective
 
 ERROR_CAP = 1e12
+_BLOCK = 1024  # values copied at a time when a snapshot column is walked row by row
 
 CONVERGED = "converged"
 BUDGET_EXHAUSTED = "budget_exhausted"
@@ -42,11 +45,100 @@ class TraceRecord:
     alpha: Optional[Array] = None
 
 
+class Snapshots(Mapping):
+    """1-d float snapshots keyed by row index, all as wide as the first.
+
+    ``rows`` is an ``array('q')`` of increasing row indices and ``values``
+    an ``array('d')`` holding each snapshot's ``width`` entries in turn.
+    Reading a row returns a fresh float64 array.
+    """
+
+    __slots__ = ("rows", "values", "width")
+
+    def __init__(self):
+        self.rows = array("q")
+        self.values = array("d")
+        self.width = 0
+
+    def _append(self, row: int, snapshot) -> None:
+        """Copy ``snapshot`` in as row ``row``, after every row already held."""
+        v = np.asarray(snapshot, dtype=float)
+        if v.ndim != 1:
+            raise ValueError(f"snapshot at iteration {row + 1} has shape {v.shape}; "
+                             "snapshots must be 1-d")
+        if not self.rows:
+            self.width = v.size
+        elif v.size != self.width:
+            raise ValueError(f"snapshot at iteration {row + 1} has {v.size} entries; "
+                             f"the first snapshot has {self.width}")
+        self.rows.append(row)
+        self.values.frombytes(v.tobytes())
+
+    def _position(self, row) -> int:
+        """Index of ``row`` in ``rows``, or -1."""
+        rows = self.rows
+        try:
+            i = bisect_left(rows, row)
+        except TypeError:
+            return -1
+        return i if i < len(rows) and rows[i] == row else -1
+
+    def _read(self, i: int) -> Array:
+        width = self.width
+        return np.frombuffer(self.values[i * width:(i + 1) * width])
+
+    def __getitem__(self, row) -> Array:
+        i = self._position(row)
+        if i < 0:
+            raise KeyError(row)
+        return self._read(i)
+
+    def get(self, row, default=None):
+        i = self._position(row)
+        return default if i < 0 else self._read(i)
+
+    def __contains__(self, row) -> bool:
+        return self._position(row) >= 0
+
+    def __iter__(self):
+        return iter(self.rows)
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def _by_row(self, start: int, stop: int, read, blank=None):
+        """For each row in ``[start, stop)``: its item of ``read(block)``, or ``blank``.
+
+        ``block`` is a fresh ``(count, width)`` float64 copy of consecutive
+        snapshots, about ``_BLOCK`` values, and ``read`` yields one item per
+        block row.  ``rows`` is walked alongside the row numbers, so no row
+        is looked up.
+        """
+        rows, values, width = self.rows, self.values, self.width
+        first, last = bisect_left(rows, start), bisect_left(rows, stop)
+        step = max(1, _BLOCK // max(width, 1))
+
+        def snapshots():
+            for i in range(first, last, step):
+                count = min(step, last - i)
+                block = np.frombuffer(values[i * width:(i + count) * width])
+                yield from read(block.reshape(count, width))
+
+        row = start
+        for r, snapshot in zip(islice(rows, first, last), snapshots()):
+            if r > row:
+                yield from repeat(blank, r - row)
+            yield snapshot
+            row = r + 1
+        if stop > row:
+            yield from repeat(blank, stop - row)
+
+
 class TraceRows(Sequence):
     """Read-only view of a trace's rows as ``TraceRecord`` objects.
 
-    Each read builds a fresh record from the columns; slicing returns a
-    list of records.
+    Each read builds a fresh record from the columns, with copies of its
+    snapshots; slicing returns a list of records.
     """
 
     __slots__ = ("_trace",)
@@ -59,7 +151,10 @@ class TraceRows(Sequence):
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return [self[j] for j in range(*i.indices(len(self)))]
+            rows = range(*i.indices(len(self)))
+            if rows.step == 1:
+                return list(self._rows(rows.start, rows.stop))
+            return [self[j] for j in rows]
         t = self._trace
         n = len(t.error)
         i = index(i)
@@ -70,10 +165,13 @@ class TraceRows(Sequence):
         return TraceRecord(i + 1, t.grad_evals[i], t.error[i], t.w.get(i), t.alpha.get(i))
 
     def __iter__(self):
+        return self._rows(0, len(self))
+
+    def _rows(self, start: int, stop: int):
         t = self._trace
-        w, alpha = t.w, t.alpha
-        for i, (g, e) in enumerate(zip(t.grad_evals, t.error)):
-            yield TraceRecord(i + 1, g, e, w.get(i), alpha.get(i))
+        return map(TraceRecord, range(start + 1, stop + 1),
+                   islice(t.grad_evals, start, stop), islice(t.error, start, stop),
+                   t.w._by_row(start, stop, iter), t.alpha._by_row(start, stop, iter))
 
 
 class Trace:
@@ -88,8 +186,8 @@ class Trace:
                  total_grad_evals: int = 0, total_func_evals: int = 0):
         self.grad_evals = array("q")
         self.error = array("d")
-        self.w: dict[int, Array] = {}
-        self.alpha: dict[int, Array] = {}
+        self.w = Snapshots()
+        self.alpha = Snapshots()
         self.status = status
         self.total_grad_evals = total_grad_evals
         self.total_func_evals = total_func_evals
@@ -99,9 +197,9 @@ class Trace:
             self.grad_evals.append(r.grad_evals)
             self.error.append(r.error)
             if r.w is not None:
-                self.w[i] = r.w
+                self.w._append(i, r.w)
             if r.alpha is not None:
-                self.alpha[i] = r.alpha
+                self.alpha._append(i, r.alpha)
 
     @property
     def records(self) -> TraceRows:
@@ -150,7 +248,7 @@ def run_steps(stepper, obj: Objective, budget: EvalBudget,
     trace = Trace()
     append_evals = trace.grad_evals.append
     append_error = trace.error.append
-    ws, alphas = trace.w, trace.alpha
+    append_w, append_alpha = trace.w._append, trace.alpha._append
     step = stepper.step
     max_grad_evals = budget.max_grad_evals
     error_floor = budget.error_floor
@@ -165,11 +263,11 @@ def run_steps(stepper, obj: Objective, budget: EvalBudget,
             except DivergenceError:
                 err = INF
             if record_w:
-                ws[row] = np.array(stepper.w, dtype=float, copy=True)
+                append_w(row, stepper.w)
             if record_alpha:
                 alpha = getattr(stepper, "last_alpha", None)
                 if alpha is not None:
-                    alphas[row] = np.array(alpha, dtype=float, copy=True)
+                    append_alpha(row, alpha)
             append_evals(obj.grad_evals)
             append_error(err)
             if not isfinite(err) or err > ERROR_CAP:
@@ -184,39 +282,33 @@ def run_steps(stepper, obj: Objective, budget: EvalBudget,
 
 
 def write_csv(trace: Trace, path) -> None:
-    """Write a trace as CSV.
+    """Write a trace as CSV, streaming its rows a block at a time.
 
     Columns: iteration, grad_evals, error, then w_0..w_{d-1} when iterates
     were recorded and alpha_0..alpha_{d-1} when step-size snapshots were.
     Sparse alpha rows leave their cells empty.  Each float is written as
     ``repr(float(x))``, so output is byte-stable for identical traces.
     """
-    ws, alphas = trace.w, trace.alpha
-    w_dim = next(iter(ws.values())).size if ws else 0
-    a_dim = next(iter(alphas.values())).size if alphas else 0
+    n = len(trace)
+    columns = (trace.w, trace.alpha)
     header = ["iteration", "grad_evals", "error"]
-    header += [f"w_{i}" for i in range(w_dim)]
-    header += [f"alpha_{i}" for i in range(a_dim)]
-    lines = [",".join(header)]
-    rows = zip(range(1, len(trace) + 1), trace.grad_evals, trace.error)
-    if not (w_dim or a_dim):
-        lines += [f"{it},{g},{e!r}" for it, g, e in rows]
+    for name, column in zip(("w", "alpha"), columns):
+        header += [f"{name}_{i}" for i in range(column.width)]
+    rows = zip(range(1, n + 1), trace.grad_evals, trace.error)
+    if len(header) == 3:
+        lines = (f"{it},{g},{e!r}\n" for it, g, e in rows)
     else:
-        w_blank = "," * w_dim
-        a_blank = "," * a_dim
-        for it, g, e in rows:
-            line = f"{it},{g},{e!r}"
-            if w_dim:
-                w = ws.get(it - 1)
-                line += _cells(w) if w is not None else w_blank
-            if a_dim:
-                alpha = alphas.get(it - 1)
-                line += _cells(alpha) if alpha is not None else a_blank
-            lines.append(line)
+        cells = [c._by_row(0, n, _cells, "," * c.width) if c.width else repeat("")
+                 for c in columns]
+        lines = (f"{it},{g},{e!r}{w}{a}\n" for (it, g, e), w, a in zip(rows, *cells))
+    # one write per block of about 1000 cells keeps the file out of memory
+    block = max(1, 1000 // len(header))
     with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(",".join(header) + "\n")
+        while text := "".join(islice(lines, block)):
+            fh.write(text)
 
 
-def _cells(values) -> str:
-    """``,v0,v1,...`` with each value as ``repr(float(v))``."""
-    return "," + ",".join(map(repr, np.asarray(values, dtype=float).tolist()))
+def _cells(block) -> Iterable[str]:
+    """``,v0,v1,...`` for each row of ``block``, with each value as ``repr(v)``."""
+    return ["," + ",".join(map(repr, row)) for row in block.tolist()]

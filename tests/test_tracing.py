@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stepplan.core import EvalBudget, Objective, StationaryPointError
 from stepplan.optimizers import GradientDescent, PolyakStep
@@ -180,8 +181,9 @@ class TestRecordsView:
         w, alpha = np.array([1.0, 2.0]), np.array([0.5, 0.25])
         t = Trace(records=[TraceRecord(1, 1, 1.0, w=w), TraceRecord(2, 2, 0.5, alpha=alpha),
                            TraceRecord(3, 3, 0.25)])
-        assert t.records[0].w is w and t.records[0].alpha is None
-        assert t.records[1].w is None and t.records[1].alpha is alpha
+        assert np.array_equal(t.records[0].w, w) and t.records[0].alpha is None
+        assert np.array_equal(t.records[1].alpha, alpha) and t.records[1].w is None
+        assert t.records[0].w is not w and t.records[1].alpha is not alpha
         assert t.records[2].w is None and t.records[2].alpha is None
 
 
@@ -230,3 +232,149 @@ class TestColumnarTrace:
             tracemalloc.stop()
         assert len(trace) == 20000
         assert held <= 32 * 20000, f"{held / 20000:.1f} B per row"
+
+    @staticmethod
+    def held_per_row(run):
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            trace = run()
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        return trace, held / len(trace)
+
+    def test_record_w_holds_at_most_48_bytes_per_row(self):
+        # d=2: 16 B of w and 8 B of row number; a dict of arrays held about 206 B
+        obj = rosenbrock_objective()
+        stepper = GradientDescent([-1.0, 0.0], gamma=0.001)
+        budget = EvalBudget(max_iterations=20000, error_floor=None)
+        trace, per_row = self.held_per_row(
+            lambda: run_steps(stepper, obj, budget, obj.error, record_w=True))
+        assert len(trace) == len(trace.w) == 20000
+        assert per_row <= 48, f"{per_row:.1f} B per row"
+
+    def test_planner_alpha_holds_at_most_40_bytes_per_row(self):
+        # K=2 plans every other row; a dict of arrays held about 107 B per row
+        obj = quadratic_objective()
+        stepper = StepSizePlanner([-1.0, 2.0], gamma=0.0009, k=2)
+        budget = EvalBudget(max_iterations=6000, error_floor=None)
+        trace, per_row = self.held_per_row(
+            lambda: run_steps(stepper, obj, budget, obj.error, record_alpha=True))
+        assert len(trace) == 6000 and len(trace.alpha) == 2999
+        assert per_row <= 40, f"{per_row:.1f} B per row"
+
+    @pytest.mark.parametrize("kind", ["gd-w-20000", "wide-2000"])
+    def test_write_csv_peak_stays_under_512_kb(self, tmp_path, kind):
+        # the file built as one string took 5.2 MB and 6.9 MB here
+        if kind == "gd-w-20000":
+            obj = rosenbrock_objective()
+            trace = run_steps(GradientDescent([-1.0, 0.0], gamma=0.001), obj,
+                              EvalBudget(max_iterations=20000, error_floor=None),
+                              obj.error, record_w=True)
+        else:
+            rng = np.random.default_rng(2)
+            trace = Trace(records=[
+                TraceRecord(i, i, float(rng.lognormal()), w=rng.standard_normal(64),
+                            alpha=rng.standard_normal(64) if i % 10 == 0 else None)
+                for i in range(1, 2001)])
+        path = tmp_path / "trace.csv"
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            write_csv(trace, path)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert path.stat().st_size > 500_000
+        assert peak <= 512 * 1024, f"{peak / 1024:.0f} KB"
+
+
+def whole_string_csv(records) -> str:
+    """The CSV as the writer built it before streaming: one string, with the
+    snapshots in dicts keyed by row index."""
+    ws = {i: r.w for i, r in enumerate(records) if r.w is not None}
+    alphas = {i: r.alpha for i, r in enumerate(records) if r.alpha is not None}
+    w_dim = next(iter(ws.values())).size if ws else 0
+    a_dim = next(iter(alphas.values())).size if alphas else 0
+
+    def cells(values):
+        return "," + ",".join(map(repr, np.asarray(values, dtype=float).tolist()))
+
+    header = ["iteration", "grad_evals", "error"]
+    header += [f"w_{i}" for i in range(w_dim)]
+    header += [f"alpha_{i}" for i in range(a_dim)]
+    lines = [",".join(header)]
+    for r in records:
+        line = f"{r.iteration},{r.grad_evals},{r.error!r}"
+        if w_dim:
+            w = ws.get(r.iteration - 1)
+            line += cells(w) if w is not None else "," * w_dim
+        if a_dim:
+            alpha = alphas.get(r.iteration - 1)
+            line += cells(alpha) if alpha is not None else "," * a_dim
+        lines.append(line)
+    return "\n".join(lines) + "\n"
+
+
+class TestStreamedCsv:
+    @settings(max_examples=80, deadline=None)
+    @given(n=st.integers(0, 40), d=st.integers(1, 64), with_w=st.booleans(),
+           alpha_every=st.sampled_from([0, 1, 2, 3, 7]), diverged=st.booleans(),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_bytes_match_the_whole_string_writer(self, tmp_path_factory, n, d, with_w,
+                                                 alpha_every, diverged, seed):
+        rng = np.random.default_rng(seed)
+
+        def snapshot():
+            return rng.standard_normal(d) * 10.0 ** rng.integers(-300, 300, d)
+
+        records = []
+        for i in range(1, n + 1):
+            error = float(rng.lognormal(0.0, 30.0))
+            w = snapshot() if with_w else None
+            alpha = snapshot() if alpha_every and i % alpha_every == 0 else None
+            if diverged and i == n:
+                error = math.inf
+                if w is not None:
+                    w[0], w[-1] = math.inf, -0.0
+            records.append(TraceRecord(i, 2 * i, error, w=w, alpha=alpha))
+        path = tmp_path_factory.mktemp("csv") / "trace.csv"
+        write_csv(Trace(records=records), path)
+        assert path.read_bytes() == whole_string_csv(records).encode()
+
+
+class TestSnapshots:
+    def trace(self):
+        return Trace(records=[TraceRecord(1, 1, 1.0, w=np.array([1.0, 2.0])),
+                              TraceRecord(2, 2, 0.5, w=np.array([3.0, 4.0]),
+                                          alpha=np.array([0.5, 0.25])),
+                              TraceRecord(3, 3, 0.25, w=np.array([5.0, 6.0]))])
+
+    def test_read_only_mapping_over_rows(self):
+        t = self.trace()
+        assert len(t.w) == 3 and list(t.w) == [0, 1, 2] and list(t.alpha) == [1]
+        assert 1 in t.alpha and 0 not in t.alpha and "1" not in t.alpha and -1 not in t.w
+        assert np.array_equal(t.w[2], [5.0, 6.0]) and np.array_equal(t.alpha.get(1), [0.5, 0.25])
+        assert t.alpha.get(0) is None and t.alpha.get(5, "none") == "none"
+        with pytest.raises(KeyError):
+            t.alpha[2]
+        with pytest.raises(TypeError):
+            t.w[0] = np.zeros(2)
+
+    def test_reads_are_copies(self):
+        t = self.trace()
+        t.w[0][0] = 99.0
+        for r in t.records:
+            r.w[:] = 99.0
+        assert np.array_equal(t.w[0], [1.0, 2.0])
+        assert [r.w.tolist() for r in t.records] == [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]
+
+    def test_a_snapshot_of_another_size_names_its_row(self):
+        with pytest.raises(ValueError, match="iteration 2 has 3 entries; the first snapshot has 2"):
+            Trace(records=[TraceRecord(1, 1, 0.5, w=np.array([1.0, 2.0])),
+                           TraceRecord(2, 2, 0.25, w=np.array([1.0, 2.0, 3.0]))])
+
+    def test_a_snapshot_that_is_not_1d_names_its_row(self):
+        with pytest.raises(ValueError, match=r"iteration 1 has shape \(1, 2\)"):
+            Trace(records=[TraceRecord(1, 1, 0.5, alpha=np.array([[1.0, 2.0]]))])
