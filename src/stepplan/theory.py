@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Array, as_vector
+from .core import Array, _real_array, as_vector
 from .problems import random_spd
 
 
@@ -31,7 +31,7 @@ class SingularDirectionError(ValueError):
 
 
 def _check_spd_input(q, w) -> tuple[Array, Array]:
-    q = np.asarray(q, dtype=float)
+    q = _real_array(q, "Q")
     w = as_vector(w)
     if q.shape != (w.size, w.size):
         raise ValueError(f"Q shape {q.shape} does not match w dimension {w.size}")

@@ -93,6 +93,16 @@ class TestReductionRatio:
             reduction_ratio(np.eye(2), [0.0, 0.0], 0.1)
 
 
+class TestSpdInput:
+    @pytest.mark.parametrize("q", [{}, [[True]], [["1"]]])
+    def test_q_entries_follow_the_vector_rule(self, q):
+        with pytest.raises(ValueError, match="Q must be a number"):
+            quadratic_value(q, [1.0])
+
+    def test_numeric_q_is_accepted(self):
+        assert quadratic_value([[2]], [1.0]) == quadratic_value(np.eye(1) * 2.0, [1.0]) == 1.0
+
+
 class TestKantorovichBound:
     def test_perfectly_conditioned(self):
         assert kantorovich_bound(2.0, 2.0) == 0.0
