@@ -2,7 +2,7 @@
 
 from .core import (Array, DivergenceError, EvalBudget, Objective,
                    StationaryPointError, finite_diff_grad)
-from .harness import (ExperimentConfig, empirical_rate, run_experiment,
+from .harness import (ExperimentConfig, empirical_rate, run_all, run_experiment,
                       speedup_at_budget, sweep)
 from .optimizers import make_optimizer
 from .planner import ExperienceBuffer, ExperiencePair, StepSizePlanner, compute_alpha

@@ -3,9 +3,10 @@
 An :class:`ExperimentConfig` names a problem and an optimizer from the
 registries, a budget, and recording flags; ``run_experiment`` turns it
 into a :class:`~stepplan.tracing.Trace` deterministically — identical
-configs give byte-identical CSVs.  ``speedup_at_budget`` and
-``empirical_rate`` compute the two headline metrics, and ``sweep`` runs a
-Cartesian grid of dotted-path overrides.
+configs give byte-identical CSVs, and ``run_all`` runs several, a failing
+run not stopping the others.  ``speedup_at_budget`` and ``empirical_rate``
+compute the two headline metrics; ``sweep`` expands a Cartesian grid of
+dotted-path overrides into configs.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import asdict, dataclass
-from typing import Callable, List, Tuple
+from typing import Callable, Iterable, List, Tuple
 
 from .core import EvalBudget, Objective, _count
 from .optimizers import make_optimizer
@@ -21,7 +22,7 @@ from .problems import LmsStream, make_problem
 from .tracing import Trace, run_steps
 
 __all__ = [
-    "ExperimentConfig", "run_experiment", "speedup_at_budget",
+    "ExperimentConfig", "run_experiment", "run_all", "speedup_at_budget",
     "empirical_rate", "sweep", "apply_override", "load_config",
 ]
 
@@ -127,6 +128,25 @@ def run_experiment(cfg: ExperimentConfig) -> Trace:
     return _prepare(cfg)()
 
 
+def run_all(configs: Iterable[ExperimentConfig], on_done: Callable[[ExperimentConfig, Trace], None]
+            ) -> List[Tuple[ExperimentConfig, Exception]]:
+    """Run ``configs`` in order, calling ``on_done(cfg, trace)`` as each run ends.
+
+    Every config is built first, so a bad config raises ``ValueError`` before
+    any work.  A run that raises does not stop the others; returns the failed
+    ``(config, error)`` pairs."""
+    prepared = [(cfg, _prepare(cfg)) for cfg in configs]
+    failed = []
+    for cfg, run in prepared:
+        try:
+            trace = run()
+        except Exception as exc:  # the run's own failure; the next run still goes
+            failed.append((cfg, exc))
+        else:
+            on_done(cfg, trace)
+    return failed
+
+
 def speedup_at_budget(a: Trace, b: Trace, grad_evals: int) -> float:
     """error(a) / error(b) at equal gradient-evaluation cost.
 
@@ -182,29 +202,22 @@ def parse_override_value(text: str):
         return text
 
 
-def sweep(grid: dict, base: ExperimentConfig) -> List[Tuple[ExperimentConfig, Trace]]:
-    """Run the Cartesian product of dotted-path value lists over a base config.
-
-    Results come back in deterministic grid order (keys in the given
-    order, values left to right).  Every config is built before the first
-    runs, so a bad grid value raises ``ValueError`` before any work.
-    """
+def sweep(grid: dict, base: ExperimentConfig) -> List[ExperimentConfig]:
+    """The Cartesian product of dotted-path value lists over a base config, in
+    grid order (keys in the given order, values left to right), each config
+    labelled with its grid values; ``run_all`` runs them."""
     if not grid:
         raise ValueError("sweep grid must be non-empty")
-    keys = list(grid.keys())
-    value_lists = []
-    for key in keys:
-        values = list(grid[key])
+    keys, value_lists = list(grid), [list(values) for values in grid.values()]
+    for key, values in zip(keys, value_lists):
         if not values:
             raise ValueError(f"empty value list for sweep key {key!r}")
-        value_lists.append(values)
-    prepared = []
+    configs = []
     for combo in itertools.product(*value_lists):
         d = base.to_dict()
         for key, value in zip(keys, combo):
             apply_override(d, key, value)
         tags = ",".join(f"{k}={v}" for k, v in zip(keys, combo))
         d["label"] = f"{base.label}[{tags}]" if base.label else tags
-        cfg = ExperimentConfig.from_dict(d)
-        prepared.append((cfg, _prepare(cfg)))
-    return [(cfg, run()) for cfg, run in prepared]
+        configs.append(ExperimentConfig.from_dict(d))
+    return configs

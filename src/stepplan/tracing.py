@@ -179,7 +179,8 @@ class Trace:
 
     Row ``i`` (0-based) is iteration ``i + 1``.  ``run_steps`` appends to
     the columns; ``Trace(records=[...])`` builds them from records, which
-    must be numbered 1..n.  The lookups below rely on both orders.
+    must be numbered 1..n with non-decreasing ``grad_evals``.  The lookups
+    below rely on both orders.
     """
 
     def __init__(self, records: Iterable[TraceRecord] = (), status: str = BUDGET_EXHAUSTED,
@@ -194,6 +195,9 @@ class Trace:
         for i, r in enumerate(records):
             if r.iteration != i + 1:
                 raise ValueError(f"row {i + 1} is numbered {r.iteration}; rows must be numbered 1..n")
+            if self.grad_evals and r.grad_evals < self.grad_evals[-1]:
+                raise ValueError(f"row {i + 1} has {r.grad_evals} grad_evals, fewer than "
+                                 f"row {i}'s {self.grad_evals[-1]}; grad_evals must not decrease")
             self.grad_evals.append(r.grad_evals)
             self.error.append(r.error)
             if r.w is not None:

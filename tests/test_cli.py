@@ -6,6 +6,8 @@ from click.testing import CliRunner
 
 import stepplan.harness
 from stepplan.cli import cli
+from stepplan.harness import ExperimentConfig
+from stepplan.presets import PRESETS
 
 CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
 
@@ -17,6 +19,19 @@ CONFIG = {
     "record_alpha": True,
     "label": "convex-k2",
 }
+# polyak at w0 = w_star: a zero gradient with f(w) = 0 above f* = -1 raises StationaryPointError
+STUCK = dict(CONFIG, problem=dict(CONFIG["problem"], w0=[1.0, 1.0]),
+             optimizer={"name": "polyak", "f_star": -1.0}, budget={"max_iterations": 50},
+             record_alpha=False, label="stuck")
+
+
+def assert_failed_run(result, label):
+    """Exit 1 naming the run and its error, handled by the CLI (no traceback)."""
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert f"run {label!r} failed: StationaryPointError" in result.output
+    assert "above f* = -1.0" in result.output
+    assert "Traceback" not in result.output
 
 
 @pytest.fixture
@@ -86,6 +101,13 @@ class TestRun:
         assert "diverged" in result.output
         assert (out / "boom.csv").read_text() == "iteration,grad_evals,error\n1,1,inf\n"
         assert (out / "boom.svg").exists()
+
+    def test_failed_run_exits_1(self, runner, tmp_path):
+        out = tmp_path / "out"
+        result = runner.invoke(cli, ["run", "--config", str(write_config(tmp_path, STUCK)),
+                                     "--out", str(out)])
+        assert_failed_run(result, "stuck")
+        assert list(out.iterdir()) == []
 
     def test_zero_iterations_prints_nan_final_error(self, runner, tmp_path):
         cfg = write_config(tmp_path)
@@ -196,6 +218,47 @@ class TestCompare:
         assert labels == {"convex-k2", "gd"}
         assert (out / "compare.svg").exists()
 
+    def test_writes_each_runs_csv(self, runner, tmp_path):
+        a = write_config(tmp_path, CONFIG, "a.json")
+        b = write_config(tmp_path, {k: v for k, v in CONFIG.items() if k != "label"}, "b.json")
+        out = tmp_path / "out"
+        result = runner.invoke(cli, ["compare", "--config", str(a), "--config", str(b),
+                                     "--out", str(out), "--no-svg"])
+        assert result.exit_code == 0, result.output
+        assert sorted(p.name for p in out.iterdir()) == ["b.csv", "compare.csv", "convex-k2.csv"]
+        solo = tmp_path / "solo"
+        assert runner.invoke(cli, ["run", "--config", str(a), "--out", str(solo)]).exit_code == 0
+        assert (out / "convex-k2.csv").read_bytes() == (solo / "convex-k2.csv").read_bytes()
+        assert (out / "b.csv").read_bytes() == (solo / "convex-k2.csv").read_bytes()
+
+    def test_failed_run_keeps_the_others(self, runner, tmp_path, runs):
+        paths = [write_config(tmp_path, dict(CONFIG, label="first"), "first.json"),
+                 write_config(tmp_path, STUCK, "stuck.json"),
+                 write_config(tmp_path, dict(CONFIG, label="last"), "last.json")]
+        out = tmp_path / "out"
+        result = runner.invoke(cli, ["compare", *(f"--config={p}" for p in paths),
+                                     "--out", str(out)])
+        assert_failed_run(result, "stuck")
+        assert len(runs) == 3
+        assert "first: status=converged" in result.output
+        assert "last: status=converged" in result.output
+        assert sorted(p.name for p in out.iterdir()) == ["compare.csv", "compare.svg",
+                                                         "first.csv", "last.csv"]
+        labels = [line.split(",")[0] for line in (out / "compare.csv").read_text().splitlines()]
+        assert set(labels[1:]) == {"first", "last"}
+
+    @pytest.mark.parametrize("labels", [["same", "same"], ["a b", "a_b"], ["compare"]])
+    def test_runs_sharing_a_path_exit_2(self, runner, tmp_path, runs, labels):
+        paths = [write_config(tmp_path, dict(CONFIG, label=label), f"{i}.json")
+                 for i, label in enumerate(labels)]
+        out = tmp_path / "out"
+        result = runner.invoke(cli, ["compare", *(f"--config={p}" for p in paths),
+                                     "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert "would both write" in result.output
+        assert runs == []
+        assert not out.exists()
+
     def test_bad_config_stops_before_any_run(self, runner, tmp_path, runs):
         good = dict(CONFIG, optimizer={"name": "heavy_ball", "gamma": 0.0009, "p": 0.5},
                     label="good")
@@ -237,6 +300,26 @@ class TestSweep:
         assert runs == []
         assert not out.exists()
 
+    def test_failed_run_keeps_the_others(self, runner, tmp_path, runs):
+        out = tmp_path / "out"
+        result = runner.invoke(cli, ["sweep", "--config", str(write_config(tmp_path, STUCK)),
+                                     "--out", str(out), "--grid", "optimizer.f_star=-1,0"])
+        assert_failed_run(result, "stuck[optimizer.f_star=-1]")
+        assert len(runs) == 2
+        assert "stuck[optimizer.f_star=0]" in result.output
+        assert sorted(p.name for p in out.iterdir()) == ["stuck_optimizer.f_star_0.csv",
+                                                         "sweep.svg"]
+
+    @pytest.mark.parametrize("grid", ["optimizer.gamma=0.001,1e-3", "label=a b,a_b"])
+    def test_runs_sharing_a_path_exit_2(self, runner, tmp_path, runs, grid):
+        out = tmp_path / "out"
+        result = runner.invoke(cli, ["sweep", "--config", str(write_config(tmp_path)),
+                                     "--out", str(out), "--grid", grid])
+        assert result.exit_code == 2, result.output
+        assert "would both write" in result.output
+        assert runs == []
+        assert not out.exists()
+
     def test_bad_grid_exits_2(self, runner, tmp_path):
         cfg = write_config(tmp_path)
         result = runner.invoke(cli, ["sweep", "--config", str(cfg), "--grid", "oops"])
@@ -256,6 +339,17 @@ class TestVerify:
         assert set(report["checks"]) == {"scalar-rate", "scalar-grid",
                                          "diag-one-step", "ideal-step-grid"}
 
+    @pytest.mark.parametrize("args, message", [(["--trials", "0"], "trials"),
+                                               (["--d-max", "0"], "d_max"),
+                                               (["--d-max", "65"], "d_max")])
+    def test_bad_argument_exits_2(self, runner, tmp_path, args, message):
+        out = tmp_path / "out"
+        result = runner.invoke(cli, ["verify", *args, "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert message in result.output and "Traceback" not in result.output
+        assert not out.exists()
+
 
 class TestRepro:
     def test_unknown_preset_exits_2(self, runner, tmp_path):
@@ -270,6 +364,18 @@ class TestRepro:
         produced = list((out / "rosenbrock-p5-fig8").glob("*.csv"))
         assert len(produced) == 3
         assert (out / "rosenbrock-p5-fig8" / "overlay.svg").exists()
+
+    def test_failed_run_keeps_the_others(self, runner, tmp_path, runs, monkeypatch):
+        configs = [ExperimentConfig.from_dict(dict(CONFIG, label=label)) for label in "ab"]
+        configs.insert(1, ExperimentConfig.from_dict(STUCK))
+        monkeypatch.setitem(PRESETS, "stuck-preset", lambda: configs)
+        out = tmp_path / "out"
+        result = runner.invoke(cli, ["repro", "stuck-preset", "--out", str(out)])
+        assert_failed_run(result, "stuck")
+        assert len(runs) == 3
+        assert "b: status=converged" in result.output
+        assert sorted(p.name for p in (out / "stuck-preset").iterdir()) == [
+            "a.csv", "a.svg", "b.csv", "b.svg", "overlay.svg"]
 
 
 class TestUsage:

@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stepplan.core import EvalBudget
+from stepplan.core import EvalBudget, StationaryPointError
 from stepplan.harness import (ExperimentConfig, _prepare, apply_override, empirical_rate,
-                              load_config, parse_override_value, run_experiment,
+                              load_config, parse_override_value, run_all, run_experiment,
                               speedup_at_budget, sweep)
 from stepplan.tracing import (BUDGET_EXHAUSTED, CONVERGED, DIVERGED, Trace,
                               TraceRecord, write_csv)
@@ -320,7 +320,9 @@ class TestSweep:
 
     def test_gamma_grid(self):
         gammas = [0.0005, 0.001, 0.0015, 0.002]
-        results = sweep({"optimizer.gamma": gammas}, self.base())
+        results = []
+        assert run_all(sweep({"optimizer.gamma": gammas}, self.base()),
+                       lambda c, trace: results.append((c, trace))) == []
         assert len(results) == 4
         for (c, trace), gamma in zip(results, gammas):
             assert c.optimizer["gamma"] == gamma
@@ -331,11 +333,11 @@ class TestSweep:
     def test_adam_grid_cardinality(self):
         base = cfg(ROSEN, {"name": "adam", "alpha": 0.005},
                    EvalBudget(max_iterations=5, error_floor=None))
-        results = sweep({"optimizer.alpha": [0.005, 0.01],
+        configs = sweep({"optimizer.alpha": [0.005, 0.01],
                          "optimizer.beta1": [0.9, 0.99, 0.999],
                          "optimizer.beta2": [0.99, 0.999, 0.9999]}, base)
-        assert len(results) == 18
-        labels = [c.label for c, _ in results]
+        assert len(configs) == 18
+        labels = [c.label for c in configs]
         assert len(set(labels)) == 18
 
     def test_empty_grid_or_values(self):
@@ -345,8 +347,39 @@ class TestSweep:
             sweep({"optimizer.gamma": []}, self.base())
 
     def test_invalid_parameter_name(self):
+        configs = sweep({"optimizer.warp": [1.0]}, self.base())
         with pytest.raises(ValueError):
-            sweep({"optimizer.warp": [1.0]}, self.base())
+            run_all(configs, lambda c, trace: None)
+
+
+class TestRunAll:
+    def polyak(self, f_star, label):
+        # at w0 = w_star the gradient is zero, so an f* below f(w_star) = 0 cannot be reached
+        return cfg(dict(CONVEX, w0=[1.0, 1.0]), {"name": "polyak", "f_star": f_star},
+                   EvalBudget(max_iterations=20), label=label)
+
+    def gd(self, label):
+        return cfg(ROSEN, {"name": "gd", "gamma": 0.001}, EvalBudget(max_iterations=50),
+                   label=label)
+
+    def test_failed_run_does_not_stop_the_others(self):
+        configs = [self.gd("a"), self.polyak(-1.0, "bad"), self.polyak(0.0, "b"), self.gd("c")]
+        done = []
+        failed = run_all(configs, lambda c, trace: done.append((c.label, trace)))
+        assert [(c.label, type(exc)) for c, exc in failed] == [("bad", StationaryPointError)]
+        assert "above f* = -1.0" in str(failed[0][1])
+        assert [label for label, _ in done] == ["a", "b", "c"]
+        for (_, trace), c in zip(done, [configs[0], configs[2], configs[3]]):
+            solo = run_experiment(c)
+            assert trace.error == solo.error and trace.status == solo.status
+
+    def test_bad_config_raises_before_any_run(self):
+        configs = [self.gd("a"), cfg(ROSEN, {"name": "heavy_ball", "gamma": 0.001, "p": 1.0},
+                                     EvalBudget(max_iterations=50))]
+        done = []
+        with pytest.raises(ValueError, match="momentum rate p"):
+            run_all(configs, lambda c, trace: done.append(c))
+        assert done == []
 
 
 class TestConfigSerialization:

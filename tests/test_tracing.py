@@ -193,6 +193,11 @@ class TestConstructor:
         with pytest.raises(ValueError, match="numbered 1..n"):
             Trace(records=[TraceRecord(i, i, 1.0) for i in numbers])
 
+    def test_grad_evals_must_not_decrease(self):
+        with pytest.raises(ValueError, match="row 4 has 3 grad_evals"):
+            trace_of([1, 5, 6, 3])
+        assert trace_of([1, 1, 2]).last_record_at_evals(1).iteration == 2
+
     def test_keeps_the_totals_and_status(self):
         t = Trace(records=[TraceRecord(1, 2, 0.5)], status=CONVERGED,
                   total_grad_evals=2, total_func_evals=3)
