@@ -46,13 +46,13 @@ class ExperiencePair:
 
 
 class ExperienceBuffer:
-    """A ring of K update records with running pair sums.
+    """A ring of K update records with the pair sums of the current window.
 
     Record n goes to row ``n mod K``, where it overwrites record n - K after
     that record's pair ``(n - K, n)`` has been added into ``sum1`` and
-    ``sum2``.  Planning fires at record counts 2K, 3K, 4K, ...; until
-    ``rotate`` is called the buffer is mid-planning and refuses records.
-    ``rotate`` clears the sums, so each event fits only the newest window.
+    ``sum2``.  Planning fires at record counts 2K, 3K, 4K, ...; the sums
+    restart from zeros at each window's first pair (record counts K + 1,
+    2K + 1, ...), so each event fits only the newest window.
     """
 
     def __init__(self, k: int):
@@ -60,7 +60,6 @@ class ExperienceBuffer:
         if self.k < 1:
             raise ValueError("buffer capacity K must be >= 1")
         self.count = 0
-        self.planning = False
         self.w_ring = self.g_ring = self.sum1 = self.sum2 = None
 
     def record(self, pair: ExperiencePair) -> bool:
@@ -68,36 +67,26 @@ class ExperienceBuffer:
         if self.w_ring is not None and pair.w.size != self.w_ring.shape[1]:
             raise ValueError(f"dimension mismatch: buffer holds {self.w_ring.shape[1]}-vectors, "
                              f"got {pair.w.size}")
-        if self.planning:
-            raise ValueError("buffer is in the mid-planning state; rotate before recording")
         return self.push(pair.w, pair.g)
 
     def push(self, w: Array, g: Array) -> bool:
-        """``record`` for validated, same-dimension vectors in the normal state."""
+        """``record`` for validated, same-dimension vectors."""
         k = self.k
         n = self.count = self.count + 1
         slot = n % k
         if n > k:
+            if (n - 1) % k == 0:
+                self.sum1 = np.zeros(w.size)
+                self.sum2 = np.zeros(w.size)
             g_old = self.g_ring[slot]
             self.sum1 += g_old * (self.w_ring[slot] - w)
             self.sum2 += g_old * g_old
         elif n == 1:
             self.w_ring = np.empty((k, w.size))
             self.g_ring = np.empty((k, w.size))
-            self.sum1 = np.zeros(w.size)
-            self.sum2 = np.zeros(w.size)
         self.w_ring[slot] = w
         self.g_ring[slot] = g
-        self.planning = slot == 0 and n > k
-        return self.planning
-
-    def rotate(self):
-        """After planning: start a fresh window of pair sums."""
-        if not self.planning:
-            raise ValueError("rotate called before a window of K pairs filled")
-        self.sum1 = np.zeros(self.sum1.size)
-        self.sum2 = np.zeros(self.sum2.size)
-        self.planning = False
+        return slot == 0 and n > k
 
 
 def compute_alpha(buf: ExperienceBuffer) -> Array:
@@ -105,7 +94,7 @@ def compute_alpha(buf: ExperienceBuffer) -> Array:
 
     ``alpha_i = sum1_i / sum2_i``, except alpha_i = 0 where sum2_i = 0.
     """
-    if not buf.planning:
+    if buf.count <= buf.k or buf.count % buf.k:
         raise ValueError("planning requires a full window of K pairs")
     zero = buf.sum2 == 0.0
     return np.where(zero, 0.0, buf.sum1 / np.where(zero, 1.0, buf.sum2))
@@ -153,7 +142,6 @@ class StepSizePlanner(_Stepper):
                 for _ in range(self.m):
                     w = w - gamma * obj.grad(w)
                     self._check(w.tolist())
-            self.buffer.rotate()
             self.planning_events += 1
             self.last_alpha = alpha
         self._commit_array(w, checked=True)  # each path above ends with a check of ``w``

@@ -29,7 +29,6 @@ import numpy as np
 from .core import Array, DivergenceError, EvalBudget, Objective
 
 ERROR_CAP = 1e12
-_BLOCK = 1024  # values copied at a time when a snapshot column is walked row by row
 
 CONVERGED = "converged"
 BUDGET_EXHAUSTED = "budget_exhausted"
@@ -106,33 +105,6 @@ class Snapshots(Mapping):
     def __len__(self) -> int:
         return len(self.rows)
 
-    def _by_row(self, start: int, stop: int, read, blank=None):
-        """For each row in ``[start, stop)``: its item of ``read(block)``, or ``blank``.
-
-        ``block`` is a fresh ``(count, width)`` float64 copy of consecutive
-        snapshots, about ``_BLOCK`` values, and ``read`` yields one item per
-        block row.  ``rows`` is walked alongside the row numbers, so no row
-        is looked up.
-        """
-        rows, values, width = self.rows, self.values, self.width
-        first, last = bisect_left(rows, start), bisect_left(rows, stop)
-        step = max(1, _BLOCK // max(width, 1))
-
-        def snapshots():
-            for i in range(first, last, step):
-                count = min(step, last - i)
-                block = np.frombuffer(values[i * width:(i + count) * width])
-                yield from read(block.reshape(count, width))
-
-        row = start
-        for r, snapshot in zip(islice(rows, first, last), snapshots()):
-            if r > row:
-                yield from repeat(blank, r - row)
-            yield snapshot
-            row = r + 1
-        if stop > row:
-            yield from repeat(blank, stop - row)
-
 
 class TraceRows(Sequence):
     """Read-only view of a trace's rows as ``TraceRecord`` objects.
@@ -169,9 +141,9 @@ class TraceRows(Sequence):
 
     def _rows(self, start: int, stop: int):
         t = self._trace
+        snapshots = (map(c.get, range(start, stop)) if c else repeat(None) for c in (t.w, t.alpha))
         return map(TraceRecord, range(start + 1, stop + 1),
-                   islice(t.grad_evals, start, stop), islice(t.error, start, stop),
-                   t.w._by_row(start, stop, iter), t.alpha._by_row(start, stop, iter))
+                   islice(t.grad_evals, start, stop), islice(t.error, start, stop), *snapshots)
 
 
 class Trace:
@@ -302,8 +274,7 @@ def write_csv(trace: Trace, path) -> None:
     if len(header) == 3:
         lines = (f"{it},{g},{e!r}\n" for it, g, e in rows)
     else:
-        cells = [c._by_row(0, n, _cells, "," * c.width) if c.width else repeat("")
-                 for c in columns]
+        cells = [_cells(c, n) if c.width else repeat("") for c in columns]
         lines = (f"{it},{g},{e!r}{w}{a}\n" for (it, g, e), w, a in zip(rows, *cells))
     # one write per block of about 1000 cells keeps the file out of memory
     block = max(1, 1000 // len(header))
@@ -313,6 +284,9 @@ def write_csv(trace: Trace, path) -> None:
             fh.write(text)
 
 
-def _cells(block) -> Iterable[str]:
-    """``,v0,v1,...`` for each row of ``block``, with each value as ``repr(v)``."""
-    return ["," + ",".join(map(repr, row)) for row in block.tolist()]
+def _cells(column: Snapshots, n: int) -> Iterable[str]:
+    """``,v0,v1,...`` for each row below ``n``, each value as ``repr(v)``; commas alone
+    for a row without a snapshot."""
+    blank = "," * column.width
+    return (blank if s is None else "," + ",".join(map(repr, s.tolist()))
+            for s in map(column.get, range(n)))

@@ -4,10 +4,12 @@ import pathlib
 import pytest
 from click.testing import CliRunner
 
+import stepplan.cli
 import stepplan.harness
 from stepplan.cli import cli
 from stepplan.harness import ExperimentConfig
 from stepplan.presets import PRESETS
+from stepplan.theory import RateReport
 
 CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
 
@@ -151,6 +153,27 @@ class TestRun:
                                      "--set", "budget.max_iterations=50"])
         assert result.exit_code == 0, result.output
         assert len((out / f"{label}.csv").read_text().splitlines()) == 1 + 50
+
+    def test_seed_option_matches_set_seed(self, runner, tmp_path):
+        config = str(CONFIGS / "lms-idbd.json")
+        csvs = {}
+        for name, args in [("option", ["--seed", "3"]), ("set", ["--set", "seed=3"]),
+                           ("config", [])]:
+            out = tmp_path / name
+            result = runner.invoke(cli, ["run", "--config", config, "--out", str(out),
+                                         "--no-svg", "--set", "budget.max_iterations=50", *args])
+            assert result.exit_code == 0, result.output
+            csvs[name] = (out / "idbd-lms.csv").read_bytes()
+        assert csvs["option"] == csvs["set"]
+        assert csvs["option"] != csvs["config"]  # the config's own seed is 7
+
+    def test_set_without_equals_exits_2(self, runner, tmp_path):
+        out = tmp_path / "out"
+        result = runner.invoke(cli, ["run", "--config", str(write_config(tmp_path)),
+                                     "--out", str(out), "--set", "optimizer.k"])
+        assert result.exit_code == 2, result.output
+        assert "--set expects key=value, got 'optimizer.k'" in result.output
+        assert not out.exists()
 
     def test_bad_override_exits_2(self, runner, tmp_path):
         cfg = write_config(tmp_path)
@@ -320,6 +343,22 @@ class TestSweep:
         assert runs == []
         assert not out.exists()
 
+    def test_json_array_values(self, runner, tmp_path):
+        out = tmp_path / "out"
+        result = runner.invoke(cli, ["sweep", "--config", str(CONFIGS / "convex-planner.json"),
+                                     "--out", str(out), "--no-svg",
+                                     "--set", "budget.max_iterations=100",
+                                     "--grid", "problem.w0=[1.0,1.0],[2.0,2.0]"])
+        assert result.exit_code == 0, result.output
+        assert "planner-k2[problem.w0=[2.0, 2.0]]" in result.output
+        assert sorted(p.name for p in out.glob("*.csv")) == [
+            "planner-k2_problem.w0_1.0_1.0.csv", "planner-k2_problem.w0_2.0_2.0.csv"]
+        # w0 = w* = (1, 1) stays put; (2, 2) moves
+        assert (out / "planner-k2_problem.w0_1.0_1.0.csv").read_text().splitlines()[1] == (
+            "1,1,0.0,,")
+        assert (out / "planner-k2_problem.w0_2.0_2.0.csv").read_text().splitlines()[1] != (
+            "1,1,0.0,,")
+
     def test_bad_grid_exits_2(self, runner, tmp_path):
         cfg = write_config(tmp_path)
         result = runner.invoke(cli, ["sweep", "--config", str(cfg), "--grid", "oops"])
@@ -349,6 +388,20 @@ class TestVerify:
         assert isinstance(result.exception, SystemExit)
         assert message in result.output and "Traceback" not in result.output
         assert not out.exists()
+
+
+    def test_failed_check_exits_1(self, runner, tmp_path, monkeypatch):
+        failing = RateReport("scalar-rate", rho=0.5, bound=0.25, satisfied=False)
+        passing = RateReport("diag-one-step", rho=0.0, bound=0.0, satisfied=True)
+        monkeypatch.setattr(stepplan.cli, "verify_theorems", lambda **kw: [failing, passing])
+        out = tmp_path / "out"
+        result = runner.invoke(cli, ["verify", "--trials", "1", "--out", str(out)])
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "check scalar-rate failed" in result.output
+        assert "diag-one-step failed" not in result.output and "Traceback" not in result.output
+        checks = json.loads((out / "verify_report.json").read_text())["checks"]
+        assert checks["scalar-rate"]["failures"] == 1 and not checks["scalar-rate"]["passed"]
 
 
 class TestRepro:

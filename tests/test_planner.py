@@ -1,13 +1,16 @@
+import math
+
 import numpy as np
 import pytest
 
 from stepplan.core import EvalBudget, Objective
 from stepplan.planner import ExperienceBuffer, ExperiencePair, StepSizePlanner, compute_alpha
 from stepplan.theory import ideal_diag_step
-from stepplan.tracing import BUDGET_EXHAUSTED, CONVERGED, DIVERGED, run_steps, write_csv
+from stepplan.tracing import (BUDGET_EXHAUSTED, CONVERGED, DIVERGED, ERROR_CAP, Trace,
+                              TraceRecord, run_steps, write_csv)
 
 from conftest import make_objective, quadratic_objective
-from stepplan.problems import RosenbrockProblem
+from stepplan.problems import QuadraticProblem, RosenbrockProblem, random_spd
 
 
 def pair(w, g):
@@ -30,6 +33,84 @@ def run_planner(obj, w0, budget, gamma, k, record_w=False):
                      record_w=record_w, record_alpha=True)
 
 
+def reference_planner(obj, w0, gamma, k, p, m, iterations) -> Trace:
+    """The planner as the paper's equations state it, one trace row per iteration.
+
+    Each GD step ``w - gamma * g`` appends the pair (new iterate, driving
+    gradient) to a plain list.  At pair counts 2K, 3K, ... the newest window
+    is summed in pair order from zeros, ``alpha_i = sum_s g_s,i (w_s,i -
+    w_{s+K},i) / sum_s g_s,i^2`` with alpha_i = 0 where the denominator is 0,
+    and applied P times as ``w - alpha * g``, each projection followed by M
+    steps ``w - gamma * g``, every one on a fresh gradient.  A non-finite
+    iterate after any of these ends the run with an ``inf`` row that keeps the
+    last completed iterate and no alpha; an error above ``ERROR_CAP`` or of
+    exactly 0 ends it after its row.
+    """
+    w = np.array(w0, dtype=float)
+    pairs, rows = [], []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for it in range(1, iterations + 1):
+            alpha = None
+            g = obj.grad(w)
+            v = w - gamma * g
+            finite = bool(np.isfinite(v).all())
+            if finite:
+                pairs.append((v, g))
+                n = len(pairs)
+                if n >= 2 * k and n % k == 0:
+                    sum1, sum2 = np.zeros(w.size), np.zeros(w.size)
+                    for (w_s, g_s), (w_sk, _) in zip(pairs[n - 2 * k:n - k], pairs[n - k:]):
+                        sum1 = sum1 + g_s * (w_s - w_sk)
+                        sum2 = sum2 + g_s * g_s
+                    alpha = alpha_from_sums(sum1, sum2)
+                    for step in ([alpha] + [gamma] * m) * p:
+                        v = v - step * obj.grad(v)
+                        finite = bool(np.isfinite(v).all())
+                        if not finite:
+                            break
+            if not finite:
+                rows.append(TraceRecord(it, obj.grad_evals, math.inf, w))
+                break
+            w = v
+            error = obj.error(w)
+            rows.append(TraceRecord(it, obj.grad_evals, error, w, alpha))
+            if not math.isfinite(error) or error > ERROR_CAP or error <= 0.0:
+                break
+    return Trace(records=rows)
+
+
+class TestReferencePlanner:
+    def test_csv_bytes_match_the_paper_equations(self, tmp_path):
+        instances = []
+        for d in (1, 2, 8, 64):
+            rng = np.random.default_rng(d)
+            q, _, L = random_spd(rng, d, 100.0)
+            instances.append((QuadraticProblem(q, np.zeros(d)), rng.standard_normal(d), 0.9 / L))
+        # w0 = w* in the second component: its gradient stays 0, so alpha is 0 there
+        instances.append((QuadraticProblem(np.diag([100.0, 1.0]), [1.0, 1.0]), [-1.0, 1.0],
+                          0.9 / 100.0))
+        events = diverged = converged = 0
+        for problem, w0, gamma in instances:
+            for k in (1, 2, 3, 10):
+                for p, m in ((1, 0), (2, 3), (5, 10)):
+                    obj = make_objective(problem)
+                    planner = StepSizePlanner(w0, gamma=gamma, k=k, p=p, m=m)
+                    trace = run_steps(planner, obj, EvalBudget(max_iterations=300, error_floor=0.0),
+                                      obj.error, record_w=True, record_alpha=True)
+                    want = reference_planner(make_objective(problem), w0, gamma, k, p, m, 300)
+                    write_csv(trace, tmp_path / "planner.csv")
+                    write_csv(want, tmp_path / "reference.csv")
+                    assert ((tmp_path / "planner.csv").read_bytes()
+                            == (tmp_path / "reference.csv").read_bytes()), (problem.q, k, p, m)
+                    assert trace.total_grad_evals == want.grad_evals[-1]
+                    events += len(trace.alpha)
+                    diverged += trace.status == DIVERGED
+                    converged += trace.status == CONVERGED
+                    if problem.dimension == 2 and problem.q[0, 1] == 0.0:
+                        assert all(trace.alpha[row][1] == 0.0 for row in trace.alpha)
+        assert events and diverged and converged  # every way a run ends is exercised
+
+
 class TestExperienceBuffer:
     def test_fill_order_and_trigger(self):
         buf = ExperienceBuffer(2)
@@ -48,11 +129,10 @@ class TestExperienceBuffer:
         assert buf.record(pair([1.0], [1.0])) is False
         for v in (2.0, 3.0, 4.0):
             assert buf.record(pair([v], [1.0])) is True
-            buf.rotate()
 
     def test_rotation_cadence(self, rng):
-        # triggers land at record counts 2K, 3K, 4K, ...; after a rotation
-        # the next event fits only the newer window
+        # triggers land at record counts 2K, 3K, 4K, ...; each event fits
+        # only the newest window
         k = 3
         records = [(rng.standard_normal(2), rng.standard_normal(2)) for _ in range(12)]
         buf = ExperienceBuffer(k)
@@ -61,7 +141,6 @@ class TestExperienceBuffer:
             if buf.record(pair(w, g)):
                 triggers.append(n)
                 events.append(fit(buf))
-                buf.rotate()
         assert triggers == [6, 9, 12]
         for j, stats in enumerate(events):
             fresh = ExperienceBuffer(k)
@@ -70,23 +149,11 @@ class TestExperienceBuffer:
             for got, want in zip(stats, fit(fresh)):
                 assert got.tobytes() == want.tobytes()
 
-    def test_mid_planning_state_rejected(self):
-        buf = ExperienceBuffer(1)
-        buf.record(pair([1.0], [1.0]))
-        buf.record(pair([2.0], [1.0]))
-        with pytest.raises(ValueError, match="mid-planning"):
-            buf.record(pair([3.0], [1.0]))
-
     def test_dimension_mismatch(self):
         buf = ExperienceBuffer(2)
         buf.record(pair([1.0, 2.0], [0.5, 0.5]))
         with pytest.raises(ValueError, match="dimension"):
             buf.record(pair([1.0], [0.5]))
-
-    def test_rotate_requires_full(self):
-        buf = ExperienceBuffer(2)
-        with pytest.raises(ValueError):
-            buf.rotate()
 
     def test_pair_validation(self):
         with pytest.raises(ValueError):
@@ -161,7 +228,6 @@ class TestComputeAlpha:
             for w, g in zip(ws, gs):
                 if buf.record(pair(w, g)):
                     fitted.append(fit(buf))
-                    buf.rotate()
             assert len(fitted) == events
             for j, stats in enumerate(fitted):
                 sum1, sum2 = np.zeros(d), np.zeros(d)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from stepplan.problems import LmsStream, random_spd
-from stepplan.theory import (SingularDirectionError, check_instance,
+from stepplan.theory import (RateReport, SingularDirectionError, check_instance,
                              ideal_diag_step, kantorovich_bound,
                              optimal_diag_step, optimal_scalar_step,
                              quadratic_value, reduction_ratio,
@@ -160,6 +160,14 @@ class TestVerify:
         assert not by_check["scalar-rate"].skipped
         summary = summarize_reports(reports)
         assert summary["diag-one-step"]["skipped"] == 1
+
+    def test_summary_counts_a_failure(self):
+        reports = [RateReport("scalar-rate", rho=0.1, bound=0.2, satisfied=True),
+                   RateReport("scalar-rate", rho=0.3, bound=0.2, satisfied=False)]
+        entry = summarize_reports(reports)["scalar-rate"]
+        assert entry["trials"] == 2 and entry["failures"] == 1
+        assert entry["passed"] is False
+        assert entry["worst_rho"] == 0.3 and entry["worst_margin"] == pytest.approx(-0.1)
 
     def test_trials_validated(self):
         with pytest.raises(ValueError):
