@@ -145,9 +145,9 @@ def sweep_cmd(config_path, grid_items, out, seed, svg, overrides):
         if "=" not in item:
             raise click.UsageError(f"--grid expects key=v1,v2,..., got {item!r}")
         key, _, values = item.partition("=")
-        try:  # a list of JSON values, such as arrays, keeps the commas inside them
-            grid[key] = json.loads(f"[{values}]")
-        except json.JSONDecodeError:
+        # a list of JSON values, such as arrays, keeps the commas inside them
+        grid[key] = parse_override_value(f"[{values}]")
+        if not isinstance(grid[key], list):  # not JSON: split on every comma
             grid[key] = [parse_override_value(v) for v in values.split(",") if v != ""]
     click.echo(f"{'label':<40} {'status':<18} {'grad_evals':>10} {'final_error':>14}")
     return _run(sweep(grid, base), out,

@@ -42,7 +42,7 @@ def _real_array(x, name: str) -> Array:
     """``x`` as a float64 array; each entry of anything but a numeric array must
     pass ``_finite``, so a bool, a string or a dict is a ``ValueError``."""
     if not (isinstance(x, np.ndarray) and x.dtype.kind in "fiu"):
-        for e in np.asarray(x, dtype=object).flat:
+        for e in np.asarray(x, dtype=object).ravel():  # .flat refuses more than 32 dims
             _finite(name, e)
     return np.asarray(x, dtype=float)
 

@@ -65,7 +65,7 @@ class ExperimentConfig:
         """Build a config from JSON data; malformed data is a ``ValueError``."""
         try:
             d = json.loads(json.dumps(d))  # deep copy + reject non-JSON values
-        except TypeError as exc:
+        except (TypeError, RecursionError) as exc:  # RecursionError: nested too deep
             raise ValueError(f"config is not JSON data: {exc}") from None
         if not isinstance(d, dict):
             raise ValueError(f"config must be an object, got {type(d).__name__}")
@@ -195,11 +195,14 @@ def apply_override(config_dict: dict, dotted_key: str, value) -> None:
 
 
 def parse_override_value(text: str):
-    """Interpret an override value as JSON when possible, else a string."""
+    """Interpret an override value as JSON when possible, else a string; JSON
+    nested too deep to parse is a ``ValueError``."""
     try:
         return json.loads(text)
     except json.JSONDecodeError:
         return text
+    except RecursionError:
+        raise ValueError(f"override value {text[:20]!r}... is nested too deep") from None
 
 
 def sweep(grid: dict, base: ExperimentConfig) -> List[ExperimentConfig]:

@@ -5,10 +5,12 @@ gradient-evaluation count, so error-versus-cost curves can be read off
 directly.  Runs that reach a non-finite error or exceed ``ERROR_CAP`` are
 marked diverged and truncated at the offending row.
 
-A trace keeps its rows as columns: ``grad_evals`` and ``error`` are
-growable typed arrays, and the ``w`` and ``alpha`` snapshots each sit in a
-``Snapshots`` column, a read-only mapping from row index to a copy of the
-snapshot, since ``alpha`` is set only on planning-event rows.
+A trace keeps its rows as columns: ``error`` is a growable typed array,
+``grad_evals`` an ``EvalCounts`` sequence that stores only the rows where
+the count does not rise by exactly one, and the ``w`` and ``alpha``
+snapshots each sit in a ``Snapshots`` column, a read-only mapping from row
+index to a copy of the snapshot, since ``alpha`` is set only on
+planning-event rows.
 ``Trace.records`` is a read-only view that builds a ``TraceRecord`` only
 when a row is read.
 """
@@ -19,9 +21,9 @@ from array import array
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
-from itertools import islice, repeat
+from itertools import chain, islice, repeat
 from math import inf as INF, isfinite
-from operator import index
+from operator import add, index, sub
 from typing import Callable, Optional
 
 import numpy as np
@@ -47,16 +49,16 @@ class TraceRecord:
 class Snapshots(Mapping):
     """1-d float snapshots keyed by row index, all as wide as the first.
 
-    ``rows`` is an ``array('q')`` of increasing row indices and ``values``
+    ``rows`` is an ``array('q')`` of increasing row indices and ``flat``
     an ``array('d')`` holding each snapshot's ``width`` entries in turn.
     Reading a row returns a fresh float64 array.
     """
 
-    __slots__ = ("rows", "values", "width")
+    __slots__ = ("rows", "flat", "width")
 
     def __init__(self):
         self.rows = array("q")
-        self.values = array("d")
+        self.flat = array("d")
         self.width = 0
 
     def _append(self, row: int, snapshot) -> None:
@@ -71,7 +73,7 @@ class Snapshots(Mapping):
             raise ValueError(f"snapshot at iteration {row + 1} has {v.size} entries; "
                              f"the first snapshot has {self.width}")
         self.rows.append(row)
-        self.values.frombytes(v.tobytes())
+        self.flat.frombytes(v.tobytes())
 
     def _position(self, row) -> int:
         """Index of ``row`` in ``rows``, or -1."""
@@ -84,7 +86,7 @@ class Snapshots(Mapping):
 
     def _read(self, i: int) -> Array:
         width = self.width
-        return np.frombuffer(self.values[i * width:(i + 1) * width])
+        return np.frombuffer(self.flat[i * width:(i + 1) * width])
 
     def __getitem__(self, row) -> Array:
         i = self._position(row)
@@ -104,6 +106,51 @@ class Snapshots(Mapping):
 
     def __len__(self) -> int:
         return len(self.rows)
+
+
+class EvalCounts(Sequence):
+    """A trace's cumulative gradient-evaluation counts, stored as breakpoints.
+
+    Row ``i``'s count is row ``i - 1``'s plus one (0 before row 0), except
+    at the increasing row indices in ``rows``, whose counts are the entries
+    of ``evals``: a run that spends one evaluation per row stores nothing,
+    a planner run one break per event.  A read-only ``Sequence`` of ints;
+    slicing returns a list.
+    """
+
+    __slots__ = ("rows", "evals", "_len")
+
+    def __init__(self, rows: array, evals: array, length: int):
+        self.rows, self.evals, self._len = rows, evals, length
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(self._len))]
+        i = index(i)
+        if i < 0:
+            i += self._len
+        if not 0 <= i < self._len:
+            raise IndexError("grad_evals index out of range")
+        j = bisect_right(self.rows, i) - 1
+        return i + 1 if j < 0 else self.evals[j] + i - self.rows[j]
+
+    def __iter__(self):
+        rows, evals = self.rows, self.evals
+        ends = chain(islice(rows, 1, None), (self._len,))
+        head = range(1, (rows[0] if rows else self._len) + 1)
+        return chain(head, chain.from_iterable(
+            map(range, evals, map(add, evals, map(sub, ends, rows)))))
+
+    def _rows_within(self, grad_evals: int) -> int:
+        """How many rows, from the first, have a count of at most ``grad_evals``."""
+        rows, evals = self.rows, self.evals
+        j = bisect_right(evals, grad_evals)  # breaks within the budget
+        row, count = (rows[j - 1], evals[j - 1]) if j else (-1, 0)
+        end = rows[j] if j < len(rows) else self._len
+        return max(0, min(end, row + 1 + grad_evals - count))
 
 
 class TraceRows(Sequence):
@@ -149,33 +196,39 @@ class TraceRows(Sequence):
 class Trace:
     """Rows numbered 1..n in order, with non-decreasing ``grad_evals``.
 
-    Row ``i`` (0-based) is iteration ``i + 1``.  ``run_steps`` appends to
-    the columns; ``Trace(records=[...])`` builds them from records, which
+    Row ``i`` (0-based) is iteration ``i + 1``.  ``run_steps`` fills the
+    columns; ``Trace(records=[...])`` builds them from records, which
     must be numbered 1..n with non-decreasing ``grad_evals``.  The lookups
     below rely on both orders.
     """
 
     def __init__(self, records: Iterable[TraceRecord] = (), status: str = BUDGET_EXHAUSTED,
                  total_grad_evals: int = 0, total_func_evals: int = 0):
-        self.grad_evals = array("q")
         self.error = array("d")
         self.w = Snapshots()
         self.alpha = Snapshots()
         self.status = status
         self.total_grad_evals = total_grad_evals
         self.total_func_evals = total_func_evals
+        rows, evals = array("q"), array("q")
+        last = 0
         for i, r in enumerate(records):
             if r.iteration != i + 1:
                 raise ValueError(f"row {i + 1} is numbered {r.iteration}; rows must be numbered 1..n")
-            if self.grad_evals and r.grad_evals < self.grad_evals[-1]:
-                raise ValueError(f"row {i + 1} has {r.grad_evals} grad_evals, fewer than "
-                                 f"row {i}'s {self.grad_evals[-1]}; grad_evals must not decrease")
-            self.grad_evals.append(r.grad_evals)
+            g = r.grad_evals
+            if g != last + 1:
+                if i and g < last:
+                    raise ValueError(f"row {i + 1} has {g} grad_evals, fewer than "
+                                     f"row {i}'s {last}; grad_evals must not decrease")
+                rows.append(i)
+                evals.append(g)
+            last = g
             self.error.append(r.error)
             if r.w is not None:
                 self.w._append(i, r.w)
             if r.alpha is not None:
                 self.alpha._append(i, r.alpha)
+        self.grad_evals = EvalCounts(rows, evals, len(self.error))
 
     @property
     def records(self) -> TraceRows:
@@ -195,7 +248,7 @@ class Trace:
 
     def last_record_at_evals(self, grad_evals: int) -> TraceRecord:
         """Latest row whose cumulative gradient count is <= the budget."""
-        i = bisect_right(self.grad_evals, grad_evals)
+        i = self.grad_evals._rows_within(grad_evals)
         if i == 0:
             raise ValueError(f"no record within {grad_evals} gradient evaluations")
         return self.records[i - 1]
@@ -222,7 +275,9 @@ def run_steps(stepper, obj: Objective, budget: EvalBudget,
     IDBD on every step.  IDBD's ``obj`` is the LMS stream.
     """
     trace = Trace()
-    append_evals = trace.grad_evals.append
+    rows, evals = array("q"), array("q")
+    append_row, append_evals = rows.append, evals.append
+    last = 0  # the previous row's count; a row whose count is not last + 1 is a break
     append_error = trace.error.append
     append_w, append_alpha = trace.w._append, trace.alpha._append
     step = stepper.step
@@ -244,7 +299,11 @@ def run_steps(stepper, obj: Objective, budget: EvalBudget,
                 alpha = getattr(stepper, "last_alpha", None)
                 if alpha is not None:
                     append_alpha(row, alpha)
-            append_evals(obj.grad_evals)
+            g = obj.grad_evals
+            if g != last + 1:
+                append_row(row)
+                append_evals(g)
+            last = g
             append_error(err)
             if not isfinite(err) or err > ERROR_CAP:
                 trace.status = DIVERGED
@@ -252,6 +311,7 @@ def run_steps(stepper, obj: Objective, budget: EvalBudget,
             if error_floor is not None and err <= error_floor:
                 trace.status = CONVERGED
                 break
+    trace.grad_evals = EvalCounts(rows, evals, len(trace.error))
     trace.total_grad_evals = obj.grad_evals
     trace.total_func_evals = obj.func_evals
     return trace

@@ -175,6 +175,21 @@ class TestRun:
         assert "--set expects key=value, got 'optimizer.k'" in result.output
         assert not out.exists()
 
+    # 40 and 100 levels parse and fail as a w0 that is not 1-d; 100000 is too deep to parse
+    @pytest.mark.parametrize("depth, tail", [(40, "1.0" + "]" * 40), (100, "1.0" + "]" * 100),
+                                             (100000, "")], ids=["40", "100", "100000-open"])
+    def test_set_nested_too_deep_exits_2(self, runner, tmp_path, runs, depth, tail):
+        out = tmp_path / "out"
+        result = runner.invoke(cli, ["run", "--config", str(write_config(tmp_path)),
+                                     "--out", str(out), "--set", "problem.w0=" + "[" * depth + tail])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "Error: " in result.output and "Traceback" not in result.output
+        if not tail:
+            assert "is nested too deep" in result.output
+        assert runs == []
+        assert not out.exists()
+
     def test_bad_override_exits_2(self, runner, tmp_path):
         cfg = write_config(tmp_path)
         result = runner.invoke(cli, ["run", "--config", str(cfg),
@@ -358,6 +373,18 @@ class TestSweep:
             "1,1,0.0,,")
         assert (out / "planner-k2_problem.w0_2.0_2.0.csv").read_text().splitlines()[1] != (
             "1,1,0.0,,")
+
+    @pytest.mark.parametrize("depth, tail", [(40, "1.0" + "]" * 40), (100, "1.0" + "]" * 100),
+                                             (100000, "")], ids=["40", "100", "100000-open"])
+    def test_grid_nested_too_deep_exits_2(self, runner, tmp_path, runs, depth, tail):
+        out = tmp_path / "out"
+        result = runner.invoke(cli, ["sweep", "--config", str(write_config(tmp_path)),
+                                     "--out", str(out), "--grid", "problem.w0=" + "[" * depth + tail])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "Error: " in result.output and "Traceback" not in result.output
+        assert runs == []
+        assert not out.exists()
 
     def test_bad_grid_exits_2(self, runner, tmp_path):
         cfg = write_config(tmp_path)

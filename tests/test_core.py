@@ -13,6 +13,15 @@ class TestAsVector:
         with pytest.raises(ValueError):
             as_vector([[1.0, 2.0]])
 
+    @pytest.mark.parametrize("depth", [33, 64, 100])
+    def test_rejects_nesting_beyond_numpys_dimensions(self, depth):
+        # numpy iterates at most 32 dimensions and builds at most 64
+        x = [1.0]
+        for _ in range(depth - 1):
+            x = [x]
+        with pytest.raises(ValueError, match="w0"):
+            as_vector(x, name="w0")
+
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             as_vector([])

@@ -467,3 +467,18 @@ class TestConfigSerialization:
         assert parse_override_value("[1,2]") == [1, 2]
         assert parse_override_value("true") is True
         assert parse_override_value("strongly_convex") == "strongly_convex"
+
+    @pytest.mark.parametrize("text", ["[" * 100000, "[" * 5000 + "]" * 5000],
+                             ids=["100000-open", "5000-closed"])
+    def test_override_nested_too_deep_is_a_value_error(self, text):
+        with pytest.raises(ValueError, match="nested too deep"):
+            parse_override_value(text)
+
+    def test_config_nested_too_deep_is_a_value_error(self):
+        w0 = [1.0]
+        for _ in range(5000):  # built without recursion; json.dumps recurses on it
+            w0 = [w0]
+        d = cfg(ROSEN, {"name": "gd", "gamma": 0.001}, EvalBudget(max_iterations=10)).to_dict()
+        d["problem"]["w0"] = w0
+        with pytest.raises(ValueError, match="config is not JSON data"):
+            ExperimentConfig.from_dict(d)

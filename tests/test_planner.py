@@ -375,6 +375,23 @@ class TestCsawgRun:
         write_csv(trace, tmp_path / "t.csv")
         assert (tmp_path / "t.csv").read_bytes() == golden.encode()
 
+    def test_divergence_inside_a_later_event(self, tmp_path):
+        # K=2, P=2: the event at iteration 4 fits alpha = 1 and completes; the
+        # one at iteration 6 overflows in its first projection.  Only those two
+        # rows' counts are not the previous row's plus one.
+        script = iter([1.0] * 6 + [2.0, 3.0, 1e308])
+        obj = Objective(1, lambda w: 0.5 * float(w[0]) ** 2, lambda w: np.array([next(script)]),
+                        optimum_value=0.0)
+        trace = run_steps(StepSizePlanner([0.0], gamma=0.5, k=2, p=2), obj,
+                          EvalBudget(max_iterations=10), obj.error, record_w=True, record_alpha=True)
+        assert trace.status == DIVERGED and trace.total_grad_evals == 9
+        assert list(trace.grad_evals.rows) == [3, 5]
+        write_csv(trace, tmp_path / "t.csv")
+        assert (tmp_path / "t.csv").read_bytes() == (
+            b"iteration,grad_evals,error,w_0,alpha_0\n"
+            b"1,1,0.125,-0.5,\n2,2,0.5,-1.0,\n3,3,1.125,-1.5,\n4,6,8.0,-4.0,1.0\n"
+            b"5,7,12.5,-5.0,\n6,9,inf,-5.0,\n")
+
     def test_budget_exhaustion_partial_trace(self):
         obj = quadratic_objective()
         trace = run_planner(obj, [-1.0, 2.0],

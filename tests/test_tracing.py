@@ -1,6 +1,9 @@
 import math
 import tracemalloc
 import warnings
+from bisect import bisect_right
+from itertools import accumulate
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -223,6 +226,15 @@ class TestColumnarTrace:
         assert len(a.read_text().splitlines()) == 41
         assert ("alpha_0" in a.read_text()) == record_alpha
 
+    def test_run_steps_holds_at_most_10_bytes_per_row(self):
+        # one evaluation per row stores no grad_evals break: the error column alone
+        obj = rosenbrock_objective()
+        stepper = GradientDescent([-1.0, 0.0], gamma=0.001)
+        budget = EvalBudget(max_iterations=20000, error_floor=None)
+        trace, per_row = self.held_per_row(lambda: run_steps(stepper, obj, budget, obj.error))
+        assert len(trace) == 20000 and len(trace.grad_evals.rows) == 0
+        assert per_row <= 10, f"{per_row:.1f} B per row"
+
     def test_run_steps_holds_at_most_32_bytes_per_row(self):
         # 20000 rows of a Rosenbrock gd run: about 150 B each as one object per row
         obj = rosenbrock_objective()
@@ -349,6 +361,71 @@ class TestStreamedCsv:
         assert path.read_bytes() == whole_string_csv(records).encode()
 
 
+def grad_evals_sequences():
+    """Non-decreasing counts: repeats, jumps, a first value of 0, 1 or above 1,
+    values at and above 2**31, and the empty sequence."""
+    first = st.one_of(st.sampled_from([0, 1, 2, 2 ** 31 - 1, 2 ** 31]), st.integers(0, 2 ** 40))
+    steps = st.lists(st.sampled_from([0, 1, 1, 1, 2, 11, 2 ** 31]), max_size=30)
+    return st.one_of(st.just([]),
+                     st.builds(lambda g, ds: list(accumulate(ds, initial=g)), first, steps))
+
+
+class TestEvalCounts:
+    @settings(max_examples=200, deadline=None)
+    @given(counts=grad_evals_sequences(), data=st.data())
+    def test_matches_a_plain_list(self, tmp_path_factory, counts, data):
+        records = [TraceRecord(i, g, 1.0 / i) for i, g in enumerate(counts, 1)]
+        t = Trace(records=records)
+        column, n = t.grad_evals, len(counts)
+        # a break is a row whose count is not the previous row's plus one
+        assert list(column.rows) == [i for i, g in enumerate(counts)
+                                     if g != (counts[i - 1] if i else 0) + 1]
+        # run_steps stores the same breaks for a stepper that leaves these counts
+        script, obj = iter(counts), SimpleNamespace(grad_evals=0, func_evals=0)
+        stepper = SimpleNamespace(w=None, step=lambda obj: setattr(obj, "grad_evals", next(script)))
+        ran = run_steps(stepper, obj, EvalBudget(max_iterations=n, error_floor=None), lambda w: 1.0)
+        assert (ran.grad_evals.rows, ran.grad_evals.evals) == (column.rows, column.evals)
+        assert len(ran.grad_evals) == n
+        assert len(column) == n and list(column) == counts
+        assert [column[i] for i in range(-n, n)] == counts + counts
+        for i in (n, -n - 1):
+            with pytest.raises(IndexError):
+                column[i]
+        sl = data.draw(st.slices(n + 2))
+        assert column[sl] == counts[sl]
+        assert list(reversed(column)) == counts[::-1]
+        assert [r.grad_evals for r in t.records] == counts
+        for budget in {-1, 0, 1, 2 ** 31, *counts, *(g - 1 for g in counts), *(g + 1 for g in counts)}:
+            within = bisect_right(counts, budget)
+            if within:
+                assert t.last_record_at_evals(budget) == records[within - 1]
+            else:
+                with pytest.raises(ValueError, match="no record within"):
+                    t.last_record_at_evals(budget)
+        for it in range(1, n + 1):
+            assert t.record_at_iteration(it) == records[it - 1]
+        path = tmp_path_factory.mktemp("csv") / "trace.csv"
+        write_csv(t, path)
+        assert path.read_bytes() == whole_string_csv(records).encode()
+
+    def test_run_steps_stores_one_break_per_planning_event(self):
+        obj = quadratic_objective()
+        trace = run_steps(StepSizePlanner([-1.0, 2.0], gamma=0.0009, k=2, p=2, m=1), obj,
+                          EvalBudget(max_iterations=200, error_floor=None), obj.error,
+                          record_alpha=True)
+        # each event (iterations 4, 6, 8, ...) spends P * (1 + M) = 4 evaluations more
+        assert list(trace.grad_evals.rows) == list(trace.alpha) == list(range(3, 200, 2))
+        assert list(trace.grad_evals) == [i + 1 + 4 * len(range(3, i + 1, 2)) for i in range(200)]
+        assert trace.grad_evals[-1] == trace.total_grad_evals == obj.grad_evals
+
+    def test_read_only(self):
+        column = trace_of([1, 3, 3]).grad_evals
+        assert not hasattr(column, "append") and not hasattr(column, "tolist")
+        with pytest.raises(TypeError):
+            column[0] = 2
+        assert column.index(3) == 1 and column.count(3) == 2 and 3 in column
+
+
 class TestSnapshots:
     def trace(self):
         return Trace(records=[TraceRecord(1, 1, 1.0, w=np.array([1.0, 2.0])),
@@ -374,6 +451,16 @@ class TestSnapshots:
             r.w[:] = 99.0
         assert np.array_equal(t.w[0], [1.0, 2.0])
         assert [r.w.tolist() for r in t.records] == [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]
+
+    def test_values_and_items_are_copies(self):
+        t = self.trace()
+        assert [v.tolist() for v in t.w.values()] == [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]
+        assert [(row, v.tolist()) for row, v in t.alpha.items()] == [(1, [0.5, 0.25])]
+        for v in t.w.values():
+            v[:] = 99.0
+        for _, v in t.alpha.items():
+            v[:] = 99.0
+        assert np.array_equal(t.w[1], [3.0, 4.0]) and np.array_equal(t.alpha[1], [0.5, 0.25])
 
     def test_a_snapshot_of_another_size_names_its_row(self):
         with pytest.raises(ValueError, match="iteration 2 has 3 entries; the first snapshot has 2"):
