@@ -13,13 +13,14 @@ from __future__ import annotations
 
 import itertools
 import json
+from bisect import bisect_right
 from dataclasses import asdict, dataclass
 from typing import Callable, Iterable, List, Tuple
 
 from .core import EvalBudget, Objective, _count
 from .optimizers import make_optimizer
 from .problems import LmsStream, make_problem
-from .tracing import Trace, run_steps
+from .tracing import CONVERGED, Trace, run_steps
 
 __all__ = [
     "ExperimentConfig", "run_experiment", "run_all", "speedup_at_budget",
@@ -150,18 +151,25 @@ def run_all(configs: Iterable[ExperimentConfig], on_done: Callable[[ExperimentCo
 def speedup_at_budget(a: Trace, b: Trace, grad_evals: int) -> float:
     """error(a) / error(b) at equal gradient-evaluation cost.
 
-    Uses the latest record of each trace with cumulative evaluations <=
-    the budget.  Both traces must reach the budget (a converged run counts
-    as reaching any later budget, since its iterate no longer moves).
-    Returns ``inf`` when b's error is zero and a's is not.
+    Uses the latest row of each trace with cumulative evaluations <= the
+    budget.  Both traces must reach the budget.  Returns ``inf`` when b's
+    error is zero and a's is not.
     """
+    grad_evals = _count("grad_evals", grad_evals)
     if grad_evals < 1:
         raise ValueError("grad_evals must be positive")
+    errors = []
     for name, t in (("first", a), ("second", b)):
-        if not t.reaches_evals(grad_evals):
+        # a converged run covers any later budget: on these deterministic
+        # problems its iterate has zero gradient, so running on would repeat
+        # its final row forever
+        if t.total_grad_evals < grad_evals and t.status != CONVERGED:
             raise ValueError(f"{name} trace ends before {grad_evals} gradient evaluations")
-    ea = a.last_record_at_evals(grad_evals).error
-    eb = b.last_record_at_evals(grad_evals).error
+        rows = bisect_right(t.grad_evals, grad_evals)
+        if not rows:
+            raise ValueError(f"no record within {grad_evals} gradient evaluations")
+        errors.append(t.error[rows - 1])
+    ea, eb = errors
     if eb == 0.0:
         return float("inf") if ea != 0.0 else 1.0
     return ea / eb
@@ -170,15 +178,17 @@ def speedup_at_budget(a: Trace, b: Trace, grad_evals: int) -> float:
 def empirical_rate(trace: Trace, window: Tuple[int, int]) -> float:
     """Geometric mean of successive error ratios over an iteration window."""
     start, end = window
+    start, end = _count("window start", start), _count("window end", end)
     if not (0 < start < end):
         raise ValueError("window must satisfy 0 < start < end")
-    e_start = trace.record_at_iteration(start).error
-    e_end = trace.record_at_iteration(end).error
+    if end > len(trace):
+        raise ValueError(f"no record at iteration {end}")
     # every record in between must be positive for the geometric mean to exist
-    for it, e in enumerate(trace.error[start - 1:end], start):
+    errors = trace.error[start - 1:end]
+    for it, e in enumerate(errors, start):
         if e <= 0.0:
             raise ValueError(f"non-positive error inside the window at iteration {it}")
-    return float((e_end / e_start) ** (1.0 / (end - start)))
+    return float((errors[-1] / errors[0]) ** (1.0 / (end - start)))
 
 
 def apply_override(config_dict: dict, dotted_key: str, value) -> None:

@@ -35,7 +35,8 @@ from .optimizers import _Stepper
 
 @dataclass
 class ExperiencePair:
-    """One recorded update: the iterate and the gradient that drove it."""
+    """One recorded update: the iterate and the gradient that drove it.  Only
+    ``ExperienceBuffer.record`` takes it, for ``perfbench/micro.py`` lines 21, 122."""
 
     w: Array
     g: Array
@@ -63,7 +64,8 @@ class ExperienceBuffer:
         self.w_ring = self.g_ring = self.sum1 = self.sum2 = None
 
     def record(self, pair: ExperiencePair) -> bool:
-        """Append a pair; return True when planning should fire now."""
+        """Append a pair; return True when planning should fire now.  Kept for
+        ``perfbench/micro.py`` line 122; the planner calls ``push``."""
         if self.w_ring is not None and pair.w.size != self.w_ring.shape[1]:
             raise ValueError(f"dimension mismatch: buffer holds {self.w_ring.shape[1]}-vectors, "
                              f"got {pair.w.size}")

@@ -49,7 +49,8 @@ def render_svg(series: Sequence[Tuple[str, Iterable[float], Iterable[float]]], p
 
     The y coordinates are log10-scaled and decade ticks are drawn; values
     below ``Y_FLOOR`` are clamped before scaling.  Points whose y is inf or
-    NaN (a diverged run's last error) are left out.
+    NaN (a diverged run's last error) are left out; a non-finite x, or x
+    values spanning more than the float range, is a ``ValueError``.
     """
     prepared = []
     for label, xs, ys in series:
@@ -57,13 +58,14 @@ def render_svg(series: Sequence[Tuple[str, Iterable[float], Iterable[float]]], p
         ys = list(map(float, ys))
         if len(xs) != len(ys):
             raise ValueError(f"series {label!r} has mismatched lengths")
+        if not all(map(math.isfinite, xs)):
+            raise ValueError(f"series {label!r} has a non-finite x value")
         # math.log10, not np.log10, whose SIMD kernel may differ by one ulp
         ys = list(map(math.log10, np.maximum(ys, Y_FLOOR).tolist()))
         if not all(map(math.isfinite, ys)):
             kept = [(x, y) for x, y in zip(xs, ys) if math.isfinite(y)]
             xs, ys = [x for x, _ in kept], [y for _, y in kept]
         prepared.append((label, xs, ys))
-    # flattened in series order, so NaN entries compare as they always have
     all_x = list(chain.from_iterable(xs for _, xs, _ in prepared))
     all_y = list(chain.from_iterable(ys for _, _, ys in prepared))
     if all_x:
@@ -71,6 +73,9 @@ def render_svg(series: Sequence[Tuple[str, Iterable[float], Iterable[float]]], p
         y_lo, y_hi = min(all_y), max(all_y)
     else:
         x_lo, x_hi, y_lo, y_hi = 0.0, 1.0, 0.0, 1.0
+    if x_hi - x_lo == math.inf:
+        names = ", ".join(repr(label) for label, xs, _ in prepared if x_lo in xs or x_hi in xs)
+        raise ValueError(f"the x values of series {names} span more than the float range")
     if x_hi == x_lo:
         x_hi = x_lo + 1.0
     if y_hi == y_lo:

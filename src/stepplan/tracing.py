@@ -12,7 +12,7 @@ snapshots each sit in a ``Snapshots`` column, a read-only mapping from row
 index to a copy of the snapshot, since ``alpha`` is set only on
 planning-event rows.
 ``Trace.records`` is a read-only view that builds a ``TraceRecord`` only
-when a row is read.
+when a row is read; nothing in the package reads rows that way.
 """
 
 from __future__ import annotations
@@ -39,6 +39,10 @@ DIVERGED = "diverged"
 
 @dataclass(slots=True)
 class TraceRecord:
+    """One row, for ``Trace(records=...)`` and the ``Trace.records`` view, which
+    ``perfbench/micro.py`` (lines 26, 142-147) and ``perfbench/workloads.py``
+    (141-149, 228, 232, 270-272) use; the package reads the columns."""
+
     iteration: int
     grad_evals: int
     error: float
@@ -144,14 +148,6 @@ class EvalCounts(Sequence):
         return chain(head, chain.from_iterable(
             map(range, evals, map(add, evals, map(sub, ends, rows)))))
 
-    def _rows_within(self, grad_evals: int) -> int:
-        """How many rows, from the first, have a count of at most ``grad_evals``."""
-        rows, evals = self.rows, self.evals
-        j = bisect_right(evals, grad_evals)  # breaks within the budget
-        row, count = (rows[j - 1], evals[j - 1]) if j else (-1, 0)
-        end = rows[j] if j < len(rows) else self._len
-        return max(0, min(end, row + 1 + grad_evals - count))
-
 
 class TraceRows(Sequence):
     """Read-only view of a trace's rows as ``TraceRecord`` objects.
@@ -198,8 +194,8 @@ class Trace:
 
     Row ``i`` (0-based) is iteration ``i + 1``.  ``run_steps`` fills the
     columns; ``Trace(records=[...])`` builds them from records, which
-    must be numbered 1..n with non-decreasing ``grad_evals``.  The lookups
-    below rely on both orders.
+    must be numbered 1..n with non-decreasing ``grad_evals``.  The metrics
+    in ``harness`` rely on both orders.
     """
 
     def __init__(self, records: Iterable[TraceRecord] = (), status: str = BUDGET_EXHAUSTED,
@@ -232,6 +228,8 @@ class Trace:
 
     @property
     def records(self) -> TraceRows:
+        """The rows as records, for ``perfbench/workloads.py`` (lines 141-149,
+        228, 232, 270-272); nothing in the package reads them."""
         return TraceRows(self)
 
     def __len__(self) -> int:
@@ -240,27 +238,6 @@ class Trace:
     def final_error(self) -> float:
         """The last row's error; ``nan`` for an empty trace."""
         return self.error[-1] if self.error else float("nan")
-
-    def record_at_iteration(self, iteration: int) -> TraceRecord:
-        if 1 <= iteration <= len(self.error):
-            return self.records[iteration - 1]
-        raise ValueError(f"no record at iteration {iteration}")
-
-    def last_record_at_evals(self, grad_evals: int) -> TraceRecord:
-        """Latest row whose cumulative gradient count is <= the budget."""
-        i = self.grad_evals._rows_within(grad_evals)
-        if i == 0:
-            raise ValueError(f"no record within {grad_evals} gradient evaluations")
-        return self.records[i - 1]
-
-    def reaches_evals(self, grad_evals: int) -> bool:
-        """Whether the trace covers the budget point.
-
-        A converged run is treated as covering any later budget: on these
-        deterministic problems a converged iterate has zero gradient, so
-        extending the run would repeat the final row forever.
-        """
-        return self.total_grad_evals >= grad_evals or self.status == CONVERGED
 
 
 def run_steps(stepper, obj: Objective, budget: EvalBudget,

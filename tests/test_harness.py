@@ -67,6 +67,15 @@ def synthetic_trace(errors, grad_per_iter=1):
                  total_grad_evals=len(errors) * grad_per_iter)
 
 
+def trace_of(grad_evals):
+    """A converged trace with these counts and error 1 / i on row i."""
+    return Trace(records=[TraceRecord(i, g, 1.0 / i) for i, g in enumerate(grad_evals, 1)],
+                 status=CONVERGED)
+
+
+ONE = trace_of([1])
+
+
 class TestRunExperiment:
     def test_gd_errors_strictly_decrease(self):
         trace = run_experiment(cfg(CONVEX, {"name": "gd", "gamma": 0.00099},
@@ -279,6 +288,31 @@ class TestSpeedup:
         b = synthetic_trace([0.0]); b.status = CONVERGED
         assert speedup_at_budget(a, b, 1) == 1.0
 
+    # row i of trace_of has error 1 / i, and ONE's error is 1, so the
+    # speedup over ONE is 1 / (the row read for the budget)
+    def test_budget_exactly_at_a_record(self):
+        t = trace_of([1, 3, 5, 7])
+        assert speedup_at_budget(t, ONE, 5) == 1.0 / 3
+        assert speedup_at_budget(t, ONE, 1) == 1.0
+        assert speedup_at_budget(t, ONE, 7) == 1.0 / 4
+
+    def test_budget_between_and_beyond_records(self):
+        t = trace_of([1, 3, 5, 7])
+        assert speedup_at_budget(t, ONE, 4) == 1.0 / 2
+        assert speedup_at_budget(t, ONE, 10 ** 9) == 1.0 / 4
+
+    def test_budget_below_the_first_record(self):
+        with pytest.raises(ValueError, match="no record within 2 gradient evaluations"):
+            speedup_at_budget(trace_of([3, 6, 9]), ONE, 2)
+        with pytest.raises(ValueError, match="no record within 5 gradient evaluations"):
+            speedup_at_budget(ONE, trace_of([]), 5)
+
+    def test_equal_counts_give_the_latest_record(self):
+        # a step that raised before its gradient leaves the count unchanged
+        t = trace_of([2, 4, 4, 4, 6])
+        assert speedup_at_budget(t, ONE, 4) == 1.0 / 4
+        assert speedup_at_budget(t, ONE, 5) == 1.0 / 4
+
 
 class TestEmpiricalRate:
     def test_exact_geometric_sequence(self):
@@ -309,6 +343,30 @@ class TestEmpiricalRate:
         t = synthetic_trace([1.0, 0.0, 1.0])
         with pytest.raises(ValueError, match="non-positive"):
             empirical_rate(t, (1, 3))
+
+    def test_reads_the_window_rows(self):
+        t = trace_of([1, 3, 5])
+        assert empirical_rate(t, (1, 3)) == (1.0 / 3) ** 0.5
+        assert empirical_rate(t, (2, 3)) == (1.0 / 3) / (1.0 / 2)
+        for window in ((0, 3), (-1, 3)):
+            with pytest.raises(ValueError, match="0 < start < end"):
+                empirical_rate(t, window)
+        for window in ((1, 4), (4, 5)):
+            with pytest.raises(ValueError, match=f"no record at iteration {window[1]}"):
+                empirical_rate(t, window)
+
+
+@pytest.mark.parametrize("name, call", [
+    ("grad_evals", lambda t: speedup_at_budget(t, t, 2.5)),
+    ("grad_evals", lambda t: speedup_at_budget(t, t, "3")),
+    ("grad_evals", lambda t: speedup_at_budget(t, t, True)),
+    ("window end", lambda t: empirical_rate(t, (1, 3.0))),
+    ("window start", lambda t: empirical_rate(t, (True, 3))),
+    ("window start", lambda t: empirical_rate(t, ("1", 3))),
+], ids=["budget-float", "budget-str", "budget-bool", "end-float", "start-bool", "start-str"])
+def test_metric_counts_must_be_integers(name, call):
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        call(synthetic_trace([1.0, 0.5, 0.25]))
 
 
 class TestSweep:

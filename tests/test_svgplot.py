@@ -3,6 +3,8 @@ import random
 import re
 import xml.etree.ElementTree as ET
 
+import pytest
+
 from stepplan.core import EvalBudget
 from stepplan.harness import ExperimentConfig, run_experiment
 from stepplan.svgplot import (HEIGHT, MARGIN_B, MARGIN_L, MARGIN_R, MARGIN_T, WIDTH, Y_FLOOR,
@@ -53,6 +55,22 @@ def test_non_finite_points_are_left_out(tmp_path):
     render_svg([("boom", [1, 2], [1.0, 0.5]), ("nan", [1], [0.1]), ("gone", [], [])], b)
     assert a.read_bytes() == b.read_bytes()
     assert len(ET.parse(a).getroot().findall(f"{SVG_NS}polyline")) == 2
+
+
+@pytest.mark.parametrize("series, message", [
+    ([("a", [0, math.nan, 2], [1.0, 0.5, 0.25])], "series 'a' has a non-finite x value"),
+    ([("a", [math.nan, 1, 2], [1.0, 0.5, 0.25])], "series 'a' has a non-finite x value"),
+    ([("ok", [1], [1.0]), ("b", [0, math.inf], [1.0, math.inf])],
+     "series 'b' has a non-finite x value"),
+    ([("a", [-1.7e308, 1.7e308], [1.0, 1.0])], "series 'a' span more than the float range"),
+    ([("lo", [-1.7e308], [1.0]), ("ok", [0], [1.0]), ("hi", [1.7e308], [1.0])],
+     "series 'lo', 'hi' span more than the float range"),
+], ids=["nan-inside", "nan-first", "inf", "overflowing-extent", "extent-across-series"])
+def test_non_finite_or_overflowing_x_is_rejected(tmp_path, series, message):
+    path = tmp_path / "x.svg"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        render_svg(series, path)
+    assert not path.exists()
 
 
 def test_one_valued_series_at_any_magnitude(tmp_path):

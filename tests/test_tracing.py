@@ -23,38 +23,6 @@ def trace_of(grad_evals):
 
 
 class TestLookups:
-    def test_budget_exactly_at_a_record(self):
-        t = trace_of([1, 3, 5, 7])
-        assert t.last_record_at_evals(5).iteration == 3
-        assert t.last_record_at_evals(1).iteration == 1
-        assert t.last_record_at_evals(7).iteration == 4
-
-    def test_budget_between_and_beyond_records(self):
-        t = trace_of([1, 3, 5, 7])
-        assert t.last_record_at_evals(4).iteration == 2
-        assert t.last_record_at_evals(10 ** 9).iteration == 4
-
-    def test_budget_below_the_first_record(self):
-        t = trace_of([3, 6, 9])
-        with pytest.raises(ValueError, match="no record within 2 gradient evaluations"):
-            t.last_record_at_evals(2)
-        with pytest.raises(ValueError, match="no record within"):
-            Trace().last_record_at_evals(5)
-
-    def test_equal_counts_give_the_latest_record(self):
-        # a step that raised before its gradient leaves the count unchanged
-        t = trace_of([2, 4, 4, 4, 6])
-        assert t.last_record_at_evals(4).iteration == 4
-        assert t.last_record_at_evals(5).iteration == 4
-
-    def test_record_at_iteration(self):
-        t = trace_of([1, 3, 5])
-        assert t.record_at_iteration(1) == t.records[0] == TraceRecord(1, 1, 1.0)
-        assert t.record_at_iteration(3) == t.records[2] == TraceRecord(3, 5, 1.0 / 3)
-        for missing in (0, -1, 4):
-            with pytest.raises(ValueError, match=f"no record at iteration {missing}"):
-                t.record_at_iteration(missing)
-
     def test_final_error(self):
         assert trace_of([1, 3, 5]).final_error() == 1.0 / 3
         assert math.isnan(Trace().final_error())
@@ -199,7 +167,7 @@ class TestConstructor:
     def test_grad_evals_must_not_decrease(self):
         with pytest.raises(ValueError, match="row 4 has 3 grad_evals"):
             trace_of([1, 5, 6, 3])
-        assert trace_of([1, 1, 2]).last_record_at_evals(1).iteration == 2
+        assert bisect_right(trace_of([1, 1, 2]).grad_evals, 1) == 2
 
     def test_keeps_the_totals_and_status(self):
         t = Trace(records=[TraceRecord(1, 2, 0.5)], status=CONVERGED,
@@ -396,14 +364,8 @@ class TestEvalCounts:
         assert list(reversed(column)) == counts[::-1]
         assert [r.grad_evals for r in t.records] == counts
         for budget in {-1, 0, 1, 2 ** 31, *counts, *(g - 1 for g in counts), *(g + 1 for g in counts)}:
-            within = bisect_right(counts, budget)
-            if within:
-                assert t.last_record_at_evals(budget) == records[within - 1]
-            else:
-                with pytest.raises(ValueError, match="no record within"):
-                    t.last_record_at_evals(budget)
-        for it in range(1, n + 1):
-            assert t.record_at_iteration(it) == records[it - 1]
+            assert bisect_right(t.grad_evals, budget) == bisect_right(counts, budget)
+        assert list(t.records) == records
         path = tmp_path_factory.mktemp("csv") / "trace.csv"
         write_csv(t, path)
         assert path.read_bytes() == whole_string_csv(records).encode()
