@@ -30,7 +30,7 @@ def _slug(text: str) -> str:
 def _load_with_overrides(config_path, overrides, seed, label_from_stem=True) -> ExperimentConfig:
     try:
         cfg = load_config(config_path)
-    except (OSError, ValueError, RecursionError) as exc:  # RecursionError: JSON nested too deep
+    except (OSError, ValueError) as exc:
         raise ValueError(f"invalid config {config_path}: {exc}") from None
     d = cfg.to_dict()
     for item in overrides:

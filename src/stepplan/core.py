@@ -1,4 +1,5 @@
-"""Vector validation, the objective contract, and run budgets.
+"""Vector validation, the objective and stepper contracts, the registry rule,
+and run budgets.
 
 Iterates and gradients are one-dimensional float64 numpy arrays
 (the elementwise steppers keep their state vectors as lists of floats).
@@ -108,6 +109,46 @@ class Objective:
         """Loss above the optimum, via the uncounted raw callable."""
         base = self.optimum_value if self.optimum_value is not None else 0.0
         return float(self.value_fn(w)) - base
+
+
+class _Stepper:
+    """Shared state of every optimizer: current iterate ``w`` and a step counter ``k``."""
+
+    def __init__(self, w0):
+        self.w = as_vector(w0, name="w0").copy()
+        self.k = 0
+
+    def _check(self, w_new: list[float]):
+        """The one divergence rule: a non-finite iterate ends step ``k + 1``."""
+        if not all_finite(w_new):
+            raise DivergenceError(f"non-finite iterate after step {self.k + 1}")
+
+    def _commit(self, w_new: list[float]):
+        """End the step at an iterate computed as a list of floats."""
+        self._check(w_new)
+        self.w = np.array(w_new)
+        self.k += 1
+
+    def _commit_array(self, w_new: Array, checked: bool = False):
+        """End the step at an iterate computed as an array, stored as it is.
+
+        ``checked`` skips ``_check`` for an iterate that already passed it.
+        """
+        if not checked:
+            self._check(w_new.tolist())
+        self.w = w_new
+        self.k += 1
+
+
+def _build(kind: str, table: dict, name: str, params: dict, *args):
+    """The one registry rule: ``table[name](*args, **params)``, where an unknown
+    ``name`` or parameter, or a missing parameter, is a ``ValueError``."""
+    if name not in table:
+        raise ValueError(f"unknown {kind} name: {name!r}")
+    try:
+        return table[name](*args, **params)
+    except TypeError as exc:
+        raise ValueError(f"invalid parameters for {name!r}: {exc}") from None
 
 
 def finite_diff_grad(obj: Objective, w, h: float = 1e-6) -> Array:

@@ -85,8 +85,14 @@ class ExperimentConfig:
 
 
 def load_config(path) -> ExperimentConfig:
+    """Read a config file; malformed JSON, or JSON nested too deep to parse, is a
+    ``ValueError``."""
     with open(path) as fh:
-        return ExperimentConfig.from_dict(json.load(fh))
+        try:
+            d = json.load(fh)
+        except RecursionError:
+            raise ValueError("config JSON is nested too deep") from None
+    return ExperimentConfig.from_dict(d)
 
 
 def _split(entry: dict) -> tuple[str, dict]:

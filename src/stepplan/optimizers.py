@@ -23,37 +23,9 @@ import math
 
 import numpy as np
 
-from .core import (Array, DivergenceError, Objective, StationaryPointError, _finite, all_finite,
-                   as_vector)
-
-
-class _Stepper:
-    """Shared state: current iterate ``w`` and a step counter ``k``."""
-
-    def __init__(self, w0):
-        self.w = as_vector(w0, name="w0").copy()
-        self.k = 0
-
-    def _check(self, w_new: list[float]):
-        """The one divergence rule: a non-finite iterate ends step ``k + 1``."""
-        if not all_finite(w_new):
-            raise DivergenceError(f"non-finite iterate after step {self.k + 1}")
-
-    def _commit(self, w_new: list[float]):
-        """End the step at an iterate computed as a list of floats."""
-        self._check(w_new)
-        self.w = np.array(w_new)
-        self.k += 1
-
-    def _commit_array(self, w_new: Array, checked: bool = False):
-        """End the step at an iterate computed as an array, stored as it is.
-
-        ``checked`` skips ``_check`` for an iterate that already passed it.
-        """
-        if not checked:
-            self._check(w_new.tolist())
-        self.w = w_new
-        self.k += 1
+from .core import (Array, DivergenceError, Objective, StationaryPointError, _build, _finite,
+                   _Stepper, all_finite)
+from .planner import StepSizePlanner
 
 
 class GradientDescent(_Stepper):
@@ -363,35 +335,16 @@ def _hd(w0, eta: float, alpha0: float) -> IdbdScalar:
     return IdbdScalar(w0, eta, 0.0, alpha0)
 
 
+_OPTIMIZERS = {"gd": GradientDescent, "heavy_ball": HeavyBall, "nesterov": NesterovAGD,
+               "polyak": PolyakStep, "l4": L4, "lossgrad": LossGrad, "rmsprop": RMSprop,
+               "adam": Adam, "hd": _hd, "idbd1": IdbdScalar, "idbd": Idbd,
+               "csawg": StepSizePlanner}
+
+
 def make_optimizer(name: str, w0, params: dict | None = None):
     """Build a stepper by its registry name.
 
     Names: gd, heavy_ball, nesterov, polyak, l4, lossgrad, rmsprop, adam,
-    hd, idbd, idbd1 (plus "csawg", registered by the planner module).
+    hd, idbd, idbd1, csawg.
     """
-    params = dict(params or {})
-    factories = {
-        "gd": GradientDescent,
-        "heavy_ball": HeavyBall,
-        "nesterov": NesterovAGD,
-        "polyak": PolyakStep,
-        "l4": L4,
-        "lossgrad": LossGrad,
-        "rmsprop": RMSprop,
-        "adam": Adam,
-        "hd": _hd,
-        "idbd1": IdbdScalar,
-        "idbd": Idbd,
-    }
-    if name == "csawg":
-        from .planner import StepSizePlanner
-
-        factory = StepSizePlanner
-    elif name in factories:
-        factory = factories[name]
-    else:
-        raise ValueError(f"unknown optimizer name: {name!r}")
-    try:
-        return factory(w0, **params)
-    except TypeError as exc:
-        raise ValueError(f"invalid parameters for {name!r}: {exc}") from None
+    return _build("optimizer", _OPTIMIZERS, name, params or {}, w0)

@@ -29,8 +29,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Array, Objective, _count, _finite, as_vector
-from .optimizers import _Stepper
+from .core import Array, Objective, _count, _finite, _Stepper, as_vector
 
 
 @dataclass

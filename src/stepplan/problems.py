@@ -15,17 +15,18 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Array, _count, _finite, _real_array, as_vector
+from .core import Array, _build, _count, _finite, _real_array, as_vector
 
 
 class QuadraticProblem:
     """f(w) = 1/2 (w - w*)^T Q (w - w*) for symmetric positive-definite Q.
 
     ``mu`` and ``L`` hold the extreme eigenvalues of Q, i.e. the strong
-    convexity and gradient-smoothness constants.
+    convexity and gradient-smoothness constants.  ``w_star`` defaults to
+    the origin.
     """
 
-    def __init__(self, q, w_star):
+    def __init__(self, q, w_star=None):
         q = _real_array(q, "Q")
         if q.ndim != 2 or q.shape[0] != q.shape[1]:
             raise ValueError(f"Q must be square, got shape {q.shape}")
@@ -37,7 +38,8 @@ class QuadraticProblem:
         if eigs[0] <= 0:
             raise ValueError(f"Q must be positive definite, smallest eigenvalue {eigs[0]}")
         self.q = q
-        self.w_star = as_vector(w_star, dim=q.shape[0], name="w_star")
+        self.w_star = (np.zeros(q.shape[0]) if w_star is None
+                       else as_vector(w_star, dim=q.shape[0], name="w_star"))
         self.mu = float(eigs[0])
         self.L = float(eigs[-1])
 
@@ -148,44 +150,28 @@ def random_spd(rng: np.random.Generator, dim: int, cond: float, scale: float = 1
     return q, float(eigs[0]), float(eigs[-1])
 
 
-_DEFAULT_STARTS = {
-    "rosenbrock": np.array([-1.0, 0.0]),
-}
+def _quadratic(q=None, q_diag=None, w_star=None) -> QuadraticProblem:
+    """The registry's quadratic: exactly one of the matrix ``q`` and its diagonal ``q_diag``."""
+    if (q is None) == (q_diag is None):
+        raise ValueError("quadratic problem needs exactly one of 'q' and 'q_diag'")
+    q = _real_array(q, "q") if q_diag is None else np.diag(as_vector(q_diag, name="q_diag"))
+    return QuadraticProblem(q, w_star)
+
+
+_PROBLEMS = {"quadratic": _quadratic, "rosenbrock": RosenbrockProblem, "lms": LmsStream}
+
+_DEFAULT_STARTS = {"rosenbrock": np.array([-1.0, 0.0])}
 
 
 def make_problem(name: str, params: Optional[dict] = None):
     """Build a problem by registry name; returns ``(problem, w0)``.
 
     Accepted names: ``quadratic``, ``rosenbrock``, ``lms``.  ``params`` may
-    carry ``w0`` to override the default start.
+    carry ``w0`` to override the default start, and the constructor the rest.
     """
     params = dict(params or {})
     w0 = params.pop("w0", None)
-    if name == "quadratic":
-        if "q_diag" in params:
-            q = np.diag(as_vector(params.pop("q_diag"), name="q_diag"))
-        elif "q" in params:
-            q = _real_array(params.pop("q"), "q")
-        else:
-            raise ValueError("quadratic problem needs 'q' or 'q_diag'")
-        w_star = params.pop("w_star", np.zeros(q.shape[0]))
-        problem = QuadraticProblem(q, w_star)
-    elif name == "rosenbrock":
-        problem = RosenbrockProblem()
-    elif name == "lms":
-        if "w_star" not in params:
-            raise ValueError("lms problem needs 'w_star'")
-        problem = LmsStream(
-            params.pop("w_star"),
-            low=params.pop("low", -1.0),
-            high=params.pop("high", 1.0),
-            noise_std=params.pop("noise_std", 0.0),
-            seed=params.pop("seed", 0),
-        )
-    else:
-        raise ValueError(f"unknown problem name: {name!r}")
-    if params:
-        raise ValueError(f"unknown {name} parameters: {sorted(params)}")
+    problem = _build("problem", _PROBLEMS, name, params)
     if w0 is None:
         w0 = _DEFAULT_STARTS.get(name, np.zeros(problem.dimension))
     return problem, as_vector(w0, dim=problem.dimension, name="w0")

@@ -9,6 +9,7 @@ exactly-converged runs still plot.
 from __future__ import annotations
 
 import math
+import sys
 from itertools import chain
 from typing import Iterable, Sequence, Tuple
 
@@ -30,16 +31,19 @@ def _f(x: float) -> str:
 
 def _nice_linear_ticks(lo: float, hi: float) -> list:
     raw = (hi - lo) / 6
+    if raw < sys.float_info.min:  # a subnormal span has no 1-2-5 step: one tick
+        return [lo]
     mag = 10 ** math.floor(math.log10(raw))
     for mult in (1, 2, 5, 10):
         if raw <= mult * mag:
             step = mult * mag
             break
-    first = math.ceil(lo / step) * step
     ticks = []
-    t = first
+    t = math.ceil(lo / step) * step
     while t <= hi + 1e-9 * step:
         ticks.append(t)
+        if t + step == t:  # a step below half an ulp of t never moves it
+            break
         t += step
     return ticks
 
@@ -73,11 +77,11 @@ def render_svg(series: Sequence[Tuple[str, Iterable[float], Iterable[float]]], p
         y_lo, y_hi = min(all_y), max(all_y)
     else:
         x_lo, x_hi, y_lo, y_hi = 0.0, 1.0, 0.0, 1.0
-    if x_hi - x_lo == math.inf:
+    if x_hi == x_lo:  # one x value: a unit-wide axis, or one ulp wide where an ulp is more
+        x_hi = x_lo + max(1.0, math.ulp(x_lo))
+    if x_hi - x_lo == math.inf:  # also one x value at the top of the float range
         names = ", ".join(repr(label) for label, xs, _ in prepared if x_lo in xs or x_hi in xs)
         raise ValueError(f"the x values of series {names} span more than the float range")
-    if x_hi == x_lo:
-        x_hi = x_lo + 1.0
     if y_hi == y_lo:
         y_hi = y_lo + 1.0
 

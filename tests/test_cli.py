@@ -205,7 +205,8 @@ class TestRun:
                                           "problem.w0={}", "problem.w_star={}", "problem.q_diag={}",
                                           "problem.w0=[1,{}]", "problem.w0=[true,false]",
                                           "problem.w_star=[true,true]", "problem.q_diag=[1,true]",
-                                          "problem.w0=[1,1" + "0" * 400 + "]"])
+                                          "problem.w0=[1,1" + "0" * 400 + "]",
+                                          'problem={"name":"quadratic","q":5}'])
     def test_non_finite_or_fractional_override_exits_2(self, runner, tmp_path, override):
         cfg = write_config(tmp_path)
         out = tmp_path / "out"

@@ -55,6 +55,16 @@ def _dotted_paths(node: dict, prefix: str = ""):
 override_targets = st.sampled_from(sorted(SHIPPED)).flatmap(
     lambda name: st.tuples(st.just(name), st.sampled_from(
         sorted(_dotted_paths(SHIPPED[name])) + ["problem.extra", "optimizer.extra"])))
+# a whole quadratic problem set by `--set problem=...`, its matrix and vector fields
+# drawn from scalars and other values that are 0-d as arrays, as well as lists
+matrix_fields = (scalars | st.text(max_size=2) | st.lists(scalars, max_size=3)
+                 | st.lists(st.lists(scalars, max_size=3), max_size=3))
+quadratic_problems = st.fixed_dictionaries(
+    {"name": st.just("quadratic")},
+    optional={"q": matrix_fields, "q_diag": matrix_fields, "w_star": matrix_fields,
+              "w0": matrix_fields})
+overrides = (st.tuples(override_targets, json_values)
+             | st.tuples(st.just(("convex-planner.json", "problem")), quadratic_problems))
 
 
 def cfg(problem, optimizer, budget, **kw):
@@ -475,10 +485,10 @@ class TestConfigSerialization:
         assert isinstance(c, ExperimentConfig) and isinstance(c.budget, EvalBudget)
 
     @settings(max_examples=500, deadline=None)
-    @given(override_targets, json_values)
-    def test_override_builds_or_raises_value_error(self, target, value):
+    @given(overrides)
+    def test_override_builds_or_raises_value_error(self, override):
         # what `--set path=value` does before the run starts
-        name, path = target
+        (name, path), value = override
         d = json.loads(json.dumps(SHIPPED[name]))
         apply_override(d, path, value)
         try:
@@ -531,6 +541,12 @@ class TestConfigSerialization:
     def test_override_nested_too_deep_is_a_value_error(self, text):
         with pytest.raises(ValueError, match="nested too deep"):
             parse_override_value(text)
+
+    def test_config_file_nested_too_deep_is_a_value_error(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000)
+        with pytest.raises(ValueError, match="nested too deep"):
+            load_config(path)
 
     def test_config_nested_too_deep_is_a_value_error(self):
         w0 = [1.0]

@@ -5,7 +5,7 @@ from stepplan.core import DivergenceError, EvalBudget, Objective, StationaryPoin
 from stepplan.optimizers import (Adam, GradientDescent, HeavyBall, Idbd,
                                  IdbdScalar, L4, LossGrad, NesterovAGD,
                                  PolyakStep, RMSprop, make_optimizer)
-from stepplan.problems import LmsStream, QuadraticProblem, random_spd
+from stepplan.problems import LmsStream, QuadraticProblem, make_problem, random_spd
 from stepplan.tracing import DIVERGED, run_steps, write_csv
 
 from conftest import (elementwise_reference, hd_reference, make_objective,
@@ -578,8 +578,21 @@ class TestRegistry:
             make_optimizer("bfgs", [0.0], {})
 
     def test_invalid_parameter(self):
-        with pytest.raises(ValueError, match="invalid parameters"):
-            make_optimizer("gd", [0.0], {"gamma": 0.1, "turbo": True})
+        # one registry rule for optimizers and problems: an unknown or missing
+        # parameter is a ValueError that names the entry and the parameter
+        def optimizer(name, params):
+            return make_optimizer(name, [0.0], params)
+
+        for build, name, params, bad in [
+            (optimizer, "gd", {"gamma": 0.1, "turbo": True}, "turbo"),
+            (optimizer, "csawg", {"gamma": 0.1}, "k"),
+            (make_problem, "quadratic", {"q_diag": [1.0], "turbo": True}, "turbo"),
+            (make_problem, "rosenbrock", {"turbo": True}, "turbo"),
+            (make_problem, "lms", {"w_star": [1.0], "turbo": True}, "turbo"),
+            (make_problem, "lms", {"noise_std": 0.1}, "w_star"),
+        ]:
+            with pytest.raises(ValueError, match=f"invalid parameters for '{name}': .*'{bad}'"):
+                build(name, params)
 
     def test_divergence_error(self):
         s = GradientDescent([1e308], gamma=1e308)

@@ -197,8 +197,23 @@ class TestRegistry:
             make_problem("himmelblau", {})
 
     def test_unknown_parameter(self):
-        with pytest.raises(ValueError, match="unknown"):
+        with pytest.raises(ValueError, match="invalid parameters for 'rosenbrock'.*'steepness'"):
             make_problem("rosenbrock", {"steepness": 2.0})
+
+    @pytest.mark.parametrize("q", [5, 5.0])
+    def test_scalar_q_is_a_value_error(self, q):
+        # the default w_star is sized from q only after q is checked
+        with pytest.raises(ValueError, match=r"Q must be square, got shape \(\)"):
+            make_problem("quadratic", {"q": q})
+
+    @pytest.mark.parametrize("params", [{}, {"q": [[1.0]], "q_diag": [1.0]}, {"w_star": [0.0]}])
+    def test_quadratic_needs_exactly_one_matrix(self, params):
+        with pytest.raises(ValueError, match="exactly one of 'q' and 'q_diag'"):
+            make_problem("quadratic", params)
+
+    def test_w_star_defaults_to_the_origin(self):
+        p, _ = make_problem("quadratic", {"q": [[2.0, 0.0], [0.0, 1.0]]})
+        assert np.array_equal(p.w_star, [0.0, 0.0])
 
     def test_w0_override(self):
         _, w0 = make_problem("rosenbrock", {"w0": [0.5, 0.5]})

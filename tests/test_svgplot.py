@@ -65,7 +65,9 @@ def test_non_finite_points_are_left_out(tmp_path):
     ([("a", [-1.7e308, 1.7e308], [1.0, 1.0])], "series 'a' span more than the float range"),
     ([("lo", [-1.7e308], [1.0]), ("ok", [0], [1.0]), ("hi", [1.7e308], [1.0])],
      "series 'lo', 'hi' span more than the float range"),
-], ids=["nan-inside", "nan-first", "inf", "overflowing-extent", "extent-across-series"])
+    ([("a", [1.7976931348623157e308], [1.0])], "series 'a' span more than the float range"),
+], ids=["nan-inside", "nan-first", "inf", "overflowing-extent", "extent-across-series",
+        "one-value-at-the-float-maximum"])
 def test_non_finite_or_overflowing_x_is_rejected(tmp_path, series, message):
     path = tmp_path / "x.svg"
     with pytest.raises(ValueError, match=re.escape(message)):
@@ -80,6 +82,22 @@ def test_one_valued_series_at_any_magnitude(tmp_path):
     for y in (1e40, 2.0 ** 60, 1.7e308, 0.0):
         render_svg([("flat", [1, 2], [y, y])], path)
         assert len(ET.parse(path).getroot().findall(f"{SVG_NS}polyline")) == 1
+
+
+@pytest.mark.parametrize("xs", [[1e16, 1e16 + 2], [1e300], [2.0 ** 53], [0.0, 5e-324],
+                                [0.0, 3e-323], [-1.7e308]],
+                         ids=["step-below-ulp", "one-huge", "one-at-2^53", "subnormal-span",
+                              "subnormal-step", "one-hugely-negative"])
+def test_x_extent_at_the_float_limits_plots(tmp_path, xs):
+    # the 1-2-5 tick step may be below half an ulp of the ticks, and the
+    # span over 6 may round to zero or to a subnormal
+    path = tmp_path / "x.svg"
+    render_svg([("a", xs, [1.0] * len(xs))], path)
+    root = ET.parse(path).getroot()
+    assert len(root.findall(f"{SVG_NS}polyline")) == 1
+    ticks = [t for t in root.findall(f"{SVG_NS}text") if t.get("text-anchor") == "middle"
+             and t.text not in ("gradient evaluations", "error")]
+    assert 1 <= len(ticks) <= 7 and "nan" not in path.read_text()
 
 
 def test_render_traces_from_runs(tmp_path):
