@@ -123,6 +123,8 @@ def compare(config_paths, out, seed, svg, overrides):
     with open(out / "compare.csv", "w", newline="") as fh:
         fh.write("label,iteration,grad_evals,error\n")
         for label, trace in done:
+            if re.search(r'[,"\r\n]', label):  # quoted only where CSV needs it
+                label = '"' + label.replace('"', '""') + '"'
             fh.writelines(f"{label},{it},{g},{e!r}\n" for it, g, e in
                           zip(range(1, len(trace) + 1), trace.grad_evals, trace.error))
     return failed

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
-from math import isfinite
+from math import inf, isfinite
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -183,18 +183,21 @@ def _count(name: str, value) -> int:
     return int(value)
 
 
-def _finite(name: str, value) -> float:
-    """``value`` as a float; ``ValueError`` unless it is a finite real number.
-
-    Bools and strings are rejected; ints and numpy floats are accepted.
-    Only finiteness is checked: negative step-sizes stay allowed.
-    """
+def _number(name: str, value) -> float:
+    """``value`` as a float, an integer beyond the float range as the infinity of
+    its sign; ``ValueError`` for bools, strings and other non-reals."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a number, got {value!r}")
     try:
-        value = float(value)
-    except OverflowError:  # an integer beyond the float range
-        value = float("inf")
+        return float(value)
+    except OverflowError:
+        return inf if value > 0 else -inf
+
+
+def _finite(name: str, value) -> float:
+    """``_number(name, value)``, which must be finite.  Only finiteness is
+    checked: negative step-sizes stay allowed."""
+    value = _number(name, value)
     if not isfinite(value):
         raise ValueError(f"{name} must be finite, got {value!r}")
     return value
@@ -224,11 +227,7 @@ class EvalBudget:
             raise ValueError("max_iterations must be >= 0")
         if self.max_grad_evals is not None and self.max_grad_evals <= 0:
             raise ValueError("max_grad_evals must be positive when set")
-        floor = self.error_floor
-        if floor is not None:
-            if isinstance(floor, bool) or not isinstance(floor, numbers.Real) or not floor >= 0:
-                raise ValueError(f"error_floor must be a non-negative number or None, got {floor!r}")
-            try:
-                self.error_floor = float(floor)
-            except OverflowError:  # an integer beyond the float range
-                self.error_floor = float("inf")
+        if self.error_floor is not None:
+            self.error_floor = _number("error_floor", self.error_floor)
+            if not self.error_floor >= 0:
+                raise ValueError(f"error_floor must be non-negative or None, got {self.error_floor!r}")

@@ -19,7 +19,7 @@ from typing import Callable, Iterable, List, Tuple
 
 from .core import EvalBudget, Objective, _count
 from .optimizers import make_optimizer
-from .problems import LmsStream, make_problem
+from .problems import make_problem
 from .tracing import CONVERGED, Trace, run_steps
 
 __all__ = [
@@ -108,12 +108,11 @@ def _prepare(cfg: ExperimentConfig) -> Callable[[], Trace]:
     problem, w0 = make_problem(problem_name, problem_params)
     optimizer_name, optimizer_params = _split(cfg.optimizer)
 
-    if isinstance(problem, LmsStream):
-        if optimizer_name != "idbd":
-            raise ValueError(f"the 'lms' problem drives the idbd optimizer, not {optimizer_name!r}")
+    if (problem_name == "lms") != (optimizer_name == "idbd"):
+        raise ValueError("the 'lms' problem and the idbd optimizer run only together, "
+                         f"got problem {problem_name!r} with optimizer {optimizer_name!r}")
+    if problem_name == "lms":
         objective, error_fn = problem, problem.population_error
-    elif optimizer_name == "idbd":
-        raise ValueError("the idbd optimizer runs on the 'lms' problem only")
     else:
         objective = Objective(problem.dimension, problem.value, problem.gradient,
                               optimum_value=0.0)

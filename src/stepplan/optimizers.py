@@ -23,8 +23,7 @@ import math
 
 import numpy as np
 
-from .core import (Array, DivergenceError, Objective, StationaryPointError, _build, _finite,
-                   _Stepper, all_finite)
+from .core import Array, Objective, StationaryPointError, _build, _finite, _Stepper
 from .planner import StepSizePlanner
 
 
@@ -293,7 +292,9 @@ class Idbd(_Stepper):
 
     The exponential keeps every alpha_i positive; the relu zeroes the trace
     decay exactly when alpha_i * x_i^2 >= 1, resetting the memory instead
-    of letting a negative decay destabilize it.
+    of letting a negative decay destabilize it.  beta has no check of its
+    own: a beta_i of +inf or NaN makes w non-finite at the same sample, and a
+    beta_i of -inf gives alpha_i = 0, as any beta_i below -745 does.
     """
 
     def __init__(self, w0, eta: float, beta0: float):
@@ -324,8 +325,6 @@ class Idbd(_Stepper):
         alpha = np.exp(beta)
         w = self.w + alpha * delta * x
         h = self.h * np.maximum(0.0, 1.0 - alpha * x * x) + alpha * delta * x
-        if not all_finite(beta.tolist()):
-            raise DivergenceError(f"non-finite step-size after sample {self.k + 1}")
         self._commit_array(w)
         self.beta, self.h = beta, h
 

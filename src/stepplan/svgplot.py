@@ -91,10 +91,10 @@ def render_svg(series: Sequence[Tuple[str, Iterable[float], Iterable[float]]], p
     x_span = x_hi - x_lo
     y_span = y_hi - y_lo
 
-    def px(x: float) -> float:
+    def px(x):  # a float or an array of floats
         return MARGIN_L + (x - x_lo) / x_span * plot_w
 
-    def py(y: float) -> float:
+    def py(y):
         return MARGIN_T + (y_hi - y) / y_span * plot_h
 
     out = []
@@ -119,7 +119,12 @@ def render_svg(series: Sequence[Tuple[str, Iterable[float], Iterable[float]]], p
             f'<text x="{_f(MARGIN_L - 8)}" y="{_f(y + 3)}" font-size="11" '
             f'font-family="sans-serif" text-anchor="end">1e{t:d}</text>'
         )
+    shown = None
     for t in _nice_linear_ticks(x_lo, x_hi):
+        text = f"{t:g}"
+        if text == shown:  # ticks closer together than six significant digits
+            continue
+        shown = text
         x = px(t)
         bottom = MARGIN_T + plot_h
         out.append(
@@ -127,7 +132,7 @@ def render_svg(series: Sequence[Tuple[str, Iterable[float], Iterable[float]]], p
         )
         out.append(
             f'<text x="{_f(x)}" y="{_f(bottom + 16)}" font-size="11" '
-            f'font-family="sans-serif" text-anchor="middle">{t:g}</text>'
+            f'font-family="sans-serif" text-anchor="middle">{text}</text>'
         )
     out.append(
         f'<text x="{_f(MARGIN_L + plot_w / 2)}" y="{_f(HEIGHT - 8)}" font-size="12" '
@@ -141,12 +146,11 @@ def render_svg(series: Sequence[Tuple[str, Iterable[float], Iterable[float]]], p
     for idx, (label, xs, ys) in enumerate(prepared):
         color = PALETTE[idx % len(PALETTE)]
         if xs:
-            # px/py over arrays, with their operation order kept
-            cx = MARGIN_L + (np.array(xs) - x_lo) / x_span * plot_w
-            cy = MARGIN_T + (y_hi - np.array(ys)) / y_span * plot_h
-            points = np.column_stack((cx, cy)).ravel().tolist()
+            points = np.column_stack((px(np.array(xs)), py(np.array(ys)))).ravel().tolist()
             coords = " ".join(["%.2f,%.2f"] * len(xs)) % tuple(points)
             out.append(f'<polyline points="{coords}" fill="none" stroke="{color}" stroke-width="1.5"/>')
+        # escaped by hand: xml.sax.saxutils would import urllib and cost about 6 MB of RSS
+        text = str(label).replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
         ly = MARGIN_T + 14 + 16 * idx
         lx = MARGIN_L + plot_w + 12
         out.append(
@@ -154,7 +158,7 @@ def render_svg(series: Sequence[Tuple[str, Iterable[float], Iterable[float]]], p
             f'stroke="{color}" stroke-width="2"/>'
         )
         out.append(
-            f'<text x="{_f(lx + 24)}" y="{_f(ly)}" font-size="11" font-family="sans-serif">{label}</text>'
+            f'<text x="{_f(lx + 24)}" y="{_f(ly)}" font-size="11" font-family="sans-serif">{text}</text>'
         )
     out.append("</svg>")
     with open(path, "w", newline="") as fh:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Array, _real_array, as_vector
+from .core import Array, _count, _real_array, as_vector
 from .problems import random_spd
 
 
@@ -148,17 +148,18 @@ def check_instance(q, mu: float, L: float, w) -> list[RateReport]:
     grid_best = _grid_scalar_oracle(q, w, L)
     reports.append(RateReport("scalar-grid", rho, grid_best, rho <= grid_best + 1e-12))
 
-    y = q @ w
-    if np.any(y == 0.0):
+    try:
+        diag_step = optimal_diag_step(q, w)
+    except SingularDirectionError:
         for check in ("diag-one-step", "ideal-step-grid"):
             reports.append(RateReport(check, float("nan"), 1e-10, True,
                                       skipped=True, note="singular direction"))
         return reports
 
-    rho_d = reduction_ratio(q, w, optimal_diag_step(q, w))
+    rho_d = reduction_ratio(q, w, diag_step)
     reports.append(RateReport("diag-one-step", rho_d, 1e-10, rho_d <= 1e-10 + 1e-12))
 
-    gap = _grid_component_gap(w, y)
+    gap = _grid_component_gap(w, q @ w)
     reports.append(RateReport("ideal-step-grid", gap, 1.0, gap <= 1.0 + 1e-12))
     return reports
 
@@ -170,6 +171,7 @@ def verify_theorems(trials: int, d_max: int = 10, seed: int = 0) -> list[RateRep
     to 1e6, random nonzero w, then the four :func:`check_instance` checks.
     Failures are reported, not raised.
     """
+    trials, d_max = _count("trials", trials), _count("d_max", d_max)
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if not (1 <= d_max <= 64):

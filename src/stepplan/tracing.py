@@ -23,7 +23,7 @@ from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from itertools import chain, islice, repeat
 from math import inf as INF, isfinite
-from operator import add, index, sub
+from operator import add, sub
 from typing import Callable, Optional
 
 import numpy as np
@@ -131,13 +131,9 @@ class EvalCounts(Sequence):
         return self._len
 
     def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[j] for j in range(*i.indices(self._len))]
-        i = index(i)
-        if i < 0:
-            i += self._len
-        if not 0 <= i < self._len:
-            raise IndexError("grad_evals index out of range")
+        i = range(self._len)[i]  # list-style negative indices, bounds and slices
+        if isinstance(i, range):
+            return [self[j] for j in i]
         j = bisect_right(self.rows, i) - 1
         return i + 1 if j < 0 else self.evals[j] + i - self.rows[j]
 
@@ -165,18 +161,12 @@ class TraceRows(Sequence):
         return len(self._trace.error)
 
     def __getitem__(self, i):
-        if isinstance(i, slice):
-            rows = range(*i.indices(len(self)))
-            if rows.step == 1:
-                return list(self._rows(rows.start, rows.stop))
-            return [self[j] for j in rows]
+        i = range(len(self))[i]  # list-style negative indices, bounds and slices
+        if isinstance(i, range):
+            if i.step == 1:
+                return list(self._rows(i.start, i.stop))
+            return [self[j] for j in i]
         t = self._trace
-        n = len(t.error)
-        i = index(i)
-        if i < 0:
-            i += n
-        if not 0 <= i < n:
-            raise IndexError("trace row index out of range")
         return TraceRecord(i + 1, t.grad_evals[i], t.error[i], t.w.get(i), t.alpha.get(i))
 
     def __iter__(self):
@@ -307,12 +297,9 @@ def write_csv(trace: Trace, path) -> None:
     header = ["iteration", "grad_evals", "error"]
     for name, column in zip(("w", "alpha"), columns):
         header += [f"{name}_{i}" for i in range(column.width)]
-    rows = zip(range(1, n + 1), trace.grad_evals, trace.error)
-    if len(header) == 3:
-        lines = (f"{it},{g},{e!r}\n" for it, g, e in rows)
-    else:
-        cells = [_cells(c, n) if c.width else repeat("") for c in columns]
-        lines = (f"{it},{g},{e!r}{w}{a}\n" for (it, g, e), w, a in zip(rows, *cells))
+    cells = [_cells(c, n) if c.width else repeat("") for c in columns]
+    lines = (f"{it},{g},{e!r}{w}{a}\n" for it, g, e, w, a in
+             zip(range(1, n + 1), trace.grad_evals, trace.error, *cells))
     # one write per block of about 1000 cells keeps the file out of memory
     block = max(1, 1000 // len(header))
     with open(path, "w", newline="") as fh:

@@ -1,3 +1,4 @@
+import csv
 import json
 import pathlib
 
@@ -256,6 +257,17 @@ class TestCompare:
         labels = {line.split(",")[0] for line in combined[1:]}
         assert labels == {"convex-k2", "gd"}
         assert (out / "compare.svg").exists()
+
+    def test_label_with_a_comma_or_quote_is_quoted(self, runner, tmp_path):
+        path = write_config(tmp_path, dict(CONFIG, label='gd, "fast"'))
+        out = tmp_path / "out"
+        result = runner.invoke(cli, ["compare", "--config", str(path), "--out", str(out),
+                                     "--no-svg"])
+        assert result.exit_code == 0, result.output
+        with open(out / "compare.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["label", "iteration", "grad_evals", "error"]
+        assert len(rows) > 1 and all(len(r) == 4 and r[0] == 'gd, "fast"' for r in rows[1:])
 
     def test_writes_each_runs_csv(self, runner, tmp_path):
         a = write_config(tmp_path, CONFIG, "a.json")

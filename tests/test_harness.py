@@ -317,6 +317,10 @@ class TestSpeedup:
         with pytest.raises(ValueError, match="no record within 5 gradient evaluations"):
             speedup_at_budget(ONE, trace_of([]), 5)
 
+    def test_budget_must_be_positive(self):
+        with pytest.raises(ValueError, match="grad_evals must be positive"):
+            speedup_at_budget(ONE, ONE, 0)
+
     def test_equal_counts_give_the_latest_record(self):
         # a step that raised before its gradient leaves the count unchanged
         t = trace_of([2, 4, 4, 4, 6])

@@ -526,12 +526,20 @@ class TestIdbd:
     def test_divergent_sample_commits_nothing(self):
         s = Idbd([0.5, -0.5], eta=0.0, beta0=710.0)  # alpha = exp(710) = inf
         with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(DivergenceError):
+            with pytest.raises(DivergenceError, match="non-finite iterate"):
                 s.step_sample(np.array([1.0, 0.5]), 2.0)
         assert np.array_equal(s.w, [0.5, -0.5])
         assert np.array_equal(s.beta, [710.0, 710.0])
         assert np.array_equal(s.h, [0.0, 0.0])
         assert s.k == 0
+
+    def test_step_size_of_minus_inf_commits(self):
+        # beta has no check of its own: at -inf alpha is 0 and w stays finite
+        s = Idbd([0.0], eta=-1e308, beta0=0.0)
+        s.step_sample(np.array([1.0]), 1.0)  # w = 1, h = 1
+        s.step_sample(np.array([1.0]), 3.0)  # beta = -1e308 * 2 = -inf
+        assert s.beta.tolist() == [-np.inf]
+        assert s.w.tolist() == [1.0] and s.k == 2
 
     def test_step_draws_one_counted_sample(self):
         stream = LmsStream([1.0, -1.0], seed=4)
@@ -627,6 +635,17 @@ class TestHyperparameterValidation:
     def test_non_finite_rejected(self, name, key, bad):
         with pytest.raises(ValueError, match="finite"):
             make_optimizer(name, [-1.0, 2.0], dict(self.FAMILIES[name], **{key: bad}))
+
+    @pytest.mark.parametrize("name, params, message", [
+        ("nesterov", {"mode": "convex", "L": 0.0}, "L must be positive"),
+        ("rmsprop", {"alpha": 0.001, "beta": 1.0}, r"beta must be in \[0, 1\)"),
+        ("rmsprop", {"alpha": 0.001, "beta": 0.9, "eps": 0.0}, "eps must be positive"),
+        ("adam", {"alpha": 0.001, "beta2": 1.0}, r"beta1, beta2 must be in \[0, 1\)"),
+        ("adam", {"alpha": 0.001, "eps": -1e-8}, "eps must be positive"),
+    ], ids=["nesterov-L", "rmsprop-beta", "rmsprop-eps", "adam-beta2", "adam-eps"])
+    def test_out_of_range_rejected(self, name, params, message):
+        with pytest.raises(ValueError, match=message):
+            make_optimizer(name, [-1.0, 2.0], params)
 
     @pytest.mark.parametrize("name,params", [
         ("gd", {"gamma": -0.1}),

@@ -50,6 +50,15 @@ class TestQuadratic:
             with pytest.raises(ValueError, match="Q must be a number"):
                 QuadraticProblem(params["q"], [0.0, 0.0])
 
+    @pytest.mark.parametrize("call, message", [
+        (lambda: QuadraticProblem(np.diag([1.0, np.inf])), "Q contains non-finite entries"),
+        (lambda: random_spd(np.random.default_rng(0), 0, 10.0), "dim must be >= 1"),
+        (lambda: random_spd(np.random.default_rng(0), 2, 0.5), "cond must be >= 1"),
+    ], ids=["numpy-q-inf", "spd-dim-0", "spd-cond-below-1"])
+    def test_bad_matrix_input_is_a_value_error(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call()
+
     def test_rejects_indefinite(self):
         with pytest.raises(ValueError, match="positive definite"):
             QuadraticProblem([[1.0, 0.0], [0.0, -2.0]], [0.0, 0.0])

@@ -34,6 +34,13 @@ def test_output_is_valid_svg_with_polylines(tmp_path):
     assert any(t and t.startswith("1e") for t in texts)
 
 
+def test_label_is_escaped(tmp_path):
+    path = tmp_path / "chart.svg"
+    render_svg([("a<b & c", [1, 2], [1.0, 0.5])], path)
+    texts = [t.text for t in ET.parse(path).getroot().findall(f"{SVG_NS}text")]
+    assert "a<b & c" in texts
+
+
 def test_byte_identical_across_renders(tmp_path):
     a, b = tmp_path / "a.svg", tmp_path / "b.svg"
     render_svg(series(), a)
@@ -66,8 +73,9 @@ def test_non_finite_points_are_left_out(tmp_path):
     ([("lo", [-1.7e308], [1.0]), ("ok", [0], [1.0]), ("hi", [1.7e308], [1.0])],
      "series 'lo', 'hi' span more than the float range"),
     ([("a", [1.7976931348623157e308], [1.0])], "series 'a' span more than the float range"),
+    ([("a", [1, 2], [1.0])], "series 'a' has mismatched lengths"),
 ], ids=["nan-inside", "nan-first", "inf", "overflowing-extent", "extent-across-series",
-        "one-value-at-the-float-maximum"])
+        "one-value-at-the-float-maximum", "mismatched-lengths"])
 def test_non_finite_or_overflowing_x_is_rejected(tmp_path, series, message):
     path = tmp_path / "x.svg"
     with pytest.raises(ValueError, match=re.escape(message)):
@@ -98,6 +106,8 @@ def test_x_extent_at_the_float_limits_plots(tmp_path, xs):
     ticks = [t for t in root.findall(f"{SVG_NS}text") if t.get("text-anchor") == "middle"
              and t.text not in ("gradient evaluations", "error")]
     assert 1 <= len(ticks) <= 7 and "nan" not in path.read_text()
+    labels = [t.text for t in ticks]
+    assert len(set(labels)) == len(labels)
 
 
 def test_render_traces_from_runs(tmp_path):

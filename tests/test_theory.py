@@ -99,6 +99,10 @@ class TestSpdInput:
         with pytest.raises(ValueError, match="Q must be a number"):
             quadratic_value(q, [1.0])
 
+    def test_q_shape_must_match_w(self):
+        with pytest.raises(ValueError, match=r"Q shape \(2, 2\) does not match w dimension 3"):
+            quadratic_value(np.eye(2), [1.0, 1.0, 1.0])
+
     def test_numeric_q_is_accepted(self):
         assert quadratic_value([[2]], [1.0]) == quadratic_value(np.eye(1) * 2.0, [1.0]) == 1.0
 
@@ -172,6 +176,14 @@ class TestVerify:
     def test_trials_validated(self):
         with pytest.raises(ValueError):
             verify_theorems(trials=0)
+
+    @pytest.mark.parametrize("kwargs, name", [
+        (dict(trials=2.5), "trials"), (dict(trials="3"), "trials"), (dict(trials=True), "trials"),
+        (dict(trials=1, d_max=2.5), "d_max"),
+    ], ids=["trials-float", "trials-str", "trials-bool", "d_max-float"])
+    def test_counts_must_be_integers(self, kwargs, name):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            verify_theorems(**kwargs)
 
 
 class TestStochasticIdealStep:
