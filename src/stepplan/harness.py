@@ -53,6 +53,10 @@ class ExperimentConfig:
                 raise ValueError(f"{field} must be an object with a string 'name', got {entry!r}")
         if not isinstance(self.label, str):
             raise ValueError(f"label must be a string, got {self.label!r}")
+        try:  # the label names output files and is written into them as UTF-8
+            self.label.encode()
+        except UnicodeEncodeError:
+            raise ValueError(f"label must be encodable as UTF-8, got {self.label!r}") from None
         self.seed = _count("seed", self.seed)
         for field in ("record_w", "record_alpha"):
             if not isinstance(getattr(self, field), bool):
@@ -96,8 +100,10 @@ def load_config(path) -> ExperimentConfig:
 
 
 def _split(entry: dict) -> tuple[str, dict]:
-    entry = dict(entry)
-    return entry.pop("name"), entry
+    """The registry name and the parameters of ``entry``; a null parameter counts as
+    not given."""
+    params = {key: value for key, value in entry.items() if value is not None}
+    return params.pop("name"), params
 
 
 def _prepare(cfg: ExperimentConfig) -> Callable[[], Trace]:

@@ -126,7 +126,6 @@ class StepSizePlanner(_Stepper):
         if self.m < 0:
             raise ValueError("M must be >= 0")
         self.buffer = ExperienceBuffer(k)
-        self.planning_events = 0
         self.last_alpha: Optional[Array] = None
 
     def step(self, obj: Objective):
@@ -143,6 +142,5 @@ class StepSizePlanner(_Stepper):
                 for _ in range(self.m):
                     w = w - gamma * obj.grad(w)
                     self._check(w.tolist())
-            self.planning_events += 1
             self.last_alpha = alpha
         self._commit_array(w, checked=True)  # each path above ends with a check of ``w``

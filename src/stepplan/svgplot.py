@@ -24,6 +24,11 @@ WIDTH, HEIGHT = 760, 480
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 70, 170, 20, 45
 Y_FLOOR = 1e-16
 
+# legend text as XML 1.0: escape the markup characters, and replace by U+FFFD each
+# character its Char production excludes, which no escape can carry
+_LEGEND_TEXT = {ord("&"): "&amp;", ord("<"): "&lt;", ord(">"): "&gt;", **dict.fromkeys(
+    chain(range(9), (11, 12), range(14, 32), range(0xD800, 0xE000), (0xFFFE, 0xFFFF)), "\ufffd")}
+
 
 def _f(x: float) -> str:
     return f"{x:.2f}"
@@ -150,7 +155,7 @@ def render_svg(series: Sequence[Tuple[str, Iterable[float], Iterable[float]]], p
             coords = " ".join(["%.2f,%.2f"] * len(xs)) % tuple(points)
             out.append(f'<polyline points="{coords}" fill="none" stroke="{color}" stroke-width="1.5"/>')
         # escaped by hand: xml.sax.saxutils would import urllib and cost about 6 MB of RSS
-        text = str(label).replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+        text = str(label).translate(_LEGEND_TEXT)
         ly = MARGIN_T + 14 + 16 * idx
         lx = MARGIN_L + plot_w + 12
         out.append(

@@ -8,9 +8,8 @@ marked diverged and truncated at the offending row.
 A trace keeps its rows as columns: ``error`` is a growable typed array,
 ``grad_evals`` an ``EvalCounts`` sequence that stores only the rows where
 the count does not rise by exactly one, and the ``w`` and ``alpha``
-snapshots each sit in a ``Snapshots`` column, a read-only mapping from row
-index to a copy of the snapshot, since ``alpha`` is set only on
-planning-event rows.
+snapshots each sit in a ``Snapshots`` column, which holds only the rows
+that have one, since ``alpha`` is set only on planning-event rows.
 ``Trace.records`` is a read-only view that builds a ``TraceRecord`` only
 when a row is read; nothing in the package reads rows that way.
 """
@@ -19,7 +18,7 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left, bisect_right
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from itertools import chain, islice, repeat
 from math import inf as INF, isfinite
@@ -28,7 +27,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import Array, DivergenceError, EvalBudget, Objective
+from .core import Array, DivergenceError, EvalBudget, Objective, _count, _number
 
 ERROR_CAP = 1e12
 
@@ -50,12 +49,12 @@ class TraceRecord:
     alpha: Optional[Array] = None
 
 
-class Snapshots(Mapping):
+class Snapshots:
     """1-d float snapshots keyed by row index, all as wide as the first.
 
     ``rows`` is an ``array('q')`` of increasing row indices and ``flat``
-    an ``array('d')`` holding each snapshot's ``width`` entries in turn.
-    Reading a row returns a fresh float64 array.
+    an ``array('d')`` holding each snapshot's ``width`` entries in turn;
+    ``get(row)`` reads one row and ``len`` counts the rows held.
     """
 
     __slots__ = ("rows", "flat", "width")
@@ -79,34 +78,13 @@ class Snapshots(Mapping):
         self.rows.append(row)
         self.flat.frombytes(v.tobytes())
 
-    def _position(self, row) -> int:
-        """Index of ``row`` in ``rows``, or -1."""
-        rows = self.rows
-        try:
-            i = bisect_left(rows, row)
-        except TypeError:
-            return -1
-        return i if i < len(rows) and rows[i] == row else -1
-
-    def _read(self, i: int) -> Array:
-        width = self.width
+    def get(self, row: int) -> Optional[Array]:
+        """A fresh float64 copy of row ``row``'s snapshot, or ``None``."""
+        rows, width = self.rows, self.width
+        i = bisect_left(rows, row)
+        if i == len(rows) or rows[i] != row:
+            return None
         return np.frombuffer(self.flat[i * width:(i + 1) * width])
-
-    def __getitem__(self, row) -> Array:
-        i = self._position(row)
-        if i < 0:
-            raise KeyError(row)
-        return self._read(i)
-
-    def get(self, row, default=None):
-        i = self._position(row)
-        return default if i < 0 else self._read(i)
-
-    def __contains__(self, row) -> bool:
-        return self._position(row) >= 0
-
-    def __iter__(self):
-        return iter(self.rows)
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -184,7 +162,8 @@ class Trace:
 
     Row ``i`` (0-based) is iteration ``i + 1``.  ``run_steps`` fills the
     columns; ``Trace(records=[...])`` builds them from records, which
-    must be numbered 1..n with non-decreasing ``grad_evals``.  The metrics
+    must be numbered 1..n with non-decreasing integer ``grad_evals`` from
+    0 up and a number, finite or not, as ``error``.  The metrics
     in ``harness`` rely on both orders.
     """
 
@@ -199,17 +178,21 @@ class Trace:
         rows, evals = array("q"), array("q")
         last = 0
         for i, r in enumerate(records):
-            if r.iteration != i + 1:
-                raise ValueError(f"row {i + 1} is numbered {r.iteration}; rows must be numbered 1..n")
-            g = r.grad_evals
+            try:
+                iteration, g = _count("iteration", r.iteration), _count("grad_evals", r.grad_evals)
+                error = _number("error", r.error)
+            except ValueError as exc:
+                raise ValueError(f"row {i + 1}: {exc}") from None
+            if iteration != i + 1:
+                raise ValueError(f"row {i + 1} is numbered {iteration}; rows must be numbered 1..n")
             if g != last + 1:
-                if i and g < last:
-                    raise ValueError(f"row {i + 1} has {g} grad_evals, fewer than "
-                                     f"row {i}'s {last}; grad_evals must not decrease")
+                if g < last:
+                    raise ValueError(f"row {i + 1} has {g} grad_evals, fewer than {last}; "
+                                     "grad_evals start at 0 or more and must not decrease")
                 rows.append(i)
                 evals.append(g)
             last = g
-            self.error.append(r.error)
+            self.error.append(error)
             if r.w is not None:
                 self.w._append(i, r.w)
             if r.alpha is not None:

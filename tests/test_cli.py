@@ -1,6 +1,7 @@
 import csv
 import json
 import pathlib
+import xml.etree.ElementTree as ET
 
 import pytest
 from click.testing import CliRunner
@@ -13,6 +14,7 @@ from stepplan.presets import PRESETS
 from stepplan.theory import RateReport
 
 CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
+SVG_NS = "{http://www.w3.org/2000/svg}"
 
 CONFIG = {
     "problem": {"name": "quadratic", "q_diag": [1000.0, 1.0],
@@ -224,14 +226,13 @@ class TestRun:
         ("problem.high=Infinity", "high"),
         ('problem={"name": "lms", "w_star": [1.0], "low": -1e308, "high": 1e308}', "width"),
         ("problem.noise_std=NaN", "noise_std"),
-        ("problem.noise_std=null", "noise_std"),
         ("problem.noise_std=true", "noise_std"),
         ("problem.seed=2.5", "seed"),
         ("problem.w_star={}", "w_star"),
         ("problem.w_star=[true,false,true]", "w_star"),
         ('problem.w0=["1","2"]', "w0"),
     ], ids=["no-w_star", "noise_std-string", "low-string", "high-infinite", "width-overflows",
-            "noise_std-nan", "noise_std-null", "noise_std-bool", "seed-fractional",
+            "noise_std-nan", "noise_std-bool", "seed-fractional",
             "w_star-dict", "w_star-bools", "w0-strings"])
     def test_bad_lms_parameter_exits_2(self, runner, tmp_path, override, field):
         out = tmp_path / "out"
@@ -240,6 +241,45 @@ class TestRun:
         assert result.exit_code == 2, result.output
         assert field in result.output
         assert not out.exists()
+
+    @pytest.mark.parametrize("config, section, key", [
+        (json.loads((CONFIGS / "lms-idbd.json").read_text()), "problem", "noise_std"),
+        (json.loads((CONFIGS / "lms-idbd.json").read_text()), "problem", "seed"),
+        (CONFIG, "problem", "w0"),
+        (CONFIG, "problem", "w_star"),
+        (dict(CONFIG, optimizer={"name": "nesterov", "mode": "convex", "L": 1000.0, "step": 5e-4},
+              record_alpha=False), "optimizer", "step"),
+    ], ids=["lms-noise_std", "lms-seed", "w0", "w_star", "nesterov-step"])
+    def test_null_parameter_counts_as_not_given(self, runner, tmp_path, config, section, key):
+        config = dict(config, budget={"max_iterations": 50})
+        absent = dict(config, **{section: {k: v for k, v in config[section].items() if k != key}})
+        null = dict(config, **{section: dict(config[section], **{key: None})})
+        for name, c in (("absent", absent), ("null", null)):
+            path = write_config(tmp_path, c, f"{name}.json")
+            result = runner.invoke(cli, ["run", "--config", str(path), "--out", str(tmp_path / name),
+                                         "--no-svg"])
+            assert result.exit_code == 0, result.output
+        csv_name = f"{config['label']}.csv"
+        assert ((tmp_path / "null" / csv_name).read_bytes()
+                == (tmp_path / "absent" / csv_name).read_bytes())
+
+    def test_null_required_parameter_exits_2(self, runner, tmp_path, runs):
+        out = tmp_path / "out"
+        result = runner.invoke(cli, ["run", "--config", str(write_config(tmp_path)),
+                                     "--out", str(out), "--set", "optimizer.gamma=null"])
+        assert result.exit_code == 2, result.output
+        assert "invalid parameters for 'csawg'" in result.output and "gamma" in result.output
+        assert runs == [] and not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    def test_label_utf8_cannot_encode_exits_2(self, runner, tmp_path, runs, command):
+        path = write_config(tmp_path, dict(CONFIG, label="a\ud800b"))
+        out = tmp_path / "out"
+        result = runner.invoke(cli, [command, "--config", str(path), "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert "label must be encodable as UTF-8" in result.output
+        assert "Traceback" not in result.output
+        assert runs == [] and not out.exists()
 
 
 class TestCompare:
@@ -268,6 +308,14 @@ class TestCompare:
             rows = list(csv.reader(fh))
         assert rows[0] == ["label", "iteration", "grad_evals", "error"]
         assert len(rows) > 1 and all(len(r) == 4 and r[0] == 'gd, "fast"' for r in rows[1:])
+
+    def test_control_character_label_gives_a_parseable_chart(self, runner, tmp_path):
+        path = write_config(tmp_path, dict(CONFIG, label="a\u0001b"))
+        out = tmp_path / "out"
+        result = runner.invoke(cli, ["compare", "--config", str(path), "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        texts = [t.text for t in ET.parse(out / "compare.svg").getroot().iter(f"{SVG_NS}text")]
+        assert "a\ufffdb" in texts
 
     def test_writes_each_runs_csv(self, runner, tmp_path):
         a = write_config(tmp_path, CONFIG, "a.json")

@@ -479,7 +479,7 @@ class TestNonFiniteStepSize:
         assert trace.status == DIVERGED
         assert list(trace.error).count(np.inf) == 1 and trace.error[-1] == np.inf
         assert s.k == len(trace) - 1 and s.alpha == np.inf
-        assert np.array_equal(trace.w[len(trace) - 1], s.w)
+        assert np.array_equal(trace.w.get(len(trace) - 1), s.w)
         if name != "l4":
             assert np.array_equal(s.h, [10.0])  # the trace of step 1, not of the failed step
         write_csv(trace, tmp_path / "t.csv")

@@ -41,6 +41,20 @@ def test_label_is_escaped(tmp_path):
     assert "a<b & c" in texts
 
 
+@pytest.mark.parametrize("label, shown", [
+    ("a\x01b", "a\ufffdb"),
+    ("a\x00\x08\x0b\x0c\x1fb", "a" + "\ufffd" * 5 + "b"),
+    ("a\ud800b\udfff", "a\ufffdb\ufffd"),
+    ("a\ufffe\uffffb", "a\ufffd\ufffdb"),
+    ("tab\there", "tab\there"),
+])
+def test_label_characters_xml_cannot_hold_are_replaced(tmp_path, label, shown):
+    path = tmp_path / "chart.svg"
+    render_svg([(label, [1, 2], [1.0, 0.5])], path)
+    texts = [t.text for t in ET.parse(path).getroot().findall(f"{SVG_NS}text")]
+    assert shown in texts
+
+
 def test_byte_identical_across_renders(tmp_path):
     a, b = tmp_path / "a.svg", tmp_path / "b.svg"
     render_svg(series(), a)

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 import warnings
 from bisect import bisect_right
@@ -168,6 +169,23 @@ class TestConstructor:
         with pytest.raises(ValueError, match="row 4 has 3 grad_evals"):
             trace_of([1, 5, 6, 3])
         assert bisect_right(trace_of([1, 1, 2]).grad_evals, 1) == 2
+
+    @pytest.mark.parametrize("record, message", [
+        (TraceRecord(1, True, 0.5), "row 1: grad_evals must be an integer, got True"),
+        (TraceRecord(True, 1, 0.5), "row 1: iteration must be an integer, got True"),
+        (TraceRecord(1, 1.5, 0.5), "row 1: grad_evals must be an integer, got 1.5"),
+        (TraceRecord(1.0, 1, 0.5), "row 1: iteration must be an integer, got 1.0"),
+        (TraceRecord(1, -3, 0.5), "row 1 has -3 grad_evals, fewer than 0"),
+        (TraceRecord(1, 1, "x"), "row 1: error must be a number, got 'x'"),
+        (TraceRecord(1, 1, None), "row 1: error must be a number, got None"),
+    ])
+    def test_malformed_values_name_their_row(self, record, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            Trace(records=[record])
+
+    def test_non_finite_errors_are_data(self):
+        t = Trace(records=[TraceRecord(1, 0, np.nan), TraceRecord(2, np.int64(1), np.inf)])
+        assert list(t.grad_evals) == [0, 1] and math.isnan(t.error[0]) and t.error[1] == np.inf
 
     def test_keeps_the_totals_and_status(self):
         t = Trace(records=[TraceRecord(1, 2, 0.5)], status=CONVERGED,
@@ -376,7 +394,7 @@ class TestEvalCounts:
                           EvalBudget(max_iterations=200, error_floor=None), obj.error,
                           record_alpha=True)
         # each event (iterations 4, 6, 8, ...) spends P * (1 + M) = 4 evaluations more
-        assert list(trace.grad_evals.rows) == list(trace.alpha) == list(range(3, 200, 2))
+        assert list(trace.grad_evals.rows) == list(trace.alpha.rows) == list(range(3, 200, 2))
         assert list(trace.grad_evals) == [i + 1 + 4 * len(range(3, i + 1, 2)) for i in range(200)]
         assert trace.grad_evals[-1] == trace.total_grad_evals == obj.grad_evals
 
@@ -395,34 +413,25 @@ class TestSnapshots:
                                           alpha=np.array([0.5, 0.25])),
                               TraceRecord(3, 3, 0.25, w=np.array([5.0, 6.0]))])
 
-    def test_read_only_mapping_over_rows(self):
+    def test_rows_and_reads(self):
         t = self.trace()
-        assert len(t.w) == 3 and list(t.w) == [0, 1, 2] and list(t.alpha) == [1]
-        assert 1 in t.alpha and 0 not in t.alpha and "1" not in t.alpha and -1 not in t.w
-        assert np.array_equal(t.w[2], [5.0, 6.0]) and np.array_equal(t.alpha.get(1), [0.5, 0.25])
-        assert t.alpha.get(0) is None and t.alpha.get(5, "none") == "none"
-        with pytest.raises(KeyError):
-            t.alpha[2]
-        with pytest.raises(TypeError):
-            t.w[0] = np.zeros(2)
+        assert len(t.w) == 3 and list(t.w.rows) == [0, 1, 2] and list(t.alpha.rows) == [1]
+        assert t.w.width == t.alpha.width == 2
+        assert np.array_equal(t.w.get(2), [5.0, 6.0])
+        assert np.array_equal(t.alpha.get(1), [0.5, 0.25])
+        assert t.alpha.get(0) is None and t.alpha.get(2) is None and t.w.get(-1) is None
+        assert t.w.get(3) is None
+        assert t.w.get(1).dtype == np.float64
 
     def test_reads_are_copies(self):
         t = self.trace()
-        t.w[0][0] = 99.0
+        t.w.get(0)[0] = 99.0
+        t.alpha.get(1)[:] = 99.0
         for r in t.records:
             r.w[:] = 99.0
-        assert np.array_equal(t.w[0], [1.0, 2.0])
+        assert np.array_equal(t.w.get(0), [1.0, 2.0])
+        assert np.array_equal(t.alpha.get(1), [0.5, 0.25])
         assert [r.w.tolist() for r in t.records] == [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]
-
-    def test_values_and_items_are_copies(self):
-        t = self.trace()
-        assert [v.tolist() for v in t.w.values()] == [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]
-        assert [(row, v.tolist()) for row, v in t.alpha.items()] == [(1, [0.5, 0.25])]
-        for v in t.w.values():
-            v[:] = 99.0
-        for _, v in t.alpha.items():
-            v[:] = 99.0
-        assert np.array_equal(t.w[1], [3.0, 4.0]) and np.array_equal(t.alpha[1], [0.5, 0.25])
 
     def test_a_snapshot_of_another_size_names_its_row(self):
         with pytest.raises(ValueError, match="iteration 2 has 3 entries; the first snapshot has 2"):
