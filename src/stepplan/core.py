@@ -1,8 +1,9 @@
 """Vector validation, the objective and stepper contracts, the registry rule,
 and run budgets.
 
-Iterates and gradients are one-dimensional float64 numpy arrays
-(the elementwise steppers keep their state vectors as lists of floats).
+Iterates and gradients are one-dimensional float64 numpy arrays, except
+on the elementwise steppers' path, where the iterate, the gradient and the
+state vectors are lists of floats.
 The helpers here validate finiteness and dimension at public boundaries;
 hot loops elsewhere assume validated inputs and only re-check where an
 update can blow up.
@@ -72,7 +73,9 @@ class Objective:
     ``value`` increments :attr:`func_evals`.  Neither counter is ever reset
     implicitly.  The raw callables stay accessible (``value_fn``,
     ``grad_fn``) so diagnostics such as error traces and finite differences
-    can evaluate without charging the optimizer.
+    can evaluate without charging the optimizer.  Both callables receive
+    the iterate as the stepper holds it: a float64 array, or a list of
+    floats from the elementwise steppers.
 
     Instances are not thread-safe (the counters are plain ints); run each
     instance on a single thread and use distinct instances for concurrent
@@ -101,9 +104,14 @@ class Objective:
         self.func_evals += 1
         return float(self.value_fn(w))
 
-    def grad(self, w) -> Array:
+    def grad(self, w):
+        """The gradient at ``w``: a list of floats for a list ``w``, else a float64
+        array; the callable's result is converted only when it is of the other kind."""
         self.grad_evals += 1
-        return np.asarray(self.grad_fn(w), dtype=float)
+        g = self.grad_fn(w)
+        if isinstance(w, list):
+            return g if isinstance(g, list) else np.asarray(g, dtype=float).tolist()
+        return np.asarray(g, dtype=float)
 
     def error(self, w) -> float:
         """Loss above the optimum, via the uncounted raw callable."""
@@ -112,7 +120,8 @@ class Objective:
 
 
 class _Stepper:
-    """Shared state of every optimizer: current iterate ``w`` and a step counter ``k``."""
+    """Shared state of every optimizer: current iterate ``w``, a float64 array,
+    and a step counter ``k``."""
 
     def __init__(self, w0):
         self.w = as_vector(w0, name="w0").copy()
@@ -123,12 +132,6 @@ class _Stepper:
         if not all_finite(w_new):
             raise DivergenceError(f"non-finite iterate after step {self.k + 1}")
 
-    def _commit(self, w_new: list[float]):
-        """End the step at an iterate computed as a list of floats."""
-        self._check(w_new)
-        self.w = np.array(w_new)
-        self.k += 1
-
     def _commit_array(self, w_new: Array, checked: bool = False):
         """End the step at an iterate computed as an array, stored as it is.
 
@@ -137,6 +140,28 @@ class _Stepper:
         if not checked:
             self._check(w_new.tolist())
         self.w = w_new
+        self.k += 1
+
+
+class _ListStepper(_Stepper):
+    """A stepper whose iterate is ``point``, a list of floats.
+
+    ``w`` builds a new float64 array from ``point`` at each read, so writing
+    into it never moves the stepper.  ``run_steps`` reads ``point``.
+    """
+
+    def __init__(self, w0):
+        self.point = as_vector(w0, name="w0").tolist()
+        self.k = 0
+
+    @property
+    def w(self) -> Array:
+        return np.array(self.point, dtype=float)
+
+    def _commit(self, w_new: list[float]):
+        """End the step at ``w_new``, kept as it is."""
+        self._check(w_new)
+        self.point = w_new
         self.k += 1
 
 

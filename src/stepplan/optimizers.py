@@ -8,13 +8,14 @@ objective counts separately.  Steppers do not police stability — finite
 oscillation passes through, and only a non-finite iterate aborts.
 
 The purely elementwise rules (gd, heavy_ball, nesterov, rmsprop, adam)
-update each component on Python floats and keep their state vectors as
-lists: at the dimensions they run in, a numpy ufunc call on a tiny array
-costs more than the arithmetic.  ``+ - * /`` and ``sqrt`` round correctly
-in both, so the bytes are those of the whole-array form.  Reductions
-(``g @ v``) and ``exp`` stay numpy, whose results may round differently
-from a Python sum or ``math.exp``.  ``w`` stays a float64 array for every
-stepper.
+update each component on Python floats and keep their iterate (``point``)
+and state vectors as lists, which they pass to the objective as they are:
+at the dimensions they run in, a numpy ufunc call, or a conversion between
+a tiny array and a list, costs more than the arithmetic.  ``+ - * /`` and
+``sqrt`` round correctly in both, so the bytes are those of the whole-array
+form.  Reductions (``g @ v``) and ``exp`` stay numpy, whose results may
+round differently from a Python sum or ``math.exp``.  ``w`` stays a float64
+array for every stepper; on these five it is built from ``point`` when read.
 """
 
 from __future__ import annotations
@@ -23,11 +24,12 @@ import math
 
 import numpy as np
 
-from .core import Array, Objective, StationaryPointError, _build, _finite, _Stepper
+from .core import (Array, Objective, StationaryPointError, _build, _finite, _ListStepper,
+                   _Stepper)
 from .planner import StepSizePlanner
 
 
-class GradientDescent(_Stepper):
+class GradientDescent(_ListStepper):
     """w <- w - gamma * f'(w) with a constant step-size."""
 
     def __init__(self, w0, gamma: float):
@@ -35,12 +37,11 @@ class GradientDescent(_Stepper):
         self.gamma = _finite("gamma", gamma)
 
     def step(self, obj: Objective):
-        gamma = self.gamma
-        g = obj.grad(self.w).tolist()
-        self._commit([wi - gamma * gi for wi, gi in zip(self.w.tolist(), g)])
+        gamma, w = self.gamma, self.point
+        self._commit([wi - gamma * gi for wi, gi in zip(w, obj.grad(w))])
 
 
-class HeavyBall(_Stepper):
+class HeavyBall(_ListStepper):
     """w <- w - gamma * f'(w) + p * delta, momentum on the last weight change."""
 
     def __init__(self, w0, gamma: float, p: float):
@@ -49,18 +50,17 @@ class HeavyBall(_Stepper):
         self.p = _finite("p", p)
         if not (0.0 <= self.p < 1.0):
             raise ValueError("momentum rate p must be in [0, 1)")
-        self.delta = [0.0] * self.w.size
+        self.delta = [0.0] * len(self.point)
 
     def step(self, obj: Objective):
-        gamma, p = self.gamma, self.p
-        w = self.w.tolist()
-        g = obj.grad(self.w).tolist()
+        gamma, p, w = self.gamma, self.p, self.point
+        g = obj.grad(w)
         w_new = [wi - gamma * gi + p * di for wi, gi, di in zip(w, g, self.delta)]
         self.delta = [wn - wi for wn, wi in zip(w_new, w)]
         self._commit(w_new)
 
 
-class NesterovAGD(_Stepper):
+class NesterovAGD(_ListStepper):
     """Accelerated gradient with the standard momentum schedules.
 
     The gradient step is taken at the lookahead point x:
@@ -85,12 +85,12 @@ class NesterovAGD(_Stepper):
                 raise ValueError("strongly_convex mode needs 0 < mu <= L")
         self.mode = mode
         self.step_size = _finite("step", step) if step is not None else 1.0 / self.L
-        self.x = self.w.tolist()
+        self.x = list(self.point)
         self.t = 1.0
 
     def step(self, obj: Objective):
         step_size = self.step_size
-        g = obj.grad(np.array(self.x)).tolist()
+        g = obj.grad(self.x)
         w_new = [xi - step_size * gi for xi, gi in zip(self.x, g)]
         if self.mode == "strongly_convex":
             gamma_k = (math.sqrt(self.L) - math.sqrt(self.mu)) / (
@@ -100,7 +100,7 @@ class NesterovAGD(_Stepper):
             t_next = (1.0 + math.sqrt(1.0 + 4.0 * self.t * self.t)) / 2.0
             gamma_k = (self.t - 1.0) / t_next
             self.t = t_next
-        self.x = [wn + gamma_k * (wn - wi) for wn, wi in zip(w_new, self.w.tolist())]
+        self.x = [wn + gamma_k * (wn - wi) for wn, wi in zip(w_new, self.point)]
         self._commit(w_new)
 
 
@@ -199,7 +199,7 @@ class LossGrad(_Stepper):
         self._commit_array(self.w - self.alpha * g)
 
 
-class RMSprop(_Stepper):
+class RMSprop(_ListStepper):
     """Normalize the gradient by a running average of its square.
 
     v <- beta v + (1 - beta) g*g;  w <- w - alpha * g / sqrt(v + eps).
@@ -215,17 +215,17 @@ class RMSprop(_Stepper):
             raise ValueError("beta must be in [0, 1)")
         if self.eps <= 0:
             raise ValueError("eps must be positive")
-        self.v = [0.0] * self.w.size
+        self.v = [0.0] * len(self.point)
 
     def step(self, obj: Objective):
         alpha, beta, eps = self.alpha, self.beta, self.eps
-        g = obj.grad(self.w).tolist()
+        g = obj.grad(self.point)
         self.v = v = [beta * vi + (1.0 - beta) * gi * gi for vi, gi in zip(self.v, g)]
         self._commit([wi - alpha * gi / math.sqrt(vi + eps)
-                      for wi, gi, vi in zip(self.w.tolist(), g, v)])
+                      for wi, gi, vi in zip(self.point, g, v)])
 
 
-class Adam(_Stepper):
+class Adam(_ListStepper):
     """Bias-corrected first/second moment smoothing (momentum + RMSprop)."""
 
     def __init__(self, w0, alpha: float, beta1: float = 0.9, beta2: float = 0.999,
@@ -239,19 +239,19 @@ class Adam(_Stepper):
             raise ValueError("beta1, beta2 must be in [0, 1)")
         if self.eps <= 0:
             raise ValueError("eps must be positive")
-        self.m = [0.0] * self.w.size
-        self.v = [0.0] * self.w.size
+        self.m = [0.0] * len(self.point)
+        self.v = [0.0] * len(self.point)
 
     def step(self, obj: Objective):
         alpha, b1, b2, eps = self.alpha, self.beta1, self.beta2, self.eps
-        g = obj.grad(self.w).tolist()
+        g = obj.grad(self.point)
         k = self.k + 1
         self.m = m = [b1 * mi + (1.0 - b1) * gi for mi, gi in zip(self.m, g)]
         self.v = v = [b2 * vi + (1.0 - b2) * gi * gi for vi, gi in zip(self.v, g)]
         d1 = 1.0 - b1 ** k
         d2 = 1.0 - b2 ** k
         self._commit([wi - alpha * (mi / d1) / (math.sqrt(vi / d2) + eps)
-                      for wi, mi, vi in zip(self.w.tolist(), m, v)])
+                      for wi, mi, vi in zip(self.point, m, v)])
 
 
 class IdbdScalar(_Stepper):

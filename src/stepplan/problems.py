@@ -68,17 +68,15 @@ class RosenbrockProblem:
         self.w_star = np.array([1.0, 1.0])
 
     def value(self, w) -> float:
-        w1, w2 = np.asarray(w, dtype=float).tolist()
+        w1, w2 = w if isinstance(w, list) else np.asarray(w, dtype=float).tolist()
         return (w1 - 1.0) ** 2 + 100.0 * (w2 - w1 * w1) ** 2
 
-    def gradient(self, w) -> Array:
-        w1, w2 = np.asarray(w, dtype=float).tolist()
-        return np.array(
-            [
-                2.0 * (w1 - 1.0) - 400.0 * w1 * (w2 - w1 * w1),
-                200.0 * (w2 - w1 * w1),
-            ]
-        )
+    def gradient(self, w):
+        """A list of floats for a list ``w``, else a float64 array."""
+        as_list = isinstance(w, list)
+        w1, w2 = w if as_list else np.asarray(w, dtype=float).tolist()
+        g = [2.0 * (w1 - 1.0) - 400.0 * w1 * (w2 - w1 * w1), 200.0 * (w2 - w1 * w1)]
+        return g if as_list else np.array(g)
 
 
 class LmsStream:

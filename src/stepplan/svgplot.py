@@ -63,23 +63,22 @@ def render_svg(series: Sequence[Tuple[str, Iterable[float], Iterable[float]]], p
     """
     prepared = []
     for label, xs, ys in series:
-        xs = list(map(float, xs))
-        ys = list(map(float, ys))
-        if len(xs) != len(ys):
+        xs, ys = np.fromiter(xs, float), np.fromiter(ys, float)
+        if xs.size != ys.size:
             raise ValueError(f"series {label!r} has mismatched lengths")
-        if not all(map(math.isfinite, xs)):
+        if not np.isfinite(xs).all():
             raise ValueError(f"series {label!r} has a non-finite x value")
         # math.log10, not np.log10, whose SIMD kernel may differ by one ulp
-        ys = list(map(math.log10, np.maximum(ys, Y_FLOOR).tolist()))
-        if not all(map(math.isfinite, ys)):
-            kept = [(x, y) for x, y in zip(xs, ys) if math.isfinite(y)]
-            xs, ys = [x for x, _ in kept], [y for _, y in kept]
+        ys = np.fromiter(map(math.log10, np.maximum(ys, Y_FLOOR).tolist()), float, ys.size)
+        kept = np.isfinite(ys)
+        if not kept.all():
+            xs, ys = xs[kept], ys[kept]
         prepared.append((label, xs, ys))
-    all_x = list(chain.from_iterable(xs for _, xs, _ in prepared))
-    all_y = list(chain.from_iterable(ys for _, _, ys in prepared))
-    if all_x:
-        x_lo, x_hi = min(all_x), max(all_x)
-        y_lo, y_hi = min(all_y), max(all_y)
+    if any(xs.size for _, xs, _ in prepared):
+        all_x = np.concatenate([xs for _, xs, _ in prepared])
+        all_y = np.concatenate([ys for _, _, ys in prepared])
+        x_lo, x_hi = float(all_x.min()), float(all_x.max())
+        y_lo, y_hi = float(all_y.min()), float(all_y.max())
     else:
         x_lo, x_hi, y_lo, y_hi = 0.0, 1.0, 0.0, 1.0
     if x_hi == x_lo:  # one x value: a unit-wide axis, or one ulp wide where an ulp is more
@@ -150,9 +149,9 @@ def render_svg(series: Sequence[Tuple[str, Iterable[float], Iterable[float]]], p
 
     for idx, (label, xs, ys) in enumerate(prepared):
         color = PALETTE[idx % len(PALETTE)]
-        if xs:
-            points = np.column_stack((px(np.array(xs)), py(np.array(ys)))).ravel().tolist()
-            coords = " ".join(["%.2f,%.2f"] * len(xs)) % tuple(points)
+        if xs.size:
+            points = np.column_stack((px(xs), py(ys))).ravel().tolist()
+            coords = " ".join(["%.2f,%.2f"] * xs.size) % tuple(points)
             out.append(f'<polyline points="{coords}" fill="none" stroke="{color}" stroke-width="1.5"/>')
         # escaped by hand: xml.sax.saxutils would import urllib and cost about 6 MB of RSS
         text = str(label).translate(_LEGEND_TEXT)

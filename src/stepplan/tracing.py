@@ -22,7 +22,7 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from itertools import chain, islice, repeat
 from math import inf as INF, isfinite
-from operator import add, sub
+from operator import add, attrgetter, sub
 from typing import Callable, Optional
 
 import numpy as np
@@ -222,7 +222,10 @@ def run_steps(stepper, obj: Objective, budget: EvalBudget,
     step), then divergence (non-finite or capped error), then the error
     floor.  ``record_alpha`` snapshots the stepper's ``last_alpha``
     attribute, which planners set only on planning-event iterations and
-    IDBD on every step.  IDBD's ``obj`` is the LMS stream.
+    IDBD on every step.  IDBD's ``obj`` is the LMS stream.  The iterate
+    handed to ``error_fn`` and copied into the ``w`` column is the stepper's
+    ``point`` where it has one (a list of floats), else its ``w``; a stepper
+    needs only ``step`` and one of the two.
     """
     trace = Trace()
     rows, evals = array("q"), array("q")
@@ -231,6 +234,7 @@ def run_steps(stepper, obj: Objective, budget: EvalBudget,
     append_error = trace.error.append
     append_w, append_alpha = trace.w._append, trace.alpha._append
     step = stepper.step
+    iterate = attrgetter("point" if hasattr(stepper, "point") else "w")
     max_grad_evals = budget.max_grad_evals
     error_floor = budget.error_floor
     # overflow on a diverging trajectory is data here, not an anomaly
@@ -240,11 +244,11 @@ def run_steps(stepper, obj: Objective, budget: EvalBudget,
                 break
             try:
                 step(obj)
-                err = float(error_fn(stepper.w))
+                err = float(error_fn(iterate(stepper)))
             except DivergenceError:
                 err = INF
             if record_w:
-                append_w(row, stepper.w)
+                append_w(row, iterate(stepper))
             if record_alpha:
                 alpha = getattr(stepper, "last_alpha", None)
                 if alpha is not None:

@@ -102,6 +102,22 @@ class TestObjective:
         with pytest.raises(ValueError):
             Objective(0, lambda w: 0.0, lambda w: w)
 
+    @pytest.mark.parametrize("returns", ["list", "array"])
+    def test_grad_kind_follows_the_input(self, returns):
+        # a list in gives a list of floats out, anything else a float64 array;
+        # the callable's result is converted only when it is of the other kind
+        out = {"list": [1.5, -2.0], "array": np.array([1.5, -2.0])}[returns]
+        obj = Objective(2, lambda w: 0.0, lambda w: out)
+        g = obj.grad([0.0, 0.0])
+        assert type(g) is list and g == [1.5, -2.0] and all(type(x) is float for x in g)
+        assert (g is out) == (returns == "list")
+        for w in (np.zeros(2), (0.0, 0.0)):
+            g = obj.grad(w)
+            assert type(g) is np.ndarray and g.dtype == np.float64
+            assert np.array_equal(g, [1.5, -2.0])
+            assert (g is out) == (returns == "array")
+        assert obj.grad_evals == 3
+
 
 class TestFiniteDiff:
     def test_1d_quadratic(self):

@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from stepplan.core import DivergenceError, EvalBudget, Objective, StationaryPointError
+from stepplan.harness import ExperimentConfig, run_experiment
 from stepplan.optimizers import (Adam, GradientDescent, HeavyBall, Idbd,
                                  IdbdScalar, L4, LossGrad, NesterovAGD,
                                  PolyakStep, RMSprop, make_optimizer)
@@ -386,6 +389,82 @@ class TestElementwiseBitIdentity:
     def test_overflow_diverges_at_the_same_step(self, name, params):
         diverged_at = _compare_with_reference(name, params, 3, np.random.default_rng(7))
         assert diverged_at is not None and diverged_at > 1
+
+
+def _rosenbrock_float_errors(name: str, params: dict, iterations: int) -> list:
+    """Each row's error of ``name`` on Rosenbrock from (-1, 0), written straight
+    from the update rule on two Python floats."""
+    def grad(w1, w2):
+        return (2.0 * (w1 - 1.0) - 400.0 * w1 * (w2 - w1 * w1), 200.0 * (w2 - w1 * w1))
+
+    w1, w2 = -1.0, 0.0
+    d1 = d2 = m1 = m2 = v1 = v2 = 0.0  # heavy ball's delta, Adam's m, the v's
+    x1, x2, t = w1, w2, 1.0  # Nesterov's lookahead point
+    errors = []
+    for k in range(1, iterations + 1):
+        if name == "gd":
+            g1, g2 = grad(w1, w2)
+            w1, w2 = w1 - params["gamma"] * g1, w2 - params["gamma"] * g2
+        elif name == "heavy_ball":
+            gamma, p = params["gamma"], params["p"]
+            g1, g2 = grad(w1, w2)
+            n1, n2 = w1 - gamma * g1 + p * d1, w2 - gamma * g2 + p * d2
+            d1, d2 = n1 - w1, n2 - w2
+            w1, w2 = n1, n2
+        elif name == "nesterov":  # convex mode
+            g1, g2 = grad(x1, x2)
+            n1, n2 = x1 - params["step"] * g1, x2 - params["step"] * g2
+            t_next = (1.0 + math.sqrt(1.0 + 4.0 * t * t)) / 2.0
+            gamma_k = (t - 1.0) / t_next
+            t = t_next
+            x1, x2 = n1 + gamma_k * (n1 - w1), n2 + gamma_k * (n2 - w2)
+            w1, w2 = n1, n2
+        elif name == "rmsprop":
+            alpha, beta, eps = params["alpha"], params["beta"], params["eps"]
+            g1, g2 = grad(w1, w2)
+            v1, v2 = beta * v1 + (1.0 - beta) * g1 * g1, beta * v2 + (1.0 - beta) * g2 * g2
+            w1, w2 = w1 - alpha * g1 / math.sqrt(v1 + eps), w2 - alpha * g2 / math.sqrt(v2 + eps)
+        else:  # adam
+            alpha, b1, b2, eps = params["alpha"], params["beta1"], params["beta2"], params["eps"]
+            g1, g2 = grad(w1, w2)
+            m1, m2 = b1 * m1 + (1.0 - b1) * g1, b1 * m2 + (1.0 - b1) * g2
+            v1, v2 = b2 * v1 + (1.0 - b2) * g1 * g1, b2 * v2 + (1.0 - b2) * g2 * g2
+            c1, c2 = 1.0 - b1 ** k, 1.0 - b2 ** k
+            w1 = w1 - alpha * (m1 / c1) / (math.sqrt(v1 / c2) + eps)
+            w2 = w2 - alpha * (m2 / c1) / (math.sqrt(v2 / c2) + eps)
+        errors.append((w1 - 1.0) ** 2 + 100.0 * (w2 - w1 * w1) ** 2)
+    return errors
+
+
+class TestListPath:
+    """The elementwise steppers run on lists of floats from the problem to the
+    trace: each error column equals a float loop written from the equations."""
+
+    @pytest.mark.parametrize("name,params", [
+        ("gd", {"gamma": 0.001}),
+        ("heavy_ball", {"gamma": 0.0015, "p": 0.9}),
+        ("nesterov", {"mode": "convex", "L": 1000.0, "step": 0.0005}),
+        ("rmsprop", {"alpha": 0.001, "beta": 0.9, "eps": 1e-8}),
+        ("adam", {"alpha": 0.01, "beta1": 0.9, "beta2": 0.999, "eps": 1e-8}),
+    ])
+    def test_rosenbrock_errors_match_the_equations(self, name, params):
+        cfg = ExperimentConfig(problem={"name": "rosenbrock"},
+                               optimizer={"name": name, **params},
+                               budget=EvalBudget(max_iterations=2000, error_floor=None))
+        trace = run_experiment(cfg)
+        assert len(trace) == 2000 and trace.total_grad_evals == 2000
+        assert same_bits(trace.error, _rosenbrock_float_errors(name, params, 2000))
+
+    def test_w_is_a_fresh_float64_array(self):
+        for name, params in (("gd", {"gamma": 0.1}), ("adam", {"alpha": 0.1})):
+            s = make_optimizer(name, [-1.0, 0.5], params)
+            s.step(linear_objective([1.0, 2.0]))
+            point = list(s.point)
+            w = s.w
+            assert type(w) is np.ndarray and w.dtype == np.float64
+            assert w is not s.w and same_bits(w, point)
+            w[:] = 99.0
+            assert s.point == point and same_bits(s.w, point)
 
 
 class TestHyperGradient:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from stepplan.core import EvalBudget, Objective
+from stepplan.harness import ExperimentConfig, run_experiment
 from stepplan.planner import ExperienceBuffer, ExperiencePair, StepSizePlanner, compute_alpha
 from stepplan.theory import ideal_diag_step
 from stepplan.tracing import (BUDGET_EXHAUSTED, CONVERGED, DIVERGED, ERROR_CAP, Trace,
@@ -413,3 +414,29 @@ class TestCsawgRun:
             planner.step(obj)
             events += planner.last_alpha is not None
         assert events == 2
+
+
+class TestRepeatedPlanningDivergence:
+    """Repeated planning (P=2, M=0) diverges on a dense d=8 quadratic at
+    condition number 1e3, where P=1 converges; the divergence is data."""
+
+    def _run(self, p):
+        rng = np.random.default_rng(0)
+        q, _, lipschitz = random_spd(rng, 8, 1e3)
+        w0 = rng.standard_normal(8)
+        cfg = ExperimentConfig(
+            problem={"name": "quadratic", "q": q.tolist(), "w0": w0.tolist()},
+            optimizer={"name": "csawg", "gamma": 0.9 / lipschitz, "k": 2, "p": p, "m": 0},
+            budget=EvalBudget(max_iterations=200000, max_grad_evals=200000, error_floor=1e-12))
+        return run_experiment(cfg)
+
+    def test_two_projections_per_event_diverge(self):
+        trace = self._run(2)
+        assert trace.status == DIVERGED
+        assert len(trace) == 24 and trace.total_grad_evals == 46
+        assert trace.error[-1] > ERROR_CAP
+
+    def test_one_projection_per_event_converges(self):
+        trace = self._run(1)
+        assert trace.status == CONVERGED
+        assert trace.total_grad_evals == 5327

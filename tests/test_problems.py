@@ -5,7 +5,7 @@ from stepplan.core import finite_diff_grad
 from stepplan.problems import (LmsStream, QuadraticProblem, RosenbrockProblem,
                                make_problem, random_spd)
 
-from conftest import make_objective
+from conftest import make_objective, same_bits
 
 
 class TestQuadratic:
@@ -134,6 +134,17 @@ class TestRosenbrock:
             w = rng.uniform(-2, 2, size=2)
             if not np.array_equal(w, [1.0, 1.0]):
                 assert p.value(w) > 0.0
+
+    def test_list_and_array_input_give_the_same_bits(self, rng):
+        # the elementwise steppers hand in their iterate as a list of floats
+        p = RosenbrockProblem()
+        for w in rng.uniform(-3, 3, size=(200, 2)):
+            as_list = w.tolist()
+            assert same_bits(p.value(as_list), p.value(w))
+            g_list, g_array = p.gradient(as_list), p.gradient(w)
+            assert type(g_list) is list and all(type(x) is float for x in g_list)
+            assert type(g_array) is np.ndarray and g_array.dtype == np.float64
+            assert same_bits(g_list, g_array)
 
     def test_gradient_matches_finite_differences(self, rng):
         p = RosenbrockProblem()

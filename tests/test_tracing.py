@@ -70,6 +70,38 @@ class TestRunStepsErrstate:
         assert np.array_equal(trace.records[-2].w, last.w)
 
 
+class TestIterateRead:
+    """``run_steps`` reads a stepper's ``point`` where it has one, else its ``w``."""
+
+    def test_list_stepper_hands_its_point_on(self):
+        obj, seen = rosenbrock_objective(), []
+        stepper = GradientDescent([-1.0, 0.0], gamma=0.001)
+        trace = run_steps(stepper, obj, EvalBudget(max_iterations=3, error_floor=None),
+                          lambda w: seen.append(w) or obj.error(w), record_w=True)
+        assert len(seen) == 3 and all(type(w) is list for w in seen)
+        assert seen[-1] is stepper.point
+        assert trace.w.get(2).tolist() == stepper.point
+
+    def test_stepper_with_only_step_and_w(self):
+        class Halving:
+            __slots__ = ("w",)
+
+            def __init__(self):
+                self.w = np.array([8.0, -4.0])
+
+            def step(self, obj):
+                self.w = self.w - 0.5 * obj.grad(self.w)
+
+        obj = Objective(2, lambda w: 0.5 * float(w @ w), lambda w: w, optimum_value=0.0)
+        seen = []
+        trace = run_steps(Halving(), obj, EvalBudget(max_iterations=3, error_floor=None),
+                          lambda w: seen.append(w) or obj.error(w), record_w=True)
+        assert all(type(w) is np.ndarray for w in seen)
+        assert list(trace.error) == [10.0, 2.5, 0.625]
+        assert trace.w.get(2).tolist() == [1.0, -0.5]
+        assert trace.total_grad_evals == 3
+
+
 NARROW_CSV = """\
 iteration,grad_evals,error
 1,1,104.0
