@@ -19,6 +19,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 Array = np.ndarray
+# an iterate as a stepper holds it: a float64 array, or a list of floats
+Point = Array | list[float]
 
 
 class DivergenceError(RuntimeError):
@@ -85,8 +87,8 @@ class Objective:
     def __init__(
         self,
         dimension: int,
-        value_fn: Callable[[Array], float],
-        grad_fn: Callable[[Array], Array],
+        value_fn: Callable[[Point], float],
+        grad_fn: Callable[[Point], Point],
         optimum_value: Optional[float] = None,
         optimum_point=None,
     ):
@@ -106,11 +108,17 @@ class Objective:
 
     def grad(self, w):
         """The gradient at ``w``: a list of floats for a list ``w``, else a float64
-        array; the callable's result is converted only when it is of the other kind."""
+        array; the callable's result is converted only when it is of the other kind.
+        For a list ``w``, a result of another length raises ``ValueError`` (a
+        callable written for arrays, such as ``lambda w: 2 * w``, repeats a list)."""
         self.grad_evals += 1
         g = self.grad_fn(w)
         if isinstance(w, list):
-            return g if isinstance(g, list) else np.asarray(g, dtype=float).tolist()
+            if not isinstance(g, list):
+                g = np.asarray(g, dtype=float).tolist()
+            if len(g) != len(w):
+                raise ValueError(f"gradient has {len(g)} entries for a point of {len(w)}")
+            return g
         return np.asarray(g, dtype=float)
 
     def error(self, w) -> float:

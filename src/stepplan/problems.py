@@ -71,12 +71,9 @@ class RosenbrockProblem:
         w1, w2 = w if isinstance(w, list) else np.asarray(w, dtype=float).tolist()
         return (w1 - 1.0) ** 2 + 100.0 * (w2 - w1 * w1) ** 2
 
-    def gradient(self, w):
-        """A list of floats for a list ``w``, else a float64 array."""
-        as_list = isinstance(w, list)
-        w1, w2 = w if as_list else np.asarray(w, dtype=float).tolist()
-        g = [2.0 * (w1 - 1.0) - 400.0 * w1 * (w2 - w1 * w1), 200.0 * (w2 - w1 * w1)]
-        return g if as_list else np.array(g)
+    def gradient(self, w) -> list[float]:
+        w1, w2 = w if isinstance(w, list) else np.asarray(w, dtype=float).tolist()
+        return [2.0 * (w1 - 1.0) - 400.0 * w1 * (w2 - w1 * w1), 200.0 * (w2 - w1 * w1)]
 
 
 class LmsStream:

@@ -27,7 +27,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import Array, DivergenceError, EvalBudget, Objective, _count, _number
+from .core import Array, DivergenceError, EvalBudget, Objective, Point, _count, _number
 
 ERROR_CAP = 1e12
 
@@ -214,7 +214,7 @@ class Trace:
 
 
 def run_steps(stepper, obj: Objective, budget: EvalBudget,
-              error_fn: Callable[[Array], float],
+              error_fn: Callable[[Point], float],
               record_w: bool = False, record_alpha: bool = False) -> Trace:
     """Drive a stepper under a budget, recording one row per iteration.
 

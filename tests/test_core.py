@@ -118,6 +118,13 @@ class TestObjective:
             assert (g is out) == (returns == "array")
         assert obj.grad_evals == 3
 
+    @pytest.mark.parametrize("grad_fn", [lambda w: np.zeros(3), lambda w: [0.0]])
+    def test_grad_of_another_length_on_a_list_raises(self, grad_fn):
+        # an array or a list result; test_optimizers runs 2 * w through each stepper
+        obj = Objective(2, lambda w: 0.0, grad_fn)
+        with pytest.raises(ValueError, match="entries for a point of 2"):
+            obj.grad([1.0, -2.0])
+
 
 class TestFiniteDiff:
     def test_1d_quadratic(self):

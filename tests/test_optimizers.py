@@ -440,13 +440,15 @@ class TestListPath:
     """The elementwise steppers run on lists of floats from the problem to the
     trace: each error column equals a float loop written from the equations."""
 
-    @pytest.mark.parametrize("name,params", [
+    STEPPERS = [
         ("gd", {"gamma": 0.001}),
         ("heavy_ball", {"gamma": 0.0015, "p": 0.9}),
         ("nesterov", {"mode": "convex", "L": 1000.0, "step": 0.0005}),
         ("rmsprop", {"alpha": 0.001, "beta": 0.9, "eps": 1e-8}),
         ("adam", {"alpha": 0.01, "beta1": 0.9, "beta2": 0.999, "eps": 1e-8}),
-    ])
+    ]
+
+    @pytest.mark.parametrize("name,params", STEPPERS)
     def test_rosenbrock_errors_match_the_equations(self, name, params):
         cfg = ExperimentConfig(problem={"name": "rosenbrock"},
                                optimizer={"name": name, **params},
@@ -465,6 +467,15 @@ class TestListPath:
             assert w is not s.w and same_bits(w, point)
             w[:] = 99.0
             assert s.point == point and same_bits(s.w, point)
+
+    @pytest.mark.parametrize("name,params", STEPPERS)
+    def test_array_gradient_callable_on_a_list_raises(self, name, params):
+        # 2 * w on a list repeats it; without the length check zip(w, g)
+        # would keep the first half and step along a wrong gradient
+        obj = Objective(2, lambda w: 0.0, lambda w: 2 * w)
+        s = make_optimizer(name, [1.0, -2.0], params)
+        with pytest.raises(ValueError, match="gradient has 4 entries for a point of 2"):
+            s.step(obj)
 
 
 class TestHyperGradient:

@@ -136,12 +136,14 @@ class TestRosenbrock:
                 assert p.value(w) > 0.0
 
     def test_list_and_array_input_give_the_same_bits(self, rng):
-        # the elementwise steppers hand in their iterate as a list of floats
+        # the elementwise steppers hand in their iterate as a list of floats,
+        # the others a float64 array, which Objective.grad hands back as one
         p = RosenbrockProblem()
+        obj = make_objective(p)
         for w in rng.uniform(-3, 3, size=(200, 2)):
             as_list = w.tolist()
             assert same_bits(p.value(as_list), p.value(w))
-            g_list, g_array = p.gradient(as_list), p.gradient(w)
+            g_list, g_array = obj.grad(as_list), obj.grad(w)
             assert type(g_list) is list and all(type(x) is float for x in g_list)
             assert type(g_array) is np.ndarray and g_array.dtype == np.float64
             assert same_bits(g_list, g_array)
