@@ -2,8 +2,9 @@
 and run budgets.
 
 Iterates and gradients are one-dimensional float64 numpy arrays, except
-on the elementwise steppers' path, where the iterate, the gradient and the
-state vectors are lists of floats.
+on the elementwise steppers' path and the planner's at its smaller
+dimensions, where the iterate, the gradient and the state vectors are
+lists of floats.
 The helpers here validate finiteness and dimension at public boundaries;
 hot loops elsewhere assume validated inputs and only re-check where an
 update can blow up.
@@ -140,19 +141,16 @@ class _Stepper:
         if not all_finite(w_new):
             raise DivergenceError(f"non-finite iterate after step {self.k + 1}")
 
-    def _commit_array(self, w_new: Array, checked: bool = False):
-        """End the step at an iterate computed as an array, stored as it is.
-
-        ``checked`` skips ``_check`` for an iterate that already passed it.
-        """
-        if not checked:
-            self._check(w_new.tolist())
+    def _commit_array(self, w_new: Array):
+        """End the step at an iterate computed as an array, stored as it is."""
+        self._check(w_new.tolist())
         self.w = w_new
         self.k += 1
 
 
 class _ListStepper(_Stepper):
-    """A stepper whose iterate is ``point``, a list of floats.
+    """A stepper whose iterate is ``point``, a list of floats (the planner's is
+    a float64 array above ``planner.LIST_MAX_DIM`` entries).
 
     ``w`` builds a new float64 array from ``point`` at each read, so writing
     into it never moves the stepper.  ``run_steps`` reads ``point``.

@@ -20,6 +20,13 @@ by M corrective gradient-descent steps that pull an off-track projection
 back toward the descent path.  Every projection and every corrective step
 evaluates a fresh gradient, so one planning event costs exactly P * (1 + M)
 gradient evaluations on top of the one-per-iteration main loop.
+
+At ``LIST_MAX_DIM`` dimensions and below, the planner computes on lists of
+Python floats, one comprehension per vector, and above it on float64
+arrays: at the dimensions of the paper's instances a numpy ufunc call
+costs more than the arithmetic, while at d=64 the comprehensions cost
+more.  ``+ - * /`` round correctly in both, and each expression keeps its
+order, so both forms give the same bits.
 """
 
 from __future__ import annotations
@@ -29,7 +36,72 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Array, Objective, _count, _finite, _Stepper, as_vector
+from .core import Array, Objective, Point, _count, _finite, _ListStepper, as_vector
+
+# The largest start-point dimension at which the planner runs on lists of floats
+# (README, "Float arithmetic in the steppers", has the µs per step of both forms).
+LIST_MAX_DIM = 8
+
+
+class _Lists:
+    """The planner's arithmetic on lists of floats, one comprehension per vector."""
+
+    @staticmethod
+    def row(w, g) -> tuple:
+        return w, g  # the pushed lists themselves
+
+    @staticmethod
+    def zeros(d: int) -> list[float]:
+        return [0.0] * d
+
+    @staticmethod
+    def add_pair(sum1, sum2, w_old, g_old, w):
+        return ([s + go * (wo - wi) for s, go, wo, wi in zip(sum1, g_old, w_old, w)],
+                [s + go * go for s, go in zip(sum2, g_old)])
+
+    @staticmethod
+    def alpha(sum1, sum2) -> list[float]:
+        return [0.0 if s2 == 0.0 else s1 / s2 for s1, s2 in zip(sum1, sum2)]
+
+    @staticmethod
+    def descend(w, gamma: float, g) -> list[float]:
+        return [wi - gamma * gi for wi, gi in zip(w, g)]
+
+    @staticmethod
+    def project(w, alpha, g) -> list[float]:
+        return [wi - ai * gi for wi, ai, gi in zip(w, alpha, g)]
+
+    @staticmethod
+    def floats(w) -> list[float]:
+        return w
+
+
+class _Arrays:
+    """The same arithmetic on float64 arrays, one ufunc call per operator."""
+
+    @staticmethod
+    def row(w, g) -> tuple:
+        return w.copy(), g.copy()
+
+    zeros = staticmethod(np.zeros)
+
+    @staticmethod
+    def add_pair(sum1, sum2, w_old, g_old, w):
+        sum1 += g_old * (w_old - w)
+        sum2 += g_old * g_old
+        return sum1, sum2
+
+    @staticmethod
+    def alpha(sum1, sum2) -> Array:
+        zero = sum2 == 0.0
+        return np.where(zero, 0.0, sum1 / np.where(zero, 1.0, sum2))
+
+    @staticmethod
+    def descend(w, step, g) -> Array:
+        return w - step * g
+
+    project = descend
+    floats = staticmethod(np.ndarray.tolist)
 
 
 @dataclass
@@ -48,11 +120,17 @@ class ExperiencePair:
 class ExperienceBuffer:
     """A ring of K update records with the pair sums of the current window.
 
-    Record n goes to row ``n mod K``, where it overwrites record n - K after
-    that record's pair ``(n - K, n)`` has been added into ``sum1`` and
-    ``sum2``.  Planning fires at record counts 2K, 3K, 4K, ...; the sums
-    restart from zeros at each window's first pair (record counts K + 1,
-    2K + 1, ...), so each event fits only the newest window.
+    ``ring`` is a list that grows to K ``(w, g)`` rows over the first K
+    records; record n then goes to row ``(n - 1) mod K``, where it
+    overwrites record n - K after that record's pair ``(n - K, n)`` has been
+    added into ``sum1`` and ``sum2``.  Planning fires at record counts 2K,
+    3K, 4K, ...; the sums restart from zeros at each window's first pair
+    (record counts K + 1, 2K + 1, ...), so each event fits only the newest
+    window.
+
+    The first record sets the form: a buffer fed lists of floats keeps the
+    pushed lists as its rows and lists as its sums, one fed float64 arrays
+    keeps copies as its rows and arrays as its sums.
     """
 
     def __init__(self, k: int):
@@ -60,48 +138,50 @@ class ExperienceBuffer:
         if self.k < 1:
             raise ValueError("buffer capacity K must be >= 1")
         self.count = 0
-        self.w_ring = self.g_ring = self.sum1 = self.sum2 = None
+        self.ring = []
+        self.dim = self.math = self.sum1 = self.sum2 = None
 
     def record(self, pair: ExperiencePair) -> bool:
         """Append a pair; return True when planning should fire now.  Kept for
         ``perfbench/micro.py`` line 122; the planner calls ``push``."""
-        if self.w_ring is not None and pair.w.size != self.w_ring.shape[1]:
-            raise ValueError(f"dimension mismatch: buffer holds {self.w_ring.shape[1]}-vectors, "
+        if self.count and pair.w.size != self.dim:
+            raise ValueError(f"dimension mismatch: buffer holds {self.dim}-vectors, "
                              f"got {pair.w.size}")
         return self.push(pair.w, pair.g)
 
-    def push(self, w: Array, g: Array) -> bool:
-        """``record`` for validated, same-dimension vectors."""
+    def push(self, w: Point, g: Point) -> bool:
+        """``record`` for validated vectors of the buffer's dimension and form."""
         k = self.k
         n = self.count = self.count + 1
-        slot = n % k
-        if n > k:
-            if (n - 1) % k == 0:
-                self.sum1 = np.zeros(w.size)
-                self.sum2 = np.zeros(w.size)
-            g_old = self.g_ring[slot]
-            self.sum1 += g_old * (self.w_ring[slot] - w)
-            self.sum2 += g_old * g_old
-        elif n == 1:
-            self.w_ring = np.empty((k, w.size))
-            self.g_ring = np.empty((k, w.size))
-        self.w_ring[slot] = w
-        self.g_ring[slot] = g
-        return slot == 0 and n > k
+        if n == 1:
+            self.dim, self.math = len(w), _Lists if isinstance(w, list) else _Arrays
+        math = self.math
+        if n <= k:
+            self.ring.append(math.row(w, g))
+            return False
+        slot = (n - 1) % k
+        w_old, g_old = self.ring[slot]
+        if slot == 0:
+            self.sum1, self.sum2 = math.zeros(self.dim), math.zeros(self.dim)
+        self.sum1, self.sum2 = math.add_pair(self.sum1, self.sum2, w_old, g_old, w)
+        self.ring[slot] = math.row(w, g)
+        return slot == k - 1
 
 
 def compute_alpha(buf: ExperienceBuffer) -> Array:
     """Fit the diagonal step-size from the buffer's window of K pairs.
 
-    ``alpha_i = sum1_i / sum2_i``, except alpha_i = 0 where sum2_i = 0.
+    ``alpha_i = sum1_i / sum2_i``, except alpha_i = 0 where sum2_i = 0; a
+    float64 array from either form of buffer.  The planner, which has just
+    seen ``push`` fire, reads ``buf.math.alpha`` in its own form instead;
+    this check and conversion are kept for ``perfbench/micro.py`` line 124.
     """
     if buf.count <= buf.k or buf.count % buf.k:
         raise ValueError("planning requires a full window of K pairs")
-    zero = buf.sum2 == 0.0
-    return np.where(zero, 0.0, buf.sum1 / np.where(zero, 1.0, buf.sum2))
+    return np.asarray(buf.math.alpha(buf.sum1, buf.sum2), dtype=float)
 
 
-class StepSizePlanner(_Stepper):
+class StepSizePlanner(_ListStepper):
     """Stepper that interleaves GD with learned step-size projections.
 
     One ``step`` call is one main-loop iteration: evaluate the gradient,
@@ -114,10 +194,17 @@ class StepSizePlanner(_Stepper):
     ``gamma`` is the inner GD step, ``k`` the buffer size and planning
     horizon K, ``p`` the projections P per event and ``m`` the corrective
     GD steps M after each projection.
+
+    The iterate is ``point``: a list of floats when ``w0`` has at most
+    ``LIST_MAX_DIM`` entries, else a float64 array; ``last_alpha`` has the
+    same form.
     """
 
     def __init__(self, w0, gamma: float, k: int, p: int = 1, m: int = 0):
         super().__init__(w0)
+        self.math = _Lists
+        if len(self.point) > LIST_MAX_DIM:
+            self.math, self.point = _Arrays, np.array(self.point)
         self.gamma = _finite("gamma", gamma)
         self.p = _count("P", p)
         self.m = _count("M", m)
@@ -126,21 +213,22 @@ class StepSizePlanner(_Stepper):
         if self.m < 0:
             raise ValueError("M must be >= 0")
         self.buffer = ExperienceBuffer(k)
-        self.last_alpha: Optional[Array] = None
+        self.last_alpha: Optional[Point] = None
 
     def step(self, obj: Objective):
-        gamma = self.gamma
+        gamma, math, check, buf = self.gamma, self.math, self._check, self.buffer
         self.last_alpha = None
-        g = obj.grad(self.w)
-        w = self.w - gamma * g
-        self._check(w.tolist())
-        if self.buffer.push(w, g):
-            alpha = compute_alpha(self.buffer)
+        g = obj.grad(self.point)
+        w = math.descend(self.point, gamma, g)
+        check(math.floats(w))
+        if buf.push(w, g):
+            alpha = math.alpha(buf.sum1, buf.sum2)
             for _ in range(self.p):
-                w = w - alpha * obj.grad(w)
-                self._check(w.tolist())
+                w = math.project(w, alpha, obj.grad(w))
+                check(math.floats(w))
                 for _ in range(self.m):
-                    w = w - gamma * obj.grad(w)
-                    self._check(w.tolist())
+                    w = math.descend(w, gamma, obj.grad(w))
+                    check(math.floats(w))
             self.last_alpha = alpha
-        self._commit_array(w, checked=True)  # each path above ends with a check of ``w``
+        self.point = w
+        self.k += 1

@@ -10,7 +10,7 @@ sample counter, and is single-threaded.
 
 from __future__ import annotations
 
-from math import isfinite
+from math import inf, isfinite
 from typing import Optional
 
 import numpy as np
@@ -69,7 +69,10 @@ class RosenbrockProblem:
 
     def value(self, w) -> float:
         w1, w2 = w if isinstance(w, list) else np.asarray(w, dtype=float).tolist()
-        return (w1 - 1.0) ** 2 + 100.0 * (w2 - w1 * w1) ** 2
+        try:
+            return (w1 - 1.0) ** 2 + 100.0 * (w2 - w1 * w1) ** 2
+        except OverflowError:  # a float's ``**`` raises where numpy's gives inf
+            return inf
 
     def gradient(self, w) -> list[float]:
         w1, w2 = w if isinstance(w, list) else np.asarray(w, dtype=float).tolist()

@@ -297,7 +297,13 @@ def write_csv(trace: Trace, path) -> None:
 
 def _cells(column: Snapshots, n: int) -> Iterable[str]:
     """``,v0,v1,...`` for each row below ``n``, each value as ``repr(v)``; commas alone
-    for a row without a snapshot."""
-    blank = "," * column.width
-    return (blank if s is None else "," + ",".join(map(repr, s.tolist()))
-            for s in map(column.get, range(n)))
+    for a row without a snapshot.  One pass over ``rows`` and ``flat``, in order."""
+    width = column.width
+    blank = "," * width
+    values = map(repr, column.flat)
+    last = -1
+    for row in column.rows:
+        yield from repeat(blank, row - last - 1)
+        yield "," + ",".join(islice(values, width))
+        last = row
+    yield from repeat(blank, n - last - 1)

@@ -94,6 +94,18 @@ class TestRun:
         assert result.exit_code == 1
         assert "diverged" in result.output
 
+    def test_overflowing_rosenbrock_writes_csv_and_exits_1(self, runner, tmp_path):
+        # gamma = 1e80 puts the first iterate near 1e82, whose value overflows a float
+        for optimizer in ({"name": "gd", "gamma": 1e80}, {"name": "csawg", "gamma": 1e80, "k": 2}):
+            config = {"problem": {"name": "rosenbrock"}, "optimizer": optimizer,
+                      "budget": {"max_iterations": 100}, "label": "boom"}
+            out = tmp_path / optimizer["name"]
+            result = runner.invoke(cli, ["run", "--config", str(write_config(tmp_path, config)),
+                                         "--out", str(out), "--no-svg"])
+            assert result.exit_code == 1, result.output
+            assert "diverged" in result.output and "Traceback" not in result.output
+            assert (out / "boom.csv").read_text() == "iteration,grad_evals,error\n1,1,inf\n"
+
     def test_diverged_stream_writes_csv_and_exits_1(self, runner, tmp_path):
         # exp(710) overflows: the first IDBD sample makes the iterate non-finite
         config = {"problem": {"name": "lms", "w_star": [1.0, -1.0]},

@@ -116,6 +116,14 @@ class TestRunExperiment:
         # no records after the diverged one
         assert trace.records[-1].iteration == len(trace.records)
 
+    @pytest.mark.parametrize("optimizer", [{"name": "gd", "gamma": 1e80},
+                                           {"name": "csawg", "gamma": 1e80, "k": 2}])
+    def test_rosenbrock_value_overflow_is_a_diverged_row(self, optimizer):
+        # the first step lands near 1e82, where the value's squares overflow a float
+        trace = run_experiment(cfg(ROSEN, optimizer, EvalBudget(max_iterations=100)))
+        assert trace.status == DIVERGED
+        assert list(trace.error) == [math.inf] and trace.total_grad_evals == 1
+
     def test_grad_evals_column_monotone(self):
         trace = run_experiment(cfg(CONVEX, {"name": "csawg", "gamma": 0.0009, "k": 3},
                                    EvalBudget(max_iterations=50, error_floor=None)))

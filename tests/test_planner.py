@@ -5,12 +5,14 @@ import pytest
 
 from stepplan.core import EvalBudget, Objective
 from stepplan.harness import ExperimentConfig, run_experiment
-from stepplan.planner import ExperienceBuffer, ExperiencePair, StepSizePlanner, compute_alpha
+from stepplan.optimizers import make_optimizer
+from stepplan.planner import (LIST_MAX_DIM, ExperienceBuffer, ExperiencePair, StepSizePlanner,
+                              compute_alpha)
 from stepplan.theory import ideal_diag_step
 from stepplan.tracing import (BUDGET_EXHAUSTED, CONVERGED, DIVERGED, ERROR_CAP, Trace,
                               TraceRecord, run_steps, write_csv)
 
-from conftest import make_objective, quadratic_objective
+from conftest import make_objective, quadratic_objective, same_bits
 from stepplan.problems import QuadraticProblem, RosenbrockProblem, random_spd
 
 
@@ -88,28 +90,89 @@ class TestReferencePlanner:
             q, _, L = random_spd(rng, d, 100.0)
             instances.append((QuadraticProblem(q, np.zeros(d)), rng.standard_normal(d), 0.9 / L))
         # w0 = w* in the second component: its gradient stays 0, so alpha is 0 there
-        instances.append((QuadraticProblem(np.diag([100.0, 1.0]), [1.0, 1.0]), [-1.0, 1.0],
-                          0.9 / 100.0))
+        diag = QuadraticProblem(np.diag([100.0, 1.0]), [1.0, 1.0])
+        instances.append((diag, [-1.0, 1.0], 0.9 / 100.0))
+        # a problem whose gradient is a list of floats, as the list form's iterate is
+        instances.append((RosenbrockProblem(), [-1.0, 0.0], 0.001))
         events = diverged = converged = 0
+        forms = set()
         for problem, w0, gamma in instances:
             for k in (1, 2, 3, 10):
                 for p, m in ((1, 0), (2, 3), (5, 10)):
                     obj = make_objective(problem)
                     planner = StepSizePlanner(w0, gamma=gamma, k=k, p=p, m=m)
+                    forms.add(type(planner.point))
                     trace = run_steps(planner, obj, EvalBudget(max_iterations=300, error_floor=0.0),
                                       obj.error, record_w=True, record_alpha=True)
                     want = reference_planner(make_objective(problem), w0, gamma, k, p, m, 300)
                     write_csv(trace, tmp_path / "planner.csv")
                     write_csv(want, tmp_path / "reference.csv")
                     assert ((tmp_path / "planner.csv").read_bytes()
-                            == (tmp_path / "reference.csv").read_bytes()), (problem.q, k, p, m)
+                            == (tmp_path / "reference.csv").read_bytes()), (problem, w0, k, p, m)
                     assert trace.total_grad_evals == want.grad_evals[-1]
                     events += len(trace.alpha)
                     diverged += trace.status == DIVERGED
                     converged += trace.status == CONVERGED
-                    if problem.dimension == 2 and problem.q[0, 1] == 0.0:
+                    if problem is diag:
                         assert all(trace.alpha.get(row)[1] == 0.0 for row in trace.alpha.rows)
         assert events and diverged and converged  # every way a run ends is exercised
+        assert forms == {list, np.ndarray}  # both sides of LIST_MAX_DIM
+
+
+class TestPlannerForm:
+    """The start point's dimension picks the planner's arithmetic, once."""
+
+    @pytest.mark.parametrize("d", [1, 2, LIST_MAX_DIM, LIST_MAX_DIM + 1, 64])
+    def test_constructor_registry_and_config_pick_the_same_form(self, d, monkeypatch):
+        w0 = np.linspace(-1.0, 1.0, d)
+        started = []
+        monkeypatch.setattr("stepplan.harness.run_steps",
+                            lambda stepper, *args, **kw: started.append(stepper) or Trace())
+        run_experiment(ExperimentConfig(
+            problem={"name": "quadratic", "q_diag": [1.0] * d, "w0": w0.tolist()},
+            optimizer={"name": "csawg", "gamma": 0.1, "k": 2}, budget=EvalBudget(1)))
+        want = list if d <= LIST_MAX_DIM else np.ndarray
+        for planner in (StepSizePlanner(w0, gamma=0.1, k=2),
+                        make_optimizer("csawg", w0, {"gamma": 0.1, "k": 2}), *started):
+            assert type(planner.point) is want
+            w = planner.w
+            assert type(w) is np.ndarray and w.dtype == np.float64 and w is not planner.point
+            assert same_bits(w, w0)
+
+    def test_list_form_rows_hold_the_steps_own_lists(self):
+        planner = StepSizePlanner([-1.0, 2.0], gamma=0.0009, k=2)
+        obj = quadratic_objective()
+        for _ in range(3):
+            planner.step(obj)
+        assert planner.buffer.ring[0][0] is planner.point  # record 3, no event
+        planner.step(obj)
+        assert type(planner.last_alpha) is list and type(planner.buffer.sum1) is list
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("k", [1, 2, 3, 10])
+    def test_list_and_array_buffers_agree_bit_for_bit(self, rng, k, d):
+        ws = rng.standard_normal((6 * k, d))
+        gs = rng.standard_normal((6 * k, d))
+        gs[k:3 * k, -1] = 0.0  # windows whose last component's gradient is zero
+        gs[::4, 0] = -0.0
+        lists, arrays = ExperienceBuffer(k), ExperienceBuffer(k)
+        events = 0
+        for w, g in zip(ws, gs):
+            fired = lists.push(w.tolist(), g.tolist())
+            assert arrays.record(pair(w, g)) is fired
+            if not fired:
+                continue
+            events += 1
+            assert type(lists.sum1) is list and type(arrays.sum1) is np.ndarray
+            alpha = compute_alpha(lists)
+            assert type(alpha) is np.ndarray and alpha.dtype == np.float64
+            for got, want in zip((lists.sum1, lists.sum2, alpha), fit(arrays)):
+                assert same_bits(got, want)
+        assert events == 5
+        fresh = ExperienceBuffer(k)
+        fresh.push(ws[0].tolist(), gs[0].tolist())
+        with pytest.raises(ValueError, match="full"):
+            compute_alpha(fresh)
 
 
 class TestExperienceBuffer:

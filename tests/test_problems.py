@@ -128,6 +128,11 @@ class TestRosenbrock:
             with pytest.raises(ValueError):
                 method(w)
 
+    @pytest.mark.parametrize("w", [[1e200, 0.0], [0.0, 1e200], [-1e160, 1.0]])
+    def test_overflowing_value_is_inf(self, w):
+        p = RosenbrockProblem()
+        assert p.value(w) == np.inf and p.value(np.array(w)) == np.inf
+
     def test_positive_away_from_minimum(self, rng):
         p = RosenbrockProblem()
         for _ in range(100):
