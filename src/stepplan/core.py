@@ -1,10 +1,10 @@
 """Vector validation, the objective and stepper contracts, the registry rule,
 and run budgets.
 
-Iterates and gradients are one-dimensional float64 numpy arrays, except
-on the elementwise steppers' path and the planner's at its smaller
-dimensions, where the iterate, the gradient and the state vectors are
-lists of floats.
+Every stepper keeps its iterate in ``point``, in the form it computes in:
+a list of floats (the elementwise steppers, and the planner at its smaller
+dimensions) or a one-dimensional float64 array (the rest).  The gradient
+``Objective.grad`` returns has the form of the point it was asked at.
 The helpers here validate finiteness and dimension at public boundaries;
 hot loops elsewhere assume validated inputs and only re-check where an
 update can blow up.
@@ -77,8 +77,8 @@ class Objective:
     implicitly.  The raw callables stay accessible (``value_fn``,
     ``grad_fn``) so diagnostics such as error traces and finite differences
     can evaluate without charging the optimizer.  Both callables receive
-    the iterate as the stepper holds it: a float64 array, or a list of
-    floats from the elementwise steppers.
+    the iterate as the stepper holds it, its ``point``: a float64 array, or
+    a list of floats.
 
     Instances are not thread-safe (the counters are plain ints); run each
     instance on a single thread and use distinct instances for concurrent
@@ -110,17 +110,16 @@ class Objective:
     def grad(self, w):
         """The gradient at ``w``: a list of floats for a list ``w``, else a float64
         array; the callable's result is converted only when it is of the other kind.
-        For a list ``w``, a result of another length raises ``ValueError`` (a
-        callable written for arrays, such as ``lambda w: 2 * w``, repeats a list)."""
+        A result that is not one-dimensional with ``len(w)`` entries raises
+        ``ValueError`` (a callable written for arrays, such as ``lambda w: 2 * w``,
+        repeats a list; a one-entry array would broadcast)."""
         self.grad_evals += 1
         g = self.grad_fn(w)
         if isinstance(w, list):
-            if not isinstance(g, list):
-                g = np.asarray(g, dtype=float).tolist()
-            if len(g) != len(w):
-                raise ValueError(f"gradient has {len(g)} entries for a point of {len(w)}")
-            return g
-        return np.asarray(g, dtype=float)
+            if isinstance(g, list) and len(g) == len(w):
+                return g
+            return _gradient(g, len(w)).tolist()
+        return _gradient(g, len(w))
 
     def error(self, w) -> float:
         """Loss above the optimum, via the uncounted raw callable."""
@@ -128,32 +127,22 @@ class Objective:
         return float(self.value_fn(w)) - base
 
 
+def _gradient(g, n: int) -> Array:
+    """``g`` as a float64 array, which must be one-dimensional with ``n`` entries."""
+    g = np.asarray(g, dtype=float)
+    if g.shape != (n,):
+        entries = f"{g.size} entries" if g.ndim == 1 else f"shape {g.shape}"
+        raise ValueError(f"gradient has {entries} for a point of {n}")
+    return g
+
+
 class _Stepper:
-    """Shared state of every optimizer: current iterate ``w``, a float64 array,
-    and a step counter ``k``."""
+    """Shared state of every optimizer: the iterate ``point`` and a step counter ``k``.
 
-    def __init__(self, w0):
-        self.w = as_vector(w0, name="w0").copy()
-        self.k = 0
-
-    def _check(self, w_new: list[float]):
-        """The one divergence rule: a non-finite iterate ends step ``k + 1``."""
-        if not all_finite(w_new):
-            raise DivergenceError(f"non-finite iterate after step {self.k + 1}")
-
-    def _commit_array(self, w_new: Array):
-        """End the step at an iterate computed as an array, stored as it is."""
-        self._check(w_new.tolist())
-        self.w = w_new
-        self.k += 1
-
-
-class _ListStepper(_Stepper):
-    """A stepper whose iterate is ``point``, a list of floats (the planner's is
-    a float64 array above ``planner.LIST_MAX_DIM`` entries).
-
-    ``w`` builds a new float64 array from ``point`` at each read, so writing
-    into it never moves the stepper.  ``run_steps`` reads ``point``.
+    ``point`` starts as a list of floats; a stepper that computes on float64
+    arrays converts it once in its constructor.  ``w`` builds a new float64
+    array from ``point`` at each read, so writing into it never moves the
+    stepper.  ``run_steps`` reads ``point``.
     """
 
     def __init__(self, w0):
@@ -164,10 +153,15 @@ class _ListStepper(_Stepper):
     def w(self) -> Array:
         return np.array(self.point, dtype=float)
 
-    def _commit(self, w_new: list[float]):
-        """End the step at ``w_new``, kept as it is."""
-        self._check(w_new)
-        self.point = w_new
+    def _check(self, point: Point):
+        """The one divergence rule: a non-finite iterate ends step ``k + 1``."""
+        if not all_finite(point if isinstance(point, list) else point.tolist()):
+            raise DivergenceError(f"non-finite iterate after step {self.k + 1}")
+
+    def _commit(self, point: Point):
+        """End the step at ``point``, kept as it is."""
+        self._check(point)
+        self.point = point
         self.k += 1
 
 

@@ -7,15 +7,17 @@ L4, LossGrad) additionally consume function evaluations, which the
 objective counts separately.  Steppers do not police stability — finite
 oscillation passes through, and only a non-finite iterate aborts.
 
-The purely elementwise rules (gd, heavy_ball, nesterov, rmsprop, adam)
-update each component on Python floats and keep their iterate (``point``)
-and state vectors as lists, which they pass to the objective as they are:
-at the dimensions they run in, a numpy ufunc call, or a conversion between
-a tiny array and a list, costs more than the arithmetic.  ``+ - * /`` and
-``sqrt`` round correctly in both, so the bytes are those of the whole-array
-form.  Reductions (``g @ v``) and ``exp`` stay numpy, whose results may
-round differently from a Python sum or ``math.exp``.  ``w`` stays a float64
-array for every stepper; on these five it is built from ``point`` when read.
+Every stepper keeps its iterate in ``point`` and ends a step with
+``_commit``.  The purely elementwise rules (gd, heavy_ball, nesterov,
+rmsprop, adam) update each component on Python floats and keep ``point``
+and their state vectors as lists, which they pass to the objective as they
+are: at the dimensions they run in, a numpy ufunc call, or a conversion
+between a tiny array and a list, costs more than the arithmetic.  ``+ - * /``
+and ``sqrt`` round correctly in both, so the bytes are those of the
+whole-array form.  The rules with a reduction (``g @ v``) or ``exp``, whose
+results may round differently from a Python sum or ``math.exp``, keep
+``point`` as a float64 array.  On every stepper ``w`` is a new float64 array
+built from ``point``.
 """
 
 from __future__ import annotations
@@ -24,12 +26,11 @@ import math
 
 import numpy as np
 
-from .core import (Array, Objective, StationaryPointError, _build, _finite, _ListStepper,
-                   _Stepper)
+from .core import Array, Objective, StationaryPointError, _Stepper, _build, _finite
 from .planner import StepSizePlanner
 
 
-class GradientDescent(_ListStepper):
+class GradientDescent(_Stepper):
     """w <- w - gamma * f'(w) with a constant step-size."""
 
     def __init__(self, w0, gamma: float):
@@ -41,7 +42,7 @@ class GradientDescent(_ListStepper):
         self._commit([wi - gamma * gi for wi, gi in zip(w, obj.grad(w))])
 
 
-class HeavyBall(_ListStepper):
+class HeavyBall(_Stepper):
     """w <- w - gamma * f'(w) + p * delta, momentum on the last weight change."""
 
     def __init__(self, w0, gamma: float, p: float):
@@ -60,7 +61,7 @@ class HeavyBall(_ListStepper):
         self._commit(w_new)
 
 
-class NesterovAGD(_ListStepper):
+class NesterovAGD(_Stepper):
     """Accelerated gradient with the standard momentum schedules.
 
     The gradient step is taken at the lookahead point x:
@@ -109,12 +110,13 @@ class PolyakStep(_Stepper):
 
     def __init__(self, w0, f_star: float = 0.0):
         super().__init__(w0)
+        self.point = np.array(self.point)
         self.f_star = _finite("f_star", f_star)
         self.alpha = 0.0
 
     def step(self, obj: Objective):
-        fval = obj.value(self.w)
-        g = obj.grad(self.w)
+        fval = obj.value(self.point)
+        g = obj.grad(self.point)
         gg = float(g @ g)
         if gg == 0.0:
             if fval > self.f_star:
@@ -122,10 +124,10 @@ class PolyakStep(_Stepper):
                     f"zero gradient with f(w) = {fval} above f* = {self.f_star}"
                 )
             self.alpha = 0.0
-            self._commit_array(self.w)
+            self._commit(self.point)
             return
         self.alpha = (fval - self.f_star) / gg
-        self._commit_array(self.w - self.alpha * g)
+        self._commit(self.point - self.alpha * g)
 
 
 class L4(_Stepper):
@@ -139,6 +141,7 @@ class L4(_Stepper):
     def __init__(self, w0, f_star: float = 0.0, eps: float = 1e-12,
                  direction: str = "gradient", p: float = 0.9):
         super().__init__(w0)
+        self.point = np.array(self.point)
         self.f_star = _finite("f_star", f_star)
         self.eps = _finite("eps", eps)
         if self.eps <= 0:
@@ -147,19 +150,19 @@ class L4(_Stepper):
             raise ValueError(f"unknown direction {direction!r}")
         self.direction = direction
         self.p = _finite("p", p)
-        self.v = np.zeros_like(self.w)
+        self.v = np.zeros_like(self.point)
         self.alpha = 0.0
 
     def step(self, obj: Objective):
-        fval = obj.value(self.w)
-        g = obj.grad(self.w)
+        fval = obj.value(self.point)
+        g = obj.grad(self.point)
         if self.direction == "gradient":
             v = g
         else:
             self.v = self.p * self.v + g
             v = self.v
         self.alpha = (fval - self.f_star) / (float(g @ v) + self.eps)
-        self._commit_array(self.w - self.alpha * v)
+        self._commit(self.point - self.alpha * v)
 
 
 class LossGrad(_Stepper):
@@ -175,6 +178,7 @@ class LossGrad(_Stepper):
 
     def __init__(self, w0, alpha0: float, rho: float = 1.1):
         super().__init__(w0)
+        self.point = np.array(self.point)
         self.alpha = _finite("alpha0", alpha0)
         self.rho = _finite("rho", rho)
         if self.alpha <= 0:
@@ -183,23 +187,23 @@ class LossGrad(_Stepper):
             raise ValueError("adjustment factor rho must exceed 1")
 
     def step(self, obj: Objective):
-        g = obj.grad(self.w)
+        g = obj.grad(self.point)
         gg = float(g @ g)
         if self.alpha * gg == 0.0:
-            self._commit_array(self.w)
+            self._commit(self.point)
             return
-        fval = obj.value(self.w)
-        probe = obj.value(self.w - self.alpha * g)
+        fval = obj.value(self.point)
+        probe = obj.value(self.point - self.alpha * g)
         e = probe - (fval - self.alpha * gg)
         r = e / (self.alpha * gg)
         if r < 0.5:
             self.alpha *= self.rho
         else:
             self.alpha /= self.rho
-        self._commit_array(self.w - self.alpha * g)
+        self._commit(self.point - self.alpha * g)
 
 
-class RMSprop(_ListStepper):
+class RMSprop(_Stepper):
     """Normalize the gradient by a running average of its square.
 
     v <- beta v + (1 - beta) g*g;  w <- w - alpha * g / sqrt(v + eps).
@@ -225,7 +229,7 @@ class RMSprop(_ListStepper):
                       for wi, gi, vi in zip(self.point, g, v)])
 
 
-class Adam(_ListStepper):
+class Adam(_Stepper):
     """Bias-corrected first/second moment smoothing (momentum + RMSprop)."""
 
     def __init__(self, w0, alpha: float, beta1: float = 0.9, beta2: float = 0.999,
@@ -265,17 +269,18 @@ class IdbdScalar(_Stepper):
 
     def __init__(self, w0, eta: float, lam: float, alpha0: float):
         super().__init__(w0)
+        self.point = np.array(self.point)
         self.eta = _finite("eta", eta)
         self.lam = _finite("lam", lam)
         self.alpha = _finite("alpha0", alpha0)
         if not (0.0 <= self.lam < 1.0):
             raise ValueError("lam must be in [0, 1)")
-        self.h = np.zeros_like(self.w)
+        self.h = np.zeros_like(self.point)
 
     def step(self, obj: Objective):
-        g = obj.grad(self.w)
+        g = obj.grad(self.point)
         self.alpha = self.alpha + self.eta * float(g @ self.h)
-        self._commit_array(self.w - self.alpha * g)
+        self._commit(self.point - self.alpha * g)
         self.h = self.lam * self.h + g
 
 
@@ -299,9 +304,10 @@ class Idbd(_Stepper):
 
     def __init__(self, w0, eta: float, beta0: float):
         super().__init__(w0)
+        self.point = np.array(self.point)
         self.eta = _finite("eta", eta)
-        self.beta = np.full_like(self.w, _finite("beta0", beta0))
-        self.h = np.zeros_like(self.w)
+        self.beta = np.full_like(self.point, _finite("beta0", beta0))
+        self.h = np.zeros_like(self.point)
 
     @property
     def alpha(self) -> Array:
@@ -320,12 +326,12 @@ class Idbd(_Stepper):
         ``x`` is the float64 array of ``w``'s dimension that
         ``LmsStream.next()`` returns; it is not validated here.
         """
-        delta = float(y_star) - float(self.w @ x)
+        delta = float(y_star) - float(self.point @ x)
         beta = self.beta + self.eta * delta * x * self.h
         alpha = np.exp(beta)
-        w = self.w + alpha * delta * x
+        w = self.point + alpha * delta * x
         h = self.h * np.maximum(0.0, 1.0 - alpha * x * x) + alpha * delta * x
-        self._commit_array(w)
+        self._commit(w)
         self.beta, self.h = beta, h
 
 

@@ -36,7 +36,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Array, Objective, Point, _count, _finite, _ListStepper, as_vector
+from .core import Array, Objective, Point, _Stepper, _count, _finite, as_vector
 
 # The largest start-point dimension at which the planner runs on lists of floats
 # (README, "Float arithmetic in the steppers", has the µs per step of both forms).
@@ -71,10 +71,6 @@ class _Lists:
     def project(w, alpha, g) -> list[float]:
         return [wi - ai * gi for wi, ai, gi in zip(w, alpha, g)]
 
-    @staticmethod
-    def floats(w) -> list[float]:
-        return w
-
 
 class _Arrays:
     """The same arithmetic on float64 arrays, one ufunc call per operator."""
@@ -101,7 +97,6 @@ class _Arrays:
         return w - step * g
 
     project = descend
-    floats = staticmethod(np.ndarray.tolist)
 
 
 @dataclass
@@ -181,7 +176,7 @@ def compute_alpha(buf: ExperienceBuffer) -> Array:
     return np.asarray(buf.math.alpha(buf.sum1, buf.sum2), dtype=float)
 
 
-class StepSizePlanner(_ListStepper):
+class StepSizePlanner(_Stepper):
     """Stepper that interleaves GD with learned step-size projections.
 
     One ``step`` call is one main-loop iteration: evaluate the gradient,
@@ -197,7 +192,8 @@ class StepSizePlanner(_ListStepper):
 
     The iterate is ``point``: a list of floats when ``w0`` has at most
     ``LIST_MAX_DIM`` entries, else a float64 array; ``last_alpha`` has the
-    same form.
+    same form.  A step that raises ``DivergenceError`` leaves ``point`` and
+    ``k`` as they were, while its GD record may already be in the buffer.
     """
 
     def __init__(self, w0, gamma: float, k: int, p: int = 1, m: int = 0):
@@ -217,18 +213,17 @@ class StepSizePlanner(_ListStepper):
 
     def step(self, obj: Objective):
         gamma, math, check, buf = self.gamma, self.math, self._check, self.buffer
-        self.last_alpha = None
+        self.last_alpha = alpha = None
         g = obj.grad(self.point)
         w = math.descend(self.point, gamma, g)
-        check(math.floats(w))
+        # each new iterate is checked once: before a gradient is taken at it, or by _commit
         if buf.push(w, g):
             alpha = math.alpha(buf.sum1, buf.sum2)
             for _ in range(self.p):
+                check(w)
                 w = math.project(w, alpha, obj.grad(w))
-                check(math.floats(w))
                 for _ in range(self.m):
+                    check(w)
                     w = math.descend(w, gamma, obj.grad(w))
-                    check(math.floats(w))
-            self.last_alpha = alpha
-        self.point = w
-        self.k += 1
+        self._commit(w)
+        self.last_alpha = alpha

@@ -166,11 +166,13 @@ def verify_theorems(trials: int, d_max: int = 10, seed: int = 0) -> list[RateRep
     to 1e6, random nonzero w, then the four :func:`check_instance` checks.
     Failures are reported, not raised.
     """
-    trials, d_max = _count("trials", trials), _count("d_max", d_max)
+    trials, d_max, seed = _count("trials", trials), _count("d_max", d_max), _count("seed", seed)
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if not (1 <= d_max <= 64):
         raise ValueError("d_max must be in [1, 64] (dense instances only)")
+    if seed < 0:
+        raise ValueError("seed must be >= 0")
     rng = np.random.default_rng(seed)
     reports: list[RateReport] = []
     for _ in range(trials):

@@ -224,8 +224,8 @@ def run_steps(stepper, obj: Objective, budget: EvalBudget,
     attribute, which planners set only on planning-event iterations and
     IDBD on every step.  IDBD's ``obj`` is the LMS stream.  The iterate
     handed to ``error_fn`` and copied into the ``w`` column is the stepper's
-    ``point`` where it has one (a list of floats), else its ``w``; a stepper
-    needs only ``step`` and one of the two.
+    ``point`` where it has one, as every package stepper does, else its
+    ``w``; a stepper needs only ``step`` and one of the two.
     """
     trace = Trace()
     rows, evals = array("q"), array("q")

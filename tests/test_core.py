@@ -125,6 +125,17 @@ class TestObjective:
         with pytest.raises(ValueError, match="entries for a point of 2"):
             obj.grad([1.0, -2.0])
 
+    @pytest.mark.parametrize("w", [[1.0, -2.0], np.array([1.0, -2.0])], ids=["list", "array"])
+    @pytest.mark.parametrize("grad_fn, shape", [
+        (lambda w: np.zeros(1), "1 entries"), (lambda w: [0.0, 0.0, 0.0], "3 entries"),
+        (lambda w: 3.0, r"shape \(\)"), (lambda w: np.zeros((2, 1)), r"shape \(2, 1\)"),
+    ], ids=["one-entry", "three-entries", "scalar", "column"])
+    def test_one_shape_rule_for_both_forms(self, w, grad_fn, shape):
+        obj = Objective(2, lambda w: 0.0, grad_fn)
+        with pytest.raises(ValueError, match=f"^gradient has {shape} for a point of 2$"):
+            obj.grad(w)
+        assert obj.grad_evals == 1
+
 
 class TestFiniteDiff:
     def test_1d_quadratic(self):

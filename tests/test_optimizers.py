@@ -1,9 +1,10 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
-from stepplan.core import DivergenceError, EvalBudget, Objective, StationaryPointError
+from stepplan.core import DivergenceError, EvalBudget, Objective, StationaryPointError, _Stepper
 from stepplan.harness import ExperimentConfig, run_experiment
 from stepplan.optimizers import (Adam, GradientDescent, HeavyBall, Idbd,
                                  IdbdScalar, L4, LossGrad, NesterovAGD,
@@ -436,6 +437,21 @@ def _rosenbrock_float_errors(name: str, params: dict, iterations: int) -> list:
     return errors
 
 
+# every registry name with parameters that step on sphere_objective without stopping
+REGISTRY = {
+    "gd": {"gamma": 0.1}, "heavy_ball": {"gamma": 0.1, "p": 0.5}, "nesterov": {"mode": "convex"},
+    "polyak": {}, "l4": {}, "lossgrad": {"alpha0": 0.1}, "rmsprop": {"alpha": 0.1, "beta": 0.9},
+    "adam": {"alpha": 0.1}, "hd": {"eta": 1e-3, "alpha0": 0.1},
+    "idbd1": {"eta": 1e-3, "lam": 0.5, "alpha0": 0.1}, "idbd": {"eta": 0.01, "beta0": -2.0},
+    "csawg": {"gamma": 0.1, "k": 2},
+}
+
+
+def sphere_objective(d):
+    """1/2 ||w||^2, whose callables take either form of iterate."""
+    return Objective(d, lambda w: 0.5 * float(np.dot(w, w)), lambda w: np.array(w, dtype=float))
+
+
 class TestListPath:
     """The elementwise steppers run on lists of floats from the problem to the
     trace: each error column equals a float loop written from the equations."""
@@ -458,15 +474,21 @@ class TestListPath:
         assert same_bits(trace.error, _rosenbrock_float_errors(name, params, 2000))
 
     def test_w_is_a_fresh_float64_array(self):
-        for name, params in (("gd", {"gamma": 0.1}), ("adam", {"alpha": 0.1})):
-            s = make_optimizer(name, [-1.0, 0.5], params)
-            s.step(linear_objective([1.0, 2.0]))
-            point = list(s.point)
+        # every stepper keeps its iterate in point; w is a copy on all of them
+        for name, d in [(name, 2) for name in REGISTRY] + [("csawg", 12)]:
+            s = make_optimizer(name, [-1.0, 0.5] * (d // 2), REGISTRY[name])
+            assert isinstance(s, _Stepper), name
+            for _ in range(5):  # csawg with K=2 plans at the fourth step
+                if name == "idbd":
+                    s.step_sample(np.array([1.0, 2.0]), 0.5)
+                else:
+                    s.step(sphere_objective(d))
+            point = np.array(s.point, dtype=float)
             w = s.w
-            assert type(w) is np.ndarray and w.dtype == np.float64
-            assert w is not s.w and same_bits(w, point)
+            assert type(w) is np.ndarray and w.dtype == np.float64, name
+            assert w is not s.w and w is not s.point and same_bits(w, point), name
             w[:] = 99.0
-            assert s.point == point and same_bits(s.w, point)
+            assert same_bits(s.point, point) and same_bits(s.w, point), name
 
     @pytest.mark.parametrize("name,params", STEPPERS)
     def test_array_gradient_callable_on_a_list_raises(self, name, params):
@@ -476,6 +498,53 @@ class TestListPath:
         s = make_optimizer(name, [1.0, -2.0], params)
         with pytest.raises(ValueError, match="gradient has 4 entries for a point of 2"):
             s.step(obj)
+
+
+class TestGradientShape:
+    """One shape rule for the gradient in both forms: one-dimensional, with one
+    entry per component of the iterate."""
+
+    @pytest.mark.parametrize("name", ["polyak", "l4", "lossgrad", "hd", "csawg"])
+    def test_one_entry_gradient_raises(self, name):
+        # a one-entry array would broadcast and move every component by it
+        obj = Objective(12, lambda w: 1.0, lambda w: np.array([1.0]))
+        s = make_optimizer(name, np.ones(12), REGISTRY[name])
+        with pytest.raises(ValueError, match="gradient has 1 entries for a point of 12$"):
+            s.step(obj)
+        assert s.k == 0 and same_bits(s.point, np.ones(12))
+
+    def test_scalar_gradient_on_a_list_raises(self):
+        s = make_optimizer("gd", [1.0, -2.0], REGISTRY["gd"])
+        with pytest.raises(ValueError, match=r"gradient has shape \(\) for a point of 2$"):
+            s.step(Objective(2, lambda w: 1.0, lambda w: 3.0))
+
+
+class TestNumpyStepperBytes:
+    """The steppers that compute on float64 arrays, which no preset runs, write
+    the bytes they wrote when each kept its own ``w`` array: sha256 of a
+    100-row ``record_w`` CSV on a fixed 3-d quadratic, measured on x86-64."""
+
+    @pytest.mark.parametrize("name,params,golden", [
+        ("polyak", {}, "f19e4bb10e88c5a7fc04e007266caeb26a4a195363da3a0bfc551e555f6b4ab9"),
+        ("l4", {}, "2efabbea817facb649abd5ed02351bf7e566789a8d41eaeb4638d3f809dffb2f"),
+        ("l4", {"direction": "momentum", "p": 0.5},
+         "484a3631c138cca7e72cdd0e706d40cd72ea4263e526b9f4d65d07c66fd00a84"),
+        ("lossgrad", {"alpha0": 0.05},
+         "f892f33481c831d3e7d9f7d753b2f8c3c38909c8922af1083e1e22c68af60a56"),
+        ("hd", {"eta": 1e-3, "alpha0": 0.05},
+         "5529bf72951e69d19c22c842c8918abe77d1b2bcb6af782e4e56a5f61999c1c7"),
+        ("idbd1", {"eta": 1e-3, "lam": 0.5, "alpha0": 0.05},
+         "dc258ecc7b7f791ff5dd41b2228c6a3612fbeb2604213b1880a62f7aeb4a4197"),
+    ], ids=["polyak", "l4-gradient", "l4-momentum", "lossgrad", "hd", "idbd1"])
+    def test_record_w_csv_golden_bytes(self, tmp_path, name, params, golden):
+        q = [[4.0, 1.0, 0.0], [1.0, 2.0, 0.5], [0.0, 0.5, 1.0]]
+        obj = make_objective(QuadraticProblem(q, [1.0, -2.0, 0.5]))
+        s = make_optimizer(name, [3.0, 1.0, -1.0], params)
+        trace = run_steps(s, obj, EvalBudget(max_iterations=100, error_floor=None), obj.error,
+                          record_w=True)
+        assert len(trace) == trace.total_grad_evals == 100
+        write_csv(trace, tmp_path / "t.csv")
+        assert hashlib.sha256((tmp_path / "t.csv").read_bytes()).hexdigest() == golden
 
 
 class TestHyperGradient:

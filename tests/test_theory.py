@@ -184,6 +184,15 @@ class TestVerify:
         with pytest.raises(ValueError, match=f"{name} must be an integer"):
             verify_theorems(**kwargs)
 
+    @pytest.mark.parametrize("seed, message", [
+        (2.5, "seed must be an integer"), (True, "seed must be an integer"),
+        ("3", "seed must be an integer"), (-1, "seed must be >= 0"),
+    ], ids=["float", "bool", "str", "negative"])
+    def test_seed_is_a_non_negative_integer(self, seed, message):
+        # numpy would raise TypeError for 2.5 and "3", and run True as seed 1
+        with pytest.raises(ValueError, match=message):
+            verify_theorems(trials=1, seed=seed)
+
 
 class TestStochasticIdealStep:
     def test_sampled_minimizer_matches_formula(self, rng):
