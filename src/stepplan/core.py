@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
-from math import inf, isfinite
+from functools import cache
+from math import inf, isfinite, sqrt
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -163,6 +164,31 @@ class _Stepper:
         self._check(point)
         self.point = point
         self.k += 1
+
+
+@cache
+def _unrolled(d: int, params: str, *rules: str) -> Callable:
+    """A straight-line function of ``params`` that returns the lists ``rules`` assign.
+
+    Each rule ``"name = expr"`` becomes the list display ``name = [expr_0, ...,
+    expr_{d-1}]``, where ``expr_j`` is ``expr`` with every ``[i]`` read as
+    ``[j]``, so each entry rounds as ``expr`` does on one component.  The rules
+    run in order, and a later one reads the lists an earlier one assigned.
+    ``sqrt`` is ``math.sqrt``.  The rules are string constants in the
+    steppers; only the integer ``d`` enters the source.  Each kernel is built
+    once per process and dimension, and the steppers bind theirs in their
+    constructors.
+    """
+    names, lines = [], []
+    for rule in rules:
+        name, expr = (part.strip() for part in rule.split("=", 1))
+        entries = ", ".join(expr.replace("[i]", f"[{j}]") for j in range(d))
+        names.append(name)
+        lines.append(f"    {name} = [{entries}]")
+    source = f"def kernel({params}):\n" + "\n".join(lines) + f"\n    return {', '.join(names)}\n"
+    namespace = {"sqrt": sqrt}
+    exec(source, namespace)
+    return namespace["kernel"]
 
 
 def _build(kind: str, table: dict, name: str, params: dict, *args):

@@ -12,7 +12,9 @@ Every stepper keeps its iterate in ``point`` and ends a step with
 rmsprop, adam) update each component on Python floats and keep ``point``
 and their state vectors as lists, which they pass to the objective as they
 are: at the dimensions they run in, a numpy ufunc call, or a conversion
-between a tiny array and a list, costs more than the arithmetic.  ``+ - * /``
+between a tiny array and a list, costs more than the arithmetic.  Each
+builds its update once, in its constructor, as one straight-line kernel
+for its dimension (``core._unrolled``), so a step sets up no loop.  ``+ - * /``
 and ``sqrt`` round correctly in both, so the bytes are those of the
 whole-array form.  The rules with a reduction (``g @ v``) or ``exp``, whose
 results may round differently from a Python sum or ``math.exp``, keep
@@ -26,7 +28,7 @@ import math
 
 import numpy as np
 
-from .core import Array, Objective, StationaryPointError, _Stepper, _build, _finite
+from .core import Array, Objective, StationaryPointError, _Stepper, _build, _finite, _unrolled
 from .planner import StepSizePlanner
 
 
@@ -36,10 +38,11 @@ class GradientDescent(_Stepper):
     def __init__(self, w0, gamma: float):
         super().__init__(w0)
         self.gamma = _finite("gamma", gamma)
+        self._update = _unrolled(len(self.point), "w, g, gamma", "w = w[i] - gamma * g[i]")
 
     def step(self, obj: Objective):
-        gamma, w = self.gamma, self.point
-        self._commit([wi - gamma * gi for wi, gi in zip(w, obj.grad(w))])
+        w = self.point
+        self._commit(self._update(w, obj.grad(w), self.gamma))
 
 
 class HeavyBall(_Stepper):
@@ -52,12 +55,13 @@ class HeavyBall(_Stepper):
         if not (0.0 <= self.p < 1.0):
             raise ValueError("momentum rate p must be in [0, 1)")
         self.delta = [0.0] * len(self.point)
+        self._update = _unrolled(len(self.point), "w, g, delta, gamma, p",
+                                 "w_new = w[i] - gamma * g[i] + p * delta[i]",
+                                 "delta = w_new[i] - w[i]")
 
     def step(self, obj: Objective):
-        gamma, p, w = self.gamma, self.p, self.point
-        g = obj.grad(w)
-        w_new = [wi - gamma * gi + p * di for wi, gi, di in zip(w, g, self.delta)]
-        self.delta = [wn - wi for wn, wi in zip(w_new, w)]
+        w = self.point
+        w_new, self.delta = self._update(w, obj.grad(w), self.delta, self.gamma, self.p)
         self._commit(w_new)
 
 
@@ -81,27 +85,29 @@ class NesterovAGD(_Stepper):
         self.L = _finite("L", L)
         if self.L <= 0:
             raise ValueError("L must be positive")
+        self.momentum = None  # gamma_k in strongly_convex mode, where it is constant
         if mode == "strongly_convex":
             if not (0 < self.mu <= self.L):
                 raise ValueError("strongly_convex mode needs 0 < mu <= L")
+            self.momentum = (math.sqrt(self.L) - math.sqrt(self.mu)) / (
+                math.sqrt(self.L) + math.sqrt(self.mu))
         self.mode = mode
         self.step_size = _finite("step", step) if step is not None else 1.0 / self.L
         self.x = list(self.point)
         self.t = 1.0
+        self._update = _unrolled(len(self.point), "x, g, w, step_size, gamma_k",
+                                 "w_new = x[i] - step_size * g[i]",
+                                 "x = w_new[i] + gamma_k * (w_new[i] - w[i])")
 
     def step(self, obj: Objective):
-        step_size = self.step_size
         g = obj.grad(self.x)
-        w_new = [xi - step_size * gi for xi, gi in zip(self.x, g)]
         if self.mode == "strongly_convex":
-            gamma_k = (math.sqrt(self.L) - math.sqrt(self.mu)) / (
-                math.sqrt(self.L) + math.sqrt(self.mu)
-            )
+            gamma_k = self.momentum
         else:
             t_next = (1.0 + math.sqrt(1.0 + 4.0 * self.t * self.t)) / 2.0
             gamma_k = (self.t - 1.0) / t_next
             self.t = t_next
-        self.x = [wn + gamma_k * (wn - wi) for wn, wi in zip(w_new, self.point)]
+        w_new, self.x = self._update(self.x, g, self.point, self.step_size, gamma_k)
         self._commit(w_new)
 
 
@@ -220,13 +226,14 @@ class RMSprop(_Stepper):
         if self.eps <= 0:
             raise ValueError("eps must be positive")
         self.v = [0.0] * len(self.point)
+        self._update = _unrolled(len(self.point), "w, g, v, alpha, beta, eps",
+                                 "v = beta * v[i] + (1.0 - beta) * g[i] * g[i]",
+                                 "w = w[i] - alpha * g[i] / sqrt(v[i] + eps)")
 
     def step(self, obj: Objective):
-        alpha, beta, eps = self.alpha, self.beta, self.eps
-        g = obj.grad(self.point)
-        self.v = v = [beta * vi + (1.0 - beta) * gi * gi for vi, gi in zip(self.v, g)]
-        self._commit([wi - alpha * gi / math.sqrt(vi + eps)
-                      for wi, gi, vi in zip(self.point, g, v)])
+        w = self.point
+        self.v, w = self._update(w, obj.grad(w), self.v, self.alpha, self.beta, self.eps)
+        self._commit(w)
 
 
 class Adam(_Stepper):
@@ -245,17 +252,18 @@ class Adam(_Stepper):
             raise ValueError("eps must be positive")
         self.m = [0.0] * len(self.point)
         self.v = [0.0] * len(self.point)
+        self._update = _unrolled(len(self.point), "w, g, m, v, alpha, b1, b2, eps, d1, d2",
+                                 "m = b1 * m[i] + (1.0 - b1) * g[i]",
+                                 "v = b2 * v[i] + (1.0 - b2) * g[i] * g[i]",
+                                 "w = w[i] - alpha * (m[i] / d1) / (sqrt(v[i] / d2) + eps)")
 
     def step(self, obj: Objective):
-        alpha, b1, b2, eps = self.alpha, self.beta1, self.beta2, self.eps
-        g = obj.grad(self.point)
+        b1, b2, w = self.beta1, self.beta2, self.point
+        g = obj.grad(w)
         k = self.k + 1
-        self.m = m = [b1 * mi + (1.0 - b1) * gi for mi, gi in zip(self.m, g)]
-        self.v = v = [b2 * vi + (1.0 - b2) * gi * gi for vi, gi in zip(self.v, g)]
-        d1 = 1.0 - b1 ** k
-        d2 = 1.0 - b2 ** k
-        self._commit([wi - alpha * (mi / d1) / (math.sqrt(vi / d2) + eps)
-                      for wi, mi, vi in zip(self.point, m, v)])
+        self.m, self.v, w = self._update(w, g, self.m, self.v, self.alpha, b1, b2, self.eps,
+                                         1.0 - b1 ** k, 1.0 - b2 ** k)
+        self._commit(w)
 
 
 class IdbdScalar(_Stepper):

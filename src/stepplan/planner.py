@@ -22,11 +22,12 @@ evaluates a fresh gradient, so one planning event costs exactly P * (1 + M)
 gradient evaluations on top of the one-per-iteration main loop.
 
 At ``LIST_MAX_DIM`` dimensions and below, the planner computes on lists of
-Python floats, one comprehension per vector, and above it on float64
-arrays: at the dimensions of the paper's instances a numpy ufunc call
-costs more than the arithmetic, while at d=64 the comprehensions cost
-more.  ``+ - * /`` round correctly in both, and each expression keeps its
-order, so both forms give the same bits.
+Python floats, one straight-line kernel per operation built once for the
+dimension, and above it on float64 arrays: at the dimensions of the
+paper's instances a numpy ufunc call costs more than the arithmetic, while
+at d=64 the per-entry float operations cost more.  ``+ - * /`` round
+correctly in both, and each expression keeps its order, so both forms give
+the same bits.
 """
 
 from __future__ import annotations
@@ -36,15 +37,26 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Array, Objective, Point, _Stepper, _count, _finite, as_vector
+from .core import Array, Objective, Point, _Stepper, _count, _finite, _unrolled, as_vector
 
 # The largest start-point dimension at which the planner runs on lists of floats
 # (README, "Float arithmetic in the steppers", has the µs per step of both forms).
-LIST_MAX_DIM = 8
+LIST_MAX_DIM = 24
 
 
 class _Lists:
-    """The planner's arithmetic on lists of floats, one comprehension per vector."""
+    """The planner's arithmetic on lists of ``d`` floats: each operation is one
+    straight-line kernel (``core._unrolled``) with the array form's expression
+    in every entry, built when the form is chosen."""
+
+    def __init__(self, d: int):
+        self.add_pair = _unrolled(d, "sum1, sum2, w_old, g_old, w",
+                                  "sum1 = sum1[i] + g_old[i] * (w_old[i] - w[i])",
+                                  "sum2 = sum2[i] + g_old[i] * g_old[i]")
+        self.alpha = _unrolled(d, "sum1, sum2",
+                               "alpha = 0.0 if sum2[i] == 0.0 else sum1[i] / sum2[i]")
+        self.descend = _unrolled(d, "w, gamma, g", "w = w[i] - gamma * g[i]")
+        self.project = _unrolled(d, "w, alpha, g", "w = w[i] - alpha[i] * g[i]")
 
     @staticmethod
     def row(w, g) -> tuple:
@@ -53,23 +65,6 @@ class _Lists:
     @staticmethod
     def zeros(d: int) -> list[float]:
         return [0.0] * d
-
-    @staticmethod
-    def add_pair(sum1, sum2, w_old, g_old, w):
-        return ([s + go * (wo - wi) for s, go, wo, wi in zip(sum1, g_old, w_old, w)],
-                [s + go * go for s, go in zip(sum2, g_old)])
-
-    @staticmethod
-    def alpha(sum1, sum2) -> list[float]:
-        return [0.0 if s2 == 0.0 else s1 / s2 for s1, s2 in zip(sum1, sum2)]
-
-    @staticmethod
-    def descend(w, gamma: float, g) -> list[float]:
-        return [wi - gamma * gi for wi, gi in zip(w, g)]
-
-    @staticmethod
-    def project(w, alpha, g) -> list[float]:
-        return [wi - ai * gi for wi, ai, gi in zip(w, alpha, g)]
 
 
 class _Arrays:
@@ -149,7 +144,8 @@ class ExperienceBuffer:
         k = self.k
         n = self.count = self.count + 1
         if n == 1:
-            self.dim, self.math = len(w), _Lists if isinstance(w, list) else _Arrays
+            self.dim = len(w)
+            self.math = _Lists(self.dim) if isinstance(w, list) else _Arrays
         math = self.math
         if n <= k:
             self.ring.append(math.row(w, g))
@@ -198,9 +194,10 @@ class StepSizePlanner(_Stepper):
 
     def __init__(self, w0, gamma: float, k: int, p: int = 1, m: int = 0):
         super().__init__(w0)
-        self.math = _Lists
         if len(self.point) > LIST_MAX_DIM:
             self.math, self.point = _Arrays, np.array(self.point)
+        else:
+            self.math = _Lists(len(self.point))
         self.gamma = _finite("gamma", gamma)
         self.p = _count("P", p)
         self.m = _count("M", m)

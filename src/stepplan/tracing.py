@@ -65,18 +65,33 @@ class Snapshots:
         self.width = 0
 
     def _append(self, row: int, snapshot) -> None:
-        """Copy ``snapshot`` in as row ``row``, after every row already held."""
-        v = np.asarray(snapshot, dtype=float)
-        if v.ndim != 1:
-            raise ValueError(f"snapshot at iteration {row + 1} has shape {v.shape}; "
-                             "snapshots must be 1-d")
+        """Copy ``snapshot`` in as row ``row``, after every row already held.  A flat
+        list of numbers, as a list stepper's iterate is, is copied as it is;
+        anything else goes through a float64 array."""
+        values = None
+        if type(snapshot) is list:
+            try:
+                values = array("d", snapshot)
+            except TypeError:  # not a flat list of numbers: numpy names the fault
+                pass
+        if values is None:
+            v = np.asarray(snapshot, dtype=float)
+            if v.ndim != 1:
+                raise ValueError(f"snapshot at iteration {row + 1} has shape {v.shape}; "
+                                 "snapshots must be 1-d")
+            size = v.size
+        else:
+            size = len(values)
         if not self.rows:
-            self.width = v.size
-        elif v.size != self.width:
-            raise ValueError(f"snapshot at iteration {row + 1} has {v.size} entries; "
+            self.width = size
+        elif size != self.width:
+            raise ValueError(f"snapshot at iteration {row + 1} has {size} entries; "
                              f"the first snapshot has {self.width}")
         self.rows.append(row)
-        self.flat.frombytes(v.tobytes())
+        if values is None:
+            self.flat.frombytes(v.tobytes())
+        else:
+            self.flat.extend(values)
 
     def get(self, row: int) -> Optional[Array]:
         """A fresh float64 copy of row ``row``'s snapshot, or ``None``."""

@@ -9,7 +9,9 @@ from stepplan.harness import ExperimentConfig, run_experiment
 from stepplan.optimizers import (Adam, GradientDescent, HeavyBall, Idbd,
                                  IdbdScalar, L4, LossGrad, NesterovAGD,
                                  PolyakStep, RMSprop, make_optimizer)
-from stepplan.problems import LmsStream, QuadraticProblem, make_problem, random_spd
+from stepplan.planner import LIST_MAX_DIM
+from stepplan.problems import (LmsStream, QuadraticProblem, RosenbrockProblem, make_problem,
+                               random_spd)
 from stepplan.tracing import DIVERGED, run_steps, write_csv
 
 from conftest import (elementwise_reference, hd_reference, make_objective,
@@ -372,7 +374,7 @@ ELEMENTWISE = ("gd", "heavy_ball", "nesterov", "rmsprop", "adam")
 class TestElementwiseBitIdentity:
     """The float steppers reproduce the whole-array numpy rules byte for byte."""
 
-    @pytest.mark.parametrize("d", range(1, 9))
+    @pytest.mark.parametrize("d", [*range(1, 9), 16, 64])
     @pytest.mark.parametrize("name", ELEMENTWISE)
     def test_random_runs(self, name, d):
         rng = np.random.default_rng([ELEMENTWISE.index(name), d])
@@ -475,8 +477,8 @@ class TestListPath:
 
     def test_w_is_a_fresh_float64_array(self):
         # every stepper keeps its iterate in point; w is a copy on all of them
-        for name, d in [(name, 2) for name in REGISTRY] + [("csawg", 12)]:
-            s = make_optimizer(name, [-1.0, 0.5] * (d // 2), REGISTRY[name])
+        for name, d in [(name, 2) for name in REGISTRY] + [("csawg", LIST_MAX_DIM + 1)]:
+            s = make_optimizer(name, ([-1.0, 0.5] * d)[:d], REGISTRY[name])
             assert isinstance(s, _Stepper), name
             for _ in range(5):  # csawg with K=2 plans at the fourth step
                 if name == "idbd":
@@ -492,8 +494,8 @@ class TestListPath:
 
     @pytest.mark.parametrize("name,params", STEPPERS)
     def test_array_gradient_callable_on_a_list_raises(self, name, params):
-        # 2 * w on a list repeats it; without the length check zip(w, g)
-        # would keep the first half and step along a wrong gradient
+        # 2 * w on a list repeats it; without the length check the update
+        # would read the first half and step along a wrong gradient
         obj = Objective(2, lambda w: 0.0, lambda w: 2 * w)
         s = make_optimizer(name, [1.0, -2.0], params)
         with pytest.raises(ValueError, match="gradient has 4 entries for a point of 2"):
@@ -507,11 +509,12 @@ class TestGradientShape:
     @pytest.mark.parametrize("name", ["polyak", "l4", "lossgrad", "hd", "csawg"])
     def test_one_entry_gradient_raises(self, name):
         # a one-entry array would broadcast and move every component by it
-        obj = Objective(12, lambda w: 1.0, lambda w: np.array([1.0]))
-        s = make_optimizer(name, np.ones(12), REGISTRY[name])
-        with pytest.raises(ValueError, match="gradient has 1 entries for a point of 12$"):
+        d = LIST_MAX_DIM + 1  # the planner's array form
+        obj = Objective(d, lambda w: 1.0, lambda w: np.array([1.0]))
+        s = make_optimizer(name, np.ones(d), REGISTRY[name])
+        with pytest.raises(ValueError, match=f"gradient has 1 entries for a point of {d}$"):
             s.step(obj)
-        assert s.k == 0 and same_bits(s.point, np.ones(12))
+        assert s.k == 0 and same_bits(s.point, np.ones(d))
 
     def test_scalar_gradient_on_a_list_raises(self):
         s = make_optimizer("gd", [1.0, -2.0], REGISTRY["gd"])
@@ -543,6 +546,39 @@ class TestNumpyStepperBytes:
         trace = run_steps(s, obj, EvalBudget(max_iterations=100, error_floor=None), obj.error,
                           record_w=True)
         assert len(trace) == trace.total_grad_evals == 100
+        write_csv(trace, tmp_path / "t.csv")
+        assert hashlib.sha256((tmp_path / "t.csv").read_bytes()).hexdigest() == golden
+
+
+class TestListStepperBytes:
+    """The steppers that compute on lists of floats write the bytes they wrote
+    when each step was a comprehension per vector: sha256 of a 300-row
+    ``record_w`` and ``record_alpha`` CSV on Rosenbrock from (-1, 0).  The runs
+    are float arithmetic with no numpy kernel, so the bytes hold on any platform."""
+
+    @pytest.mark.parametrize("name,params,golden", [
+        ("gd", {"gamma": 0.001},
+         "d703340c1b8941bb4b5d84249e466506738bfa2093137a680944cf8adeb259f8"),
+        ("heavy_ball", {"gamma": 0.0015, "p": 0.9},
+         "d09ccf2698ae150171fedb072c5d8b2608e41ad697676e23f18670b55635635b"),
+        ("nesterov", {"mode": "convex", "L": 1000.0, "step": 0.0005},
+         "fbb49680256fb722607cf9f1fa76b8cbe842e09311947fe4460b66a18b67295e"),
+        ("nesterov", {"mode": "strongly_convex", "mu": 0.5, "L": 1000.0, "step": 0.0005},
+         "e0d6d1f92e1d15c7b99c397aee5c72a349efb47f9d780700521892389f6f87de"),
+        ("rmsprop", {"alpha": 0.001, "beta": 0.9, "eps": 1e-8},
+         "67c2418a3e252edd557813b7f689044ab609a7ba814dcb68abbff53b390cb576"),
+        ("adam", {"alpha": 0.01, "beta1": 0.9, "beta2": 0.999, "eps": 1e-8},
+         "a21fbc44e93bd7dbdc88338d83515e1e371c417ca6ace8565424b95f0091a40d"),
+        ("csawg", {"gamma": 0.001, "k": 2, "p": 5, "m": 10},
+         "87e93f01f3f39484593a214d2e443b81535369127b2e0ef9044ec711424d5754"),
+    ], ids=["gd", "heavy_ball", "nesterov-convex", "nesterov-strongly_convex", "rmsprop",
+            "adam", "csawg"])
+    def test_rosenbrock_csv_golden_bytes(self, tmp_path, name, params, golden):
+        obj = make_objective(RosenbrockProblem())
+        s = make_optimizer(name, [-1.0, 0.0], params)
+        trace = run_steps(s, obj, EvalBudget(max_iterations=300, error_floor=None), obj.error,
+                          record_w=True, record_alpha=True)
+        assert len(trace) == 300 and len(trace.alpha) == (149 if name == "csawg" else 0)
         write_csv(trace, tmp_path / "t.csv")
         assert hashlib.sha256((tmp_path / "t.csv").read_bytes()).hexdigest() == golden
 

@@ -85,7 +85,7 @@ def reference_planner(obj, w0, gamma, k, p, m, iterations) -> Trace:
 class TestReferencePlanner:
     def test_csv_bytes_match_the_paper_equations(self, tmp_path):
         instances = []
-        for d in (1, 2, 8, 64):
+        for d in (1, 2, 8, LIST_MAX_DIM, LIST_MAX_DIM + 1, 64):
             rng = np.random.default_rng(d)
             q, _, L = random_spd(rng, d, 100.0)
             instances.append((QuadraticProblem(q, np.zeros(d)), rng.standard_normal(d), 0.9 / L))
