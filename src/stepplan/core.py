@@ -1,13 +1,16 @@
 """Vector validation, the objective and stepper contracts, the registry rule,
 and run budgets.
 
-Every stepper keeps its iterate in ``point``, in the form it computes in:
-a list of floats (the elementwise steppers, and the planner at its smaller
-dimensions) or a one-dimensional float64 array (the rest).  The gradient
-``Objective.grad`` returns has the form of the point it was asked at.
-The helpers here validate finiteness and dimension at public boundaries;
-hot loops elsewhere assume validated inputs and only re-check where an
-update can blow up.
+Every stepper keeps its iterate in ``point``.  ``_Stepper`` picks its form
+once, from the start point's dimension: a list of floats at ``LIST_MAX_DIM``
+entries and below, a one-dimensional float64 array above; the steppers with
+a reduction or ``exp`` always compute on arrays.  ``_unrolled`` renders each
+elementwise rule template in either form, one entry at a time on a list and
+as one whole-array statement on an array, so each rule has one copy.  The
+gradient ``Objective.grad`` returns has the form of the point it was asked
+at.  The helpers here validate finiteness and dimension at public
+boundaries; hot loops elsewhere assume validated inputs and only re-check
+where an update can blow up.
 """
 
 from __future__ import annotations
@@ -23,6 +26,10 @@ import numpy as np
 Array = np.ndarray
 # an iterate as a stepper holds it: a float64 array, or a list of floats
 Point = Array | list[float]
+
+# The largest start-point dimension at which a stepper keeps its iterate as a list
+# of floats (README, "Float arithmetic in the steppers", has the µs per step of both forms).
+LIST_MAX_DIM = 24
 
 
 class DivergenceError(RuntimeError):
@@ -140,14 +147,17 @@ def _gradient(g, n: int) -> Array:
 class _Stepper:
     """Shared state of every optimizer: the iterate ``point`` and a step counter ``k``.
 
-    ``point`` starts as a list of floats; a stepper that computes on float64
-    arrays converts it once in its constructor.  ``w`` builds a new float64
-    array from ``point`` at each read, so writing into it never moves the
-    stepper.  ``run_steps`` reads ``point``.
+    ``point`` starts as a list of floats when ``w0`` has at most
+    ``LIST_MAX_DIM`` entries, else as a float64 array, a copy of ``w0``; a
+    stepper that always computes on arrays converts it once in its
+    constructor.  ``w`` builds a new float64 array from ``point`` at each
+    read, so writing into it never moves the stepper.  ``run_steps`` reads
+    ``point``.
     """
 
     def __init__(self, w0):
-        self.point = as_vector(w0, name="w0").tolist()
+        w0 = as_vector(w0, name="w0")
+        self.point = w0.tolist() if w0.size <= LIST_MAX_DIM else w0.copy()
         self.k = 0
 
     @property
@@ -166,27 +176,46 @@ class _Stepper:
         self.k += 1
 
 
-@cache
-def _unrolled(d: int, params: str, *rules: str) -> Callable:
-    """A straight-line function of ``params`` that returns the lists ``rules`` assign.
+def _zeros(point: Point) -> Point:
+    """Zeros of ``point``'s length and form."""
+    return [0.0] * len(point) if isinstance(point, list) else np.zeros(point.size)
 
-    Each rule ``"name = expr"`` becomes the list display ``name = [expr_0, ...,
+
+def _kernel(point: Point, params: str, *rules: str) -> Callable:
+    """``_unrolled`` for ``point``'s form: per entry for a list, whole-array otherwise."""
+    return _unrolled(len(point) if isinstance(point, list) else None, params, *rules)
+
+
+@cache
+def _unrolled(d: Optional[int], params: str, *rules: str) -> Callable:
+    """A straight-line function of ``params`` that returns what ``rules`` assign.
+
+    Each rule ``"name = expr"`` reads each vector ``v`` as ``v[i]``.  For
+    ``d`` entries it becomes the list display ``name = [expr_0, ...,
     expr_{d-1}]``, where ``expr_j`` is ``expr`` with every ``[i]`` read as
-    ``[j]``, so each entry rounds as ``expr`` does on one component.  The rules
-    run in order, and a later one reads the lists an earlier one assigned.
-    ``sqrt`` is ``math.sqrt``.  The rules are string constants in the
-    steppers; only the integer ``d`` enters the source.  Each kernel is built
-    once per process and dimension, and the steppers bind theirs in their
-    constructors.
+    ``[j]``, ``sqrt`` is ``math.sqrt`` and ``where`` is ``np.where`` on one entry.
+    For ``d=None`` it becomes one whole-array statement, ``expr`` without its
+    ``[i]``, with ``np.sqrt`` and ``np.where``, one kernel for every
+    dimension.  Both round each entry as ``expr`` does on one component.
+    The rules run in order, and a later one reads what an earlier one
+    assigned.  The rules are string constants in the steppers; only the
+    integer ``d`` enters the source.  Each kernel is built once per process
+    and key, and the steppers bind theirs in their constructors.
     """
     names, lines = [], []
     for rule in rules:
         name, expr = (part.strip() for part in rule.split("=", 1))
-        entries = ", ".join(expr.replace("[i]", f"[{j}]") for j in range(d))
+        if d is None:
+            value = expr.replace("[i]", "")
+        else:
+            value = "[" + ", ".join(expr.replace("[i]", f"[{j}]") for j in range(d)) + "]"
         names.append(name)
-        lines.append(f"    {name} = [{entries}]")
+        lines.append(f"    {name} = {value}")
     source = f"def kernel({params}):\n" + "\n".join(lines) + f"\n    return {', '.join(names)}\n"
-    namespace = {"sqrt": sqrt}
+    if d is None:
+        namespace = {"sqrt": np.sqrt, "where": np.where}
+    else:
+        namespace = {"sqrt": sqrt, "where": lambda condition, x, y: x if condition else y}
     exec(source, namespace)
     return namespace["kernel"]
 

@@ -9,16 +9,16 @@ oscillation passes through, and only a non-finite iterate aborts.
 
 Every stepper keeps its iterate in ``point`` and ends a step with
 ``_commit``.  The purely elementwise rules (gd, heavy_ball, nesterov,
-rmsprop, adam) update each component on Python floats and keep ``point``
-and their state vectors as lists, which they pass to the objective as they
-are: at the dimensions they run in, a numpy ufunc call, or a conversion
-between a tiny array and a list, costs more than the arithmetic.  Each
-builds its update once, in its constructor, as one straight-line kernel
-for its dimension (``core._unrolled``), so a step sets up no loop.  ``+ - * /``
-and ``sqrt`` round correctly in both, so the bytes are those of the
-whole-array form.  The rules with a reduction (``g @ v``) or ``exp``, whose
-results may round differently from a Python sum or ``math.exp``, keep
-``point`` as a float64 array.  On every stepper ``w`` is a new float64 array
+rmsprop, adam) keep ``point`` and their state vectors in the form
+``core._Stepper`` picks from the dimension: lists of Python floats up to
+``core.LIST_MAX_DIM`` entries, where a numpy ufunc call costs more than the
+arithmetic, and float64 arrays above.  Each builds its update once, in its
+constructor, as one kernel that ``core._unrolled`` renders from its rule
+templates in that form, so a step sets up no loop.  ``+ - * /`` and
+``sqrt`` round correctly in both forms, so they give the same bytes.  The
+rules with a reduction (``g @ v``) or ``exp``, whose results may round
+differently from a Python sum or ``math.exp``, keep ``point`` as a float64
+array at every dimension.  On every stepper ``w`` is a new float64 array
 built from ``point``.
 """
 
@@ -28,8 +28,8 @@ import math
 
 import numpy as np
 
-from .core import Array, Objective, StationaryPointError, _Stepper, _build, _finite, _unrolled
-from .planner import StepSizePlanner
+from .core import Array, Objective, StationaryPointError, _Stepper, _build, _finite, _kernel, _zeros
+from .planner import _DESCEND, StepSizePlanner
 
 
 class GradientDescent(_Stepper):
@@ -38,11 +38,11 @@ class GradientDescent(_Stepper):
     def __init__(self, w0, gamma: float):
         super().__init__(w0)
         self.gamma = _finite("gamma", gamma)
-        self._update = _unrolled(len(self.point), "w, g, gamma", "w = w[i] - gamma * g[i]")
+        self._update = _kernel(self.point, *_DESCEND)
 
     def step(self, obj: Objective):
         w = self.point
-        self._commit(self._update(w, obj.grad(w), self.gamma))
+        self._commit(self._update(w, self.gamma, obj.grad(w)))
 
 
 class HeavyBall(_Stepper):
@@ -54,10 +54,10 @@ class HeavyBall(_Stepper):
         self.p = _finite("p", p)
         if not (0.0 <= self.p < 1.0):
             raise ValueError("momentum rate p must be in [0, 1)")
-        self.delta = [0.0] * len(self.point)
-        self._update = _unrolled(len(self.point), "w, g, delta, gamma, p",
-                                 "w_new = w[i] - gamma * g[i] + p * delta[i]",
-                                 "delta = w_new[i] - w[i]")
+        self.delta = _zeros(self.point)
+        self._update = _kernel(self.point, "w, g, delta, gamma, p",
+                               "w_new = w[i] - gamma * g[i] + p * delta[i]",
+                               "delta = w_new[i] - w[i]")
 
     def step(self, obj: Objective):
         w = self.point
@@ -93,11 +93,11 @@ class NesterovAGD(_Stepper):
                 math.sqrt(self.L) + math.sqrt(self.mu))
         self.mode = mode
         self.step_size = _finite("step", step) if step is not None else 1.0 / self.L
-        self.x = list(self.point)
+        self.x = self.point.copy()
         self.t = 1.0
-        self._update = _unrolled(len(self.point), "x, g, w, step_size, gamma_k",
-                                 "w_new = x[i] - step_size * g[i]",
-                                 "x = w_new[i] + gamma_k * (w_new[i] - w[i])")
+        self._update = _kernel(self.point, "x, g, w, step_size, gamma_k",
+                               "w_new = x[i] - step_size * g[i]",
+                               "x = w_new[i] + gamma_k * (w_new[i] - w[i])")
 
     def step(self, obj: Objective):
         g = obj.grad(self.x)
@@ -225,10 +225,10 @@ class RMSprop(_Stepper):
             raise ValueError("beta must be in [0, 1)")
         if self.eps <= 0:
             raise ValueError("eps must be positive")
-        self.v = [0.0] * len(self.point)
-        self._update = _unrolled(len(self.point), "w, g, v, alpha, beta, eps",
-                                 "v = beta * v[i] + (1.0 - beta) * g[i] * g[i]",
-                                 "w = w[i] - alpha * g[i] / sqrt(v[i] + eps)")
+        self.v = _zeros(self.point)
+        self._update = _kernel(self.point, "w, g, v, alpha, beta, eps",
+                               "v = beta * v[i] + (1.0 - beta) * g[i] * g[i]",
+                               "w = w[i] - alpha * g[i] / sqrt(v[i] + eps)")
 
     def step(self, obj: Objective):
         w = self.point
@@ -250,12 +250,11 @@ class Adam(_Stepper):
             raise ValueError("beta1, beta2 must be in [0, 1)")
         if self.eps <= 0:
             raise ValueError("eps must be positive")
-        self.m = [0.0] * len(self.point)
-        self.v = [0.0] * len(self.point)
-        self._update = _unrolled(len(self.point), "w, g, m, v, alpha, b1, b2, eps, d1, d2",
-                                 "m = b1 * m[i] + (1.0 - b1) * g[i]",
-                                 "v = b2 * v[i] + (1.0 - b2) * g[i] * g[i]",
-                                 "w = w[i] - alpha * (m[i] / d1) / (sqrt(v[i] / d2) + eps)")
+        self.m, self.v = _zeros(self.point), _zeros(self.point)
+        self._update = _kernel(self.point, "w, g, m, v, alpha, b1, b2, eps, d1, d2",
+                               "m = b1 * m[i] + (1.0 - b1) * g[i]",
+                               "v = b2 * v[i] + (1.0 - b2) * g[i] * g[i]",
+                               "w = w[i] - alpha * (m[i] / d1) / (sqrt(v[i] / d2) + eps)")
 
     def step(self, obj: Objective):
         b1, b2, w = self.beta1, self.beta2, self.point

@@ -21,13 +21,10 @@ back toward the descent path.  Every projection and every corrective step
 evaluates a fresh gradient, so one planning event costs exactly P * (1 + M)
 gradient evaluations on top of the one-per-iteration main loop.
 
-At ``LIST_MAX_DIM`` dimensions and below, the planner computes on lists of
-Python floats, one straight-line kernel per operation built once for the
-dimension, and above it on float64 arrays: at the dimensions of the
-paper's instances a numpy ufunc call costs more than the arithmetic, while
-at d=64 the per-entry float operations cost more.  ``+ - * /`` round
-correctly in both, and each expression keeps its order, so both forms give
-the same bits.
+The planner computes in its iterate's form (``core.LIST_MAX_DIM`` picks it):
+each GD step, projection, pair-sum update and alpha fit is one kernel that
+``core._unrolled`` renders from one rule template, per entry on a list of
+floats and whole-array on a float64 array, with the same bits.
 """
 
 from __future__ import annotations
@@ -37,61 +34,16 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Array, Objective, Point, _Stepper, _count, _finite, _unrolled, as_vector
+from .core import Array, Objective, Point, _Stepper, _count, _finite, _kernel, _zeros, as_vector
 
-# The largest start-point dimension at which the planner runs on lists of floats
-# (README, "Float arithmetic in the steppers", has the µs per step of both forms).
-LIST_MAX_DIM = 24
-
-
-class _Lists:
-    """The planner's arithmetic on lists of ``d`` floats: each operation is one
-    straight-line kernel (``core._unrolled``) with the array form's expression
-    in every entry, built when the form is chosen."""
-
-    def __init__(self, d: int):
-        self.add_pair = _unrolled(d, "sum1, sum2, w_old, g_old, w",
-                                  "sum1 = sum1[i] + g_old[i] * (w_old[i] - w[i])",
-                                  "sum2 = sum2[i] + g_old[i] * g_old[i]")
-        self.alpha = _unrolled(d, "sum1, sum2",
-                               "alpha = 0.0 if sum2[i] == 0.0 else sum1[i] / sum2[i]")
-        self.descend = _unrolled(d, "w, gamma, g", "w = w[i] - gamma * g[i]")
-        self.project = _unrolled(d, "w, alpha, g", "w = w[i] - alpha[i] * g[i]")
-
-    @staticmethod
-    def row(w, g) -> tuple:
-        return w, g  # the pushed lists themselves
-
-    @staticmethod
-    def zeros(d: int) -> list[float]:
-        return [0.0] * d
-
-
-class _Arrays:
-    """The same arithmetic on float64 arrays, one ufunc call per operator."""
-
-    @staticmethod
-    def row(w, g) -> tuple:
-        return w.copy(), g.copy()
-
-    zeros = staticmethod(np.zeros)
-
-    @staticmethod
-    def add_pair(sum1, sum2, w_old, g_old, w):
-        sum1 += g_old * (w_old - w)
-        sum2 += g_old * g_old
-        return sum1, sum2
-
-    @staticmethod
-    def alpha(sum1, sum2) -> Array:
-        zero = sum2 == 0.0
-        return np.where(zero, 0.0, sum1 / np.where(zero, 1.0, sum2))
-
-    @staticmethod
-    def descend(w, step, g) -> Array:
-        return w - step * g
-
-    project = descend
+# the GD step, which gradient descent shares, and the projection
+_DESCEND = ("w, gamma, g", "w = w[i] - gamma * g[i]")
+_PROJECT = ("w, alpha, g", "w = w[i] - alpha[i] * g[i]")
+# the window's pair sums and the step-size fitted from them, 0 where sum2 is 0
+_PAIR_SUMS = ("sum1, sum2, w_old, g_old, w", "sum1 = sum1[i] + g_old[i] * (w_old[i] - w[i])",
+              "sum2 = sum2[i] + g_old[i] * g_old[i]")
+_ALPHA = ("sum1, sum2",
+          "alpha = where(sum2[i] == 0.0, 0.0, sum1[i] / where(sum2[i] == 0.0, 1.0, sum2[i]))")
 
 
 @dataclass
@@ -118,9 +70,11 @@ class ExperienceBuffer:
     (record counts K + 1, 2K + 1, ...), so each event fits only the newest
     window.
 
-    The first record sets the form: a buffer fed lists of floats keeps the
-    pushed lists as its rows and lists as its sums, one fed float64 arrays
-    keeps copies as its rows and arrays as its sums.
+    A row is ``(w, g.copy())``: the planner pushes each ``w`` as a new kernel
+    result, and ``record`` copies its pair's ``w``, so no row shares an
+    object with the caller's gradient.  The first record sets the form of
+    the sums and of the ``add_pair`` and ``alpha`` kernels: lists of floats,
+    or float64 arrays.
     """
 
     def __init__(self, k: int):
@@ -129,7 +83,7 @@ class ExperienceBuffer:
             raise ValueError("buffer capacity K must be >= 1")
         self.count = 0
         self.ring = []
-        self.dim = self.math = self.sum1 = self.sum2 = None
+        self.dim = self.add_pair = self.alpha = self.sum1 = self.sum2 = None
 
     def record(self, pair: ExperiencePair) -> bool:
         """Append a pair; return True when planning should fire now.  Kept for
@@ -137,25 +91,25 @@ class ExperienceBuffer:
         if self.count and pair.w.size != self.dim:
             raise ValueError(f"dimension mismatch: buffer holds {self.dim}-vectors, "
                              f"got {pair.w.size}")
-        return self.push(pair.w, pair.g)
+        return self.push(pair.w.copy(), pair.g)
 
     def push(self, w: Point, g: Point) -> bool:
-        """``record`` for validated vectors of the buffer's dimension and form."""
+        """``record`` for validated vectors of the buffer's dimension and form,
+        where ``w`` is the caller's to hand over."""
         k = self.k
         n = self.count = self.count + 1
         if n == 1:
             self.dim = len(w)
-            self.math = _Lists(self.dim) if isinstance(w, list) else _Arrays
-        math = self.math
+            self.add_pair, self.alpha = _kernel(w, *_PAIR_SUMS), _kernel(w, *_ALPHA)
         if n <= k:
-            self.ring.append(math.row(w, g))
+            self.ring.append((w, g.copy()))
             return False
         slot = (n - 1) % k
         w_old, g_old = self.ring[slot]
         if slot == 0:
-            self.sum1, self.sum2 = math.zeros(self.dim), math.zeros(self.dim)
-        self.sum1, self.sum2 = math.add_pair(self.sum1, self.sum2, w_old, g_old, w)
-        self.ring[slot] = math.row(w, g)
+            self.sum1 = self.sum2 = _zeros(w)
+        self.sum1, self.sum2 = self.add_pair(self.sum1, self.sum2, w_old, g_old, w)
+        self.ring[slot] = (w, g.copy())
         return slot == k - 1
 
 
@@ -164,12 +118,12 @@ def compute_alpha(buf: ExperienceBuffer) -> Array:
 
     ``alpha_i = sum1_i / sum2_i``, except alpha_i = 0 where sum2_i = 0; a
     float64 array from either form of buffer.  The planner, which has just
-    seen ``push`` fire, reads ``buf.math.alpha`` in its own form instead;
+    seen ``push`` fire, calls ``buf.alpha`` in its own form instead;
     this check and conversion are kept for ``perfbench/micro.py`` line 124.
     """
     if buf.count <= buf.k or buf.count % buf.k:
         raise ValueError("planning requires a full window of K pairs")
-    return np.asarray(buf.math.alpha(buf.sum1, buf.sum2), dtype=float)
+    return np.asarray(buf.alpha(buf.sum1, buf.sum2), dtype=float)
 
 
 class StepSizePlanner(_Stepper):
@@ -186,18 +140,16 @@ class StepSizePlanner(_Stepper):
     horizon K, ``p`` the projections P per event and ``m`` the corrective
     GD steps M after each projection.
 
-    The iterate is ``point``: a list of floats when ``w0`` has at most
-    ``LIST_MAX_DIM`` entries, else a float64 array; ``last_alpha`` has the
-    same form.  A step that raises ``DivergenceError`` leaves ``point`` and
-    ``k`` as they were, while its GD record may already be in the buffer.
+    The iterate is ``point``, in the form ``_Stepper`` picks; ``last_alpha``
+    has the same form.  A step that raises ``DivergenceError`` leaves
+    ``point`` and ``k`` as they were, while its GD record may already be in
+    the buffer.
     """
 
     def __init__(self, w0, gamma: float, k: int, p: int = 1, m: int = 0):
         super().__init__(w0)
-        if len(self.point) > LIST_MAX_DIM:
-            self.math, self.point = _Arrays, np.array(self.point)
-        else:
-            self.math = _Lists(len(self.point))
+        self._descend = _kernel(self.point, *_DESCEND)
+        self._project = _kernel(self.point, *_PROJECT)
         self.gamma = _finite("gamma", gamma)
         self.p = _count("P", p)
         self.m = _count("M", m)
@@ -209,18 +161,18 @@ class StepSizePlanner(_Stepper):
         self.last_alpha: Optional[Point] = None
 
     def step(self, obj: Objective):
-        gamma, math, check, buf = self.gamma, self.math, self._check, self.buffer
+        gamma, descend, check, buf = self.gamma, self._descend, self._check, self.buffer
         self.last_alpha = alpha = None
         g = obj.grad(self.point)
-        w = math.descend(self.point, gamma, g)
+        w = descend(self.point, gamma, g)
         # each new iterate is checked once: before a gradient is taken at it, or by _commit
         if buf.push(w, g):
-            alpha = math.alpha(buf.sum1, buf.sum2)
+            alpha = buf.alpha(buf.sum1, buf.sum2)
             for _ in range(self.p):
                 check(w)
-                w = math.project(w, alpha, obj.grad(w))
+                w = self._project(w, alpha, obj.grad(w))
                 for _ in range(self.m):
                     check(w)
-                    w = math.descend(w, gamma, obj.grad(w))
+                    w = descend(w, gamma, obj.grad(w))
         self._commit(w)
         self.last_alpha = alpha

@@ -9,7 +9,7 @@ from stepplan.harness import ExperimentConfig, run_experiment
 from stepplan.optimizers import (Adam, GradientDescent, HeavyBall, Idbd,
                                  IdbdScalar, L4, LossGrad, NesterovAGD,
                                  PolyakStep, RMSprop, make_optimizer)
-from stepplan.planner import LIST_MAX_DIM
+from stepplan.core import LIST_MAX_DIM
 from stepplan.problems import (LmsStream, QuadraticProblem, RosenbrockProblem, make_problem,
                                random_spd)
 from stepplan.tracing import DIVERGED, run_steps, write_csv
@@ -372,9 +372,9 @@ ELEMENTWISE = ("gd", "heavy_ball", "nesterov", "rmsprop", "adam")
 
 
 class TestElementwiseBitIdentity:
-    """The float steppers reproduce the whole-array numpy rules byte for byte."""
+    """The kernel steppers reproduce the whole-array numpy rules byte for byte, in both forms."""
 
-    @pytest.mark.parametrize("d", [*range(1, 9), 16, 64])
+    @pytest.mark.parametrize("d", [*range(1, 9), 16, LIST_MAX_DIM, LIST_MAX_DIM + 1, 64])
     @pytest.mark.parametrize("name", ELEMENTWISE)
     def test_random_runs(self, name, d):
         rng = np.random.default_rng([ELEMENTWISE.index(name), d])
@@ -506,10 +506,10 @@ class TestGradientShape:
     """One shape rule for the gradient in both forms: one-dimensional, with one
     entry per component of the iterate."""
 
-    @pytest.mark.parametrize("name", ["polyak", "l4", "lossgrad", "hd", "csawg"])
+    @pytest.mark.parametrize("name", ["polyak", "l4", "lossgrad", "hd", "csawg", *ELEMENTWISE])
     def test_one_entry_gradient_raises(self, name):
         # a one-entry array would broadcast and move every component by it
-        d = LIST_MAX_DIM + 1  # the planner's array form
+        d = LIST_MAX_DIM + 1  # the array form of every stepper
         obj = Objective(d, lambda w: 1.0, lambda w: np.array([1.0]))
         s = make_optimizer(name, np.ones(d), REGISTRY[name])
         with pytest.raises(ValueError, match=f"gradient has 1 entries for a point of {d}$"):

@@ -1,13 +1,14 @@
 import math
+from operator import attrgetter
 
 import numpy as np
 import pytest
 
-from stepplan.core import EvalBudget, Objective
+from stepplan.core import LIST_MAX_DIM, EvalBudget, Objective
 from stepplan.harness import ExperimentConfig, run_experiment
-from stepplan.optimizers import make_optimizer
-from stepplan.planner import (LIST_MAX_DIM, ExperienceBuffer, ExperiencePair, StepSizePlanner,
-                              compute_alpha)
+from stepplan.optimizers import (Adam, GradientDescent, HeavyBall, NesterovAGD, RMSprop,
+                                 make_optimizer)
+from stepplan.planner import ExperienceBuffer, ExperiencePair, StepSizePlanner, compute_alpha
 from stepplan.theory import ideal_diag_step
 from stepplan.tracing import (BUDGET_EXHAUSTED, CONVERGED, DIVERGED, ERROR_CAP, Trace,
                               TraceRecord, run_steps, write_csv)
@@ -119,8 +120,20 @@ class TestReferencePlanner:
         assert forms == {list, np.ndarray}  # both sides of LIST_MAX_DIM
 
 
+# every stepper that computes with rule-template kernels, and the vectors it keeps
+KERNEL_STEPPERS = {
+    "gd": (GradientDescent, {"gamma": 0.1}, ()),
+    "heavy_ball": (HeavyBall, {"gamma": 0.1, "p": 0.5}, ("delta",)),
+    "nesterov": (NesterovAGD, {"mode": "convex"}, ("x",)),
+    "rmsprop": (RMSprop, {"alpha": 0.1, "beta": 0.9}, ("v",)),
+    "adam": (Adam, {"alpha": 0.1}, ("m", "v")),
+    "csawg": (StepSizePlanner, {"gamma": 0.1, "k": 2},
+              ("last_alpha", "buffer.sum1", "buffer.sum2")),
+}
+
+
 class TestPlannerForm:
-    """The start point's dimension picks the planner's arithmetic, once."""
+    """The start point's dimension picks each kernel stepper's form, once."""
 
     @pytest.mark.parametrize("d", [1, 2, LIST_MAX_DIM, LIST_MAX_DIM + 1, 64])
     def test_constructor_registry_and_config_pick_the_same_form(self, d, monkeypatch):
@@ -128,16 +141,36 @@ class TestPlannerForm:
         started = []
         monkeypatch.setattr("stepplan.harness.run_steps",
                             lambda stepper, *args, **kw: started.append(stepper) or Trace())
-        run_experiment(ExperimentConfig(
-            problem={"name": "quadratic", "q_diag": [1.0] * d, "w0": w0.tolist()},
-            optimizer={"name": "csawg", "gamma": 0.1, "k": 2}, budget=EvalBudget(1)))
         want = list if d <= LIST_MAX_DIM else np.ndarray
-        for planner in (StepSizePlanner(w0, gamma=0.1, k=2),
-                        make_optimizer("csawg", w0, {"gamma": 0.1, "k": 2}), *started):
-            assert type(planner.point) is want
-            w = planner.w
-            assert type(w) is np.ndarray and w.dtype == np.float64 and w is not planner.point
-            assert same_bits(w, w0)
+        obj = Objective(d, lambda w: 0.0, lambda w: np.linspace(0.5, 1.0, d))
+        for name, (cls, params, state) in KERNEL_STEPPERS.items():
+            run_experiment(ExperimentConfig(
+                problem={"name": "quadratic", "q_diag": [1.0] * d, "w0": w0.tolist()},
+                optimizer={"name": name, **params}, budget=EvalBudget(1)))
+            for stepper in (cls(w0, **params), make_optimizer(name, w0, params), started.pop()):
+                assert type(stepper.point) is want and stepper.point is not w0, name
+                w = stepper.w
+                assert type(w) is np.ndarray and w.dtype == np.float64 and w is not stepper.point
+                assert same_bits(w, w0)
+                for _ in range(4):  # csawg with K=2 plans at the fourth step
+                    stepper.step(obj)
+                assert type(stepper.point) is want, name
+                for key in state:
+                    assert type(attrgetter(key)(stepper)) is want, (name, key)
+
+    def test_above_the_constant_every_dimension_binds_one_kernel(self):
+        obj = Objective(1, lambda w: 0.0, lambda w: np.ones(len(w)))
+        for name, (cls, params, _) in KERNEL_STEPPERS.items():
+            listed, *arrays = (cls(np.ones(d), **params)
+                               for d in (LIST_MAX_DIM, LIST_MAX_DIM + 1, 20000))
+            for s in (listed, *arrays):
+                s.step(obj)
+            kernels = ("_update",)
+            if name == "csawg":
+                kernels = ("_descend", "_project", "buffer.add_pair", "buffer.alpha")
+            for key in kernels:
+                kernel = attrgetter(key)
+                assert kernel(arrays[0]) is kernel(arrays[1]) is not kernel(listed), (name, key)
 
     def test_list_form_rows_hold_the_steps_own_lists(self):
         planner = StepSizePlanner([-1.0, 2.0], gamma=0.0009, k=2)
@@ -147,6 +180,34 @@ class TestPlannerForm:
         assert planner.buffer.ring[0][0] is planner.point  # record 3, no event
         planner.step(obj)
         assert type(planner.last_alpha) is list and type(planner.buffer.sum1) is list
+
+    @pytest.mark.parametrize("d", [2, LIST_MAX_DIM + 1])
+    def test_a_reused_gradient_object_writes_the_bytes_of_a_fresh_one(self, tmp_path, d):
+        # a gradient callable that overwrites and returns one object of the point's
+        # form: the ring must keep each gradient's values, not the object
+        q = np.linspace(10.0, 1.0, d).tolist()  # diag(10, 1) at d=2
+
+        def objective(reuse):
+            out = [0.0] * d if d <= LIST_MAX_DIM else np.zeros(d)
+
+            def grad(w):
+                g = [qi * wi for qi, wi in zip(q, w)]
+                if reuse:
+                    out[:] = g
+                    return out
+                return g if isinstance(w, list) else np.array(g)
+
+            return Objective(d, lambda w: sum(0.5 * qi * wi * wi for qi, wi in zip(q, w)), grad,
+                             optimum_value=0.0)
+
+        for reuse in (False, True):
+            obj = objective(reuse)
+            planner = StepSizePlanner(np.ones(d), gamma=0.05, k=3)
+            trace = run_steps(planner, obj, EvalBudget(max_iterations=200, error_floor=None),
+                              obj.error, record_w=True, record_alpha=True)
+            assert len(trace.alpha) > 10
+            write_csv(trace, tmp_path / f"{reuse}.csv")
+        assert (tmp_path / "True.csv").read_bytes() == (tmp_path / "False.csv").read_bytes()
 
     @pytest.mark.parametrize("d", [1, 2])
     @pytest.mark.parametrize("k", [1, 2, 3, 10])
