@@ -15,6 +15,7 @@ where an update can blow up.
 
 from __future__ import annotations
 
+import ast
 import numbers
 from dataclasses import dataclass
 from functools import cache
@@ -186,6 +187,16 @@ def _kernel(point: Point, params: str, *rules: str) -> Callable:
     return _unrolled(len(point) if isinstance(point, list) else None, params, *rules)
 
 
+class _Conditional(ast.NodeTransformer):
+    """Rewrites each call ``where(c, x, y)`` as the expression ``(x if c else y)``."""
+
+    def visit_Call(self, node):
+        self.generic_visit(node)
+        if isinstance(node.func, ast.Name) and node.func.id == "where":
+            return ast.IfExp(*node.args)
+        return node
+
+
 @cache
 def _unrolled(d: Optional[int], params: str, *rules: str) -> Callable:
     """A straight-line function of ``params`` that returns what ``rules`` assign.
@@ -193,10 +204,11 @@ def _unrolled(d: Optional[int], params: str, *rules: str) -> Callable:
     Each rule ``"name = expr"`` reads each vector ``v`` as ``v[i]``.  For
     ``d`` entries it becomes the list display ``name = [expr_0, ...,
     expr_{d-1}]``, where ``expr_j`` is ``expr`` with every ``[i]`` read as
-    ``[j]``, ``sqrt`` is ``math.sqrt`` and ``where`` is ``np.where`` on one entry.
-    For ``d=None`` it becomes one whole-array statement, ``expr`` without its
-    ``[i]``, with ``np.sqrt`` and ``np.where``, one kernel for every
-    dimension.  Both round each entry as ``expr`` does on one component.
+    ``[j]``, ``sqrt`` is ``math.sqrt`` and each ``where(c, x, y)`` is rewritten
+    as ``(x if c else y)``.  For ``d=None`` it becomes one whole-array
+    statement, ``expr`` without its ``[i]``, with ``np.sqrt`` and
+    ``np.where``, one kernel for every dimension.  Both round each entry as
+    ``expr`` does on one component.
     The rules run in order, and a later one reads what an earlier one
     assigned.  The rules are string constants in the steppers; only the
     integer ``d`` enters the source.  Each kernel is built once per process
@@ -208,14 +220,12 @@ def _unrolled(d: Optional[int], params: str, *rules: str) -> Callable:
         if d is None:
             value = expr.replace("[i]", "")
         else:
+            expr = ast.unparse(_Conditional().visit(ast.parse(expr, mode="eval")))
             value = "[" + ", ".join(expr.replace("[i]", f"[{j}]") for j in range(d)) + "]"
         names.append(name)
         lines.append(f"    {name} = {value}")
     source = f"def kernel({params}):\n" + "\n".join(lines) + f"\n    return {', '.join(names)}\n"
-    if d is None:
-        namespace = {"sqrt": np.sqrt, "where": np.where}
-    else:
-        namespace = {"sqrt": sqrt, "where": lambda condition, x, y: x if condition else y}
+    namespace = {"sqrt": np.sqrt, "where": np.where} if d is None else {"sqrt": sqrt}
     exec(source, namespace)
     return namespace["kernel"]
 

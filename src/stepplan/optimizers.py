@@ -226,13 +226,15 @@ class RMSprop(_Stepper):
         if self.eps <= 0:
             raise ValueError("eps must be positive")
         self.v = _zeros(self.point)
-        self._update = _kernel(self.point, "w, g, v, alpha, beta, eps",
-                               "v = beta * v[i] + (1.0 - beta) * g[i] * g[i]",
+        self._c = 1.0 - self.beta  # taken once, not per entry
+        self._update = _kernel(self.point, "w, g, v, alpha, beta, c, eps",
+                               "v = beta * v[i] + c * g[i] * g[i]",
                                "w = w[i] - alpha * g[i] / sqrt(v[i] + eps)")
 
     def step(self, obj: Objective):
         w = self.point
-        self.v, w = self._update(w, obj.grad(w), self.v, self.alpha, self.beta, self.eps)
+        self.v, w = self._update(w, obj.grad(w), self.v, self.alpha, self.beta, self._c,
+                                 self.eps)
         self._commit(w)
 
 
@@ -251,17 +253,18 @@ class Adam(_Stepper):
         if self.eps <= 0:
             raise ValueError("eps must be positive")
         self.m, self.v = _zeros(self.point), _zeros(self.point)
-        self._update = _kernel(self.point, "w, g, m, v, alpha, b1, b2, eps, d1, d2",
-                               "m = b1 * m[i] + (1.0 - b1) * g[i]",
-                               "v = b2 * v[i] + (1.0 - b2) * g[i] * g[i]",
+        self._c1, self._c2 = 1.0 - self.beta1, 1.0 - self.beta2  # taken once, not per entry
+        self._update = _kernel(self.point, "w, g, m, v, alpha, b1, c1, b2, c2, eps, d1, d2",
+                               "m = b1 * m[i] + c1 * g[i]",
+                               "v = b2 * v[i] + c2 * g[i] * g[i]",
                                "w = w[i] - alpha * (m[i] / d1) / (sqrt(v[i] / d2) + eps)")
 
     def step(self, obj: Objective):
         b1, b2, w = self.beta1, self.beta2, self.point
         g = obj.grad(w)
         k = self.k + 1
-        self.m, self.v, w = self._update(w, g, self.m, self.v, self.alpha, b1, b2, self.eps,
-                                         1.0 - b1 ** k, 1.0 - b2 ** k)
+        self.m, self.v, w = self._update(w, g, self.m, self.v, self.alpha, b1, self._c1, b2,
+                                         self._c2, self.eps, 1.0 - b1 ** k, 1.0 - b2 ** k)
         self._commit(w)
 
 
@@ -336,9 +339,9 @@ class Idbd(_Stepper):
         delta = float(y_star) - float(self.point @ x)
         beta = self.beta + self.eta * delta * x * self.h
         alpha = np.exp(beta)
-        w = self.point + alpha * delta * x
-        h = self.h * np.maximum(0.0, 1.0 - alpha * x * x) + alpha * delta * x
-        self._commit(w)
+        move = alpha * delta * x
+        h = self.h * np.maximum(0.0, 1.0 - alpha * x * x) + move
+        self._commit(self.point + move)
         self.beta, self.h = beta, h
 
 

@@ -76,7 +76,8 @@ class RosenbrockProblem:
 
     def gradient(self, w) -> list[float]:
         w1, w2 = w if isinstance(w, list) else np.asarray(w, dtype=float).tolist()
-        return [2.0 * (w1 - 1.0) - 400.0 * w1 * (w2 - w1 * w1), 200.0 * (w2 - w1 * w1)]
+        valley = w2 - w1 * w1
+        return [2.0 * (w1 - 1.0) - 400.0 * w1 * valley, 200.0 * valley]
 
 
 class LmsStream:

@@ -112,16 +112,13 @@ def _grid_scalar_oracle(q, w, L: float) -> float:
 
 def _grid_component_gap(w, g, exact) -> float:
     """Largest distance (in grid spacings) between the per-component grid
-    minimizer of the post-update distance to 0 and the closed-form step ``exact``."""
-    worst = 0.0
-    for i in range(w.size):
-        radius = max(1.0, 2.0 * abs(exact[i]))
-        grid = np.linspace(exact[i] - radius, exact[i] + radius, 2001)
-        spacing = grid[1] - grid[0]
-        resid = (w[i] - grid * g[i]) ** 2
-        best = grid[int(np.argmin(resid))]
-        worst = max(worst, abs(best - exact[i]) / spacing)
-    return worst
+    minimizer of the post-update distance to 0 and the closed-form step ``exact``,
+    on one 2001-point grid row per component, ``exact_i +- max(1, 2 |exact_i|)``."""
+    radius = np.fmax(1.0, 2.0 * np.abs(exact))
+    grid = np.linspace(exact - radius, exact + radius, 2001, axis=1)
+    spacing = grid[:, 1] - grid[:, 0]
+    best = grid[np.arange(w.size), np.argmin((w[:, None] - grid * g[:, None]) ** 2, axis=1)]
+    return float(np.fmax.reduce(np.abs(best - exact) / spacing, initial=0.0))  # skips NaN
 
 
 def check_instance(q, mu: float, L: float, w) -> list[RateReport]:

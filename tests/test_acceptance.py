@@ -21,7 +21,7 @@ from stepplan.optimizers import (GradientDescent, HeavyBall, IdbdScalar,
 from stepplan.planner import StepSizePlanner
 from stepplan.problems import (LmsStream, QuadraticProblem, RosenbrockProblem,
                                random_spd)
-from stepplan.theory import ideal_diag_step, verify_theorems
+from stepplan.theory import ideal_diag_step, kantorovich_bound, verify_theorems
 from stepplan.tracing import CONVERGED, write_csv
 
 CONVEX = {"name": "quadratic", "q_diag": [1000.0, 1.0],
@@ -379,3 +379,33 @@ def test_criterion_10_baseline_ordering():
            f"evals to error <= {target:g}: heavy ball {best_hb_evals} ({best_hb}) vs "
            f"Adam {best_adam_evals} ({best_adam}); "
            f"at 2e4 evals best heavy ball {best_hb_final:.3g}, best Adam {best_adam_final:.3g}")
+
+
+def test_criterion_11_meta_gradient_rate_bound():
+    """HD and IDBD1 never beat the Kantorovich rate of the optimal scalar step.
+
+    On 10 random SPD instances (d in [2, 5], condition number 10^U(0.5, 3))
+    each runs 2000 iterations with eta = 1e-3/L^2 and alpha0 = 1/L (IDBD1
+    with lam = 0.5), stopping at an error of 1e-200 so that no error in the
+    window is zero.  Its rate over the second half of the recorded rows must
+    lie above ``kantorovich_bound(mu, L)``; the smallest gap measured is
+    0.0043, at a condition number of 459.
+    """
+    rng = np.random.default_rng(0)
+    budget = EvalBudget(max_iterations=2000, error_floor=1e-200)
+    gaps = {}
+    for trial in range(10):
+        d = int(rng.integers(2, 6))
+        q, mu, L = random_spd(rng, d, 10.0 ** rng.uniform(0.5, 3.0))
+        w0 = rng.standard_normal(d)
+        for name, extra in (("hd", {}), ("idbd1", {"lam": 0.5})):
+            trace = run_experiment(ExperimentConfig(
+                problem={"name": "quadratic", "q": q.tolist(), "w0": w0.tolist()},
+                optimizer={"name": name, "eta": 1e-3 / L ** 2, "alpha0": 1.0 / L, **extra},
+                budget=budget))
+            rate = empirical_rate(trace, (len(trace) // 2, len(trace)))
+            gaps[name, trial] = rate - kantorovich_bound(mu, L)
+    (name, trial), smallest = min(gaps.items(), key=lambda item: item[1])
+    report(11, "meta-gradient rate bound", smallest > 0.0,
+           f"{len(gaps)} hd/idbd1 runs above the Kantorovich rate; "
+           f"smallest gap {smallest:.4f} ({name}, instance {trial})")

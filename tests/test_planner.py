@@ -172,6 +172,14 @@ class TestPlannerForm:
                 kernel = attrgetter(key)
                 assert kernel(arrays[0]) is kernel(arrays[1]) is not kernel(listed), (name, key)
 
+    @pytest.mark.parametrize("d", [1, 2, LIST_MAX_DIM, LIST_MAX_DIM + 1])
+    def test_the_list_alpha_kernel_calls_no_where(self, d):
+        # the list rendering writes where(c, x, y) as (x if c else y); arrays keep np.where
+        buf = ExperienceBuffer(2)
+        point = [1.0] * d if d <= LIST_MAX_DIM else np.ones(d)
+        buf.push(point, point.copy())
+        assert ("where" in buf.alpha.__code__.co_names) is (d > LIST_MAX_DIM)
+
     def test_list_form_rows_hold_the_steps_own_lists(self):
         planner = StepSizePlanner([-1.0, 2.0], gamma=0.0009, k=2)
         obj = quadratic_objective()

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from stepplan.problems import LmsStream, random_spd
-from stepplan.theory import (RateReport, SingularDirectionError, check_instance,
-                             ideal_diag_step, kantorovich_bound,
+from stepplan.theory import (RateReport, SingularDirectionError, _grid_component_gap,
+                             check_instance, ideal_diag_step, kantorovich_bound,
                              optimal_diag_step, optimal_scalar_step,
                              quadratic_value, reduction_ratio,
                              summarize_reports, verify_theorems)
@@ -217,3 +217,52 @@ class TestStochasticIdealStep:
             resid = ((w[i] - grid[None, :] * grads[:, i][:, None] - w_star[i]) ** 2).mean(axis=0)
             best = grid[int(np.argmin(resid))]
             assert abs(best - formula[i]) <= spacing
+
+
+def grid_component_gap_loop(w, g, exact):
+    """The per-component reference: one 2001-point grid per component and a running max."""
+    worst = 0.0
+    for i in range(w.size):
+        radius = max(1.0, 2.0 * abs(exact[i]))
+        grid = np.linspace(exact[i] - radius, exact[i] + radius, 2001)
+        spacing = grid[1] - grid[0]
+        resid = (w[i] - grid * g[i]) ** 2
+        best = grid[int(np.argmin(resid))]
+        worst = max(worst, abs(best - exact[i]) / spacing)
+    return worst
+
+
+class TestGridComponentGap:
+    """The whole-array gap equals the per-component loop, bit for bit."""
+
+    def test_matches_the_loop_on_verify_instances(self):
+        rng = np.random.default_rng(0)
+        for _ in range(1000):  # drawn as verify_theorems(d_max=10) draws them
+            d = int(rng.integers(1, 11))
+            q, _, _ = random_spd(rng, d, 10.0 ** rng.uniform(0.0, 6.0))
+            w = rng.standard_normal(d)
+            g = q @ w
+            exact = optimal_diag_step(q, w)
+            assert _grid_component_gap(w, g, exact) == grid_component_gap_loop(w, g, exact)
+
+    def test_radius_rule_switches_at_a_half(self):
+        # |exact_i| = 0.5 gives radius 1 under both branches of max(1, 2 |exact_i|)
+        w = np.array([0.5, -0.5, np.nextafter(0.5, 0.0), np.nextafter(0.5, 1.0), 0.35])
+        g = np.array([1.0, 1.0, 1.0, 1.0, 0.7])
+        exact = ideal_diag_step(w, g, np.zeros(w.size))
+        assert np.abs(exact[:4]).tolist() == [0.5, 0.5, np.nextafter(0.5, 0.0),
+                                              np.nextafter(0.5, 1.0)]
+        gap = _grid_component_gap(w, g, exact)
+        assert gap == grid_component_gap_loop(w, g, exact) and gap <= 1.0
+
+    @pytest.mark.parametrize("w, g", [([1.0, 1.0], [1e-310, 3.0]),
+                                      ([1.0, 0.3], [3.0, 1e-310]),
+                                      ([0.7], [1e-310])])
+    def test_an_exact_step_that_overflows_to_inf_is_skipped(self, w, g):
+        w, g = np.array(w), np.array(g)
+        with np.errstate(over="ignore", invalid="ignore"):
+            exact = ideal_diag_step(w, g, np.zeros(w.size))
+            assert np.isinf(exact).any()
+            gap = _grid_component_gap(w, g, exact)
+            assert gap == grid_component_gap_loop(w, g, exact)
+        assert gap <= 1.0  # the finite components' gap, or 0.0 when there is none
