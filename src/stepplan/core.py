@@ -273,6 +273,14 @@ def _count(name: str, value) -> int:
     return int(value)
 
 
+def _seed(value) -> int:
+    """``value`` as a random seed: ``_count("seed", value)``, which must be >= 0."""
+    seed = _count("seed", value)
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    return seed
+
+
 def _number(name: str, value) -> float:
     """``value`` as a float, an integer beyond the float range as the infinity of
     its sign; ``ValueError`` for bools, strings and other non-reals."""

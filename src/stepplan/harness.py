@@ -17,7 +17,7 @@ from bisect import bisect_right
 from dataclasses import asdict, dataclass
 from typing import Callable, Iterable, List, Tuple
 
-from .core import EvalBudget, Objective, _count
+from .core import EvalBudget, Objective, _count, _seed
 from .optimizers import make_optimizer
 from .problems import make_problem
 from .tracing import CONVERGED, Trace, run_steps
@@ -57,7 +57,7 @@ class ExperimentConfig:
             self.label.encode()
         except UnicodeEncodeError:
             raise ValueError(f"label must be encodable as UTF-8, got {self.label!r}") from None
-        self.seed = _count("seed", self.seed)
+        self.seed = _seed(self.seed)
         for field in ("record_w", "record_alpha"):
             if not isinstance(getattr(self, field), bool):
                 raise ValueError(f"{field} must be true or false, got {getattr(self, field)!r}")

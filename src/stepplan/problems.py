@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Array, _build, _count, _finite, _real_array, as_vector
+from .core import Array, _build, _finite, _real_array, _seed, as_vector
 
 
 class QuadraticProblem:
@@ -101,7 +101,7 @@ class LmsStream:
         self.noise_std = _finite("noise_std", noise_std)
         if self.noise_std < 0:
             raise ValueError("noise_std must be non-negative")
-        self.seed = _count("seed", seed)
+        self.seed = _seed(seed)
         self._rng = np.random.default_rng(self.seed)
         # E[x_i^2] for uniform [low, high]
         self._second_moment = (low * low + low * high + high * high) / 3.0

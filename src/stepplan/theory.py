@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Array, _count, _real_array, as_vector
+from .core import Array, _count, _real_array, _seed, as_vector
 from .problems import random_spd
 
 
@@ -42,16 +42,27 @@ def _check_spd_input(q, w) -> tuple[Array, Array]:
 def quadratic_value(q, w) -> float:
     """f(w) = 1/2 w^T Q w (optimum-at-zero convention)."""
     q, w = _check_spd_input(q, w)
+    return _value(q, w)
+
+
+def _value(q: Array, w: Array) -> float:
     return float(0.5 * w @ q @ w)
 
 
 def optimal_scalar_step(q, w) -> float:
     """w^T Q^2 w / w^T Q^3 w, the scalar step minimizing the next loss."""
     q, w = _check_spd_input(q, w)
-    if not np.any(w):
-        raise ValueError("optimal scalar step is undefined at w = 0")
-    y = q @ w
-    return float(y @ y) / float(y @ (q @ y))
+    return _scalar_step(q, q @ w)
+
+
+def _scalar_step(q: Array, y: Array) -> float:
+    """``optimal_scalar_step`` from y = Qw; a zero curvature w^T Q^3 w, at w = 0
+    or where it underflows, is a ``ValueError``."""
+    curvature = float(y @ (q @ y))
+    if curvature == 0.0:
+        raise ValueError("optimal scalar step is undefined where w^T Q^3 w = 0 "
+                         "(at w = 0, or when it underflows)")
+    return float(y @ y) / curvature
 
 
 def optimal_diag_step(q, w) -> Array:
@@ -75,12 +86,14 @@ def ideal_diag_step(w, g, target) -> Array:
 def reduction_ratio(q, w, step) -> float:
     """f(w - step * Qw) / f(w) for a scalar or per-component step."""
     q, w = _check_spd_input(q, w)
-    fw = quadratic_value(q, w)
+    return _ratio(q, w, q @ w, _value(q, w), np.asarray(step, dtype=float))
+
+
+def _ratio(q: Array, w: Array, y: Array, fw: float, step) -> float:
+    """``reduction_ratio`` from y = Qw and fw = f(w)."""
     if fw == 0.0:
         raise ValueError("reduction ratio undefined at f(w) = 0")
-    step = np.asarray(step, dtype=float)
-    w_next = w - step * (q @ w)
-    return quadratic_value(q, w_next) / fw
+    return _value(q, w - step * y) / fw
 
 
 def kantorovich_bound(mu: float, L: float) -> float:
@@ -101,13 +114,13 @@ class RateReport:
     skipped: bool = False
 
 
-def _grid_scalar_oracle(q, w, L: float) -> float:
-    """Brute-force the best next-loss ratio over a 10 000-point step grid on [0, 2/L]."""
+def _grid_scalar_oracle(q, w, y, fw: float, L: float) -> float:
+    """Brute-force the best next-loss ratio over a 10 000-point step grid on [0, 2/L],
+    from y = Qw and fw = f(w)."""
     alphas = np.linspace(0.0, 2.0 / L, 10_000)
-    y = q @ w
     candidates = w[None, :] - alphas[:, None] * y[None, :]
     values = 0.5 * np.einsum("ij,jk,ik->i", candidates, q, candidates)
-    return float(values.min()) / quadratic_value(q, w)
+    return float(values.min()) / fw
 
 
 def _grid_component_gap(w, g, exact) -> float:
@@ -130,28 +143,31 @@ def check_instance(q, mu: float, L: float, w) -> list[RateReport]:
       next check, when some (Qw)_i = 0),
     * ``ideal-step-grid``  per-component grid minimizer of the post-update
       distance within one grid spacing of the closed form.
+
+    ``(q, w)`` is checked once, and Qw and f(w) are computed once for all four.
     """
     q, w = _check_spd_input(q, w)
+    y = q @ w
+    fw = _value(q, w)
     reports: list[RateReport] = []
 
-    rho = reduction_ratio(q, w, optimal_scalar_step(q, w))
+    rho = _ratio(q, w, y, fw, _scalar_step(q, y))
     bound = kantorovich_bound(mu, L)
     reports.append(RateReport("scalar-rate", rho, bound, rho <= bound + 1e-12))
 
-    grid_best = _grid_scalar_oracle(q, w, L)
+    grid_best = _grid_scalar_oracle(q, w, y, fw, L)
     reports.append(RateReport("scalar-grid", rho, grid_best, rho <= grid_best + 1e-12))
 
-    try:
-        diag_step = optimal_diag_step(q, w)
-    except SingularDirectionError:
+    if not y.all():
         for check in ("diag-one-step", "ideal-step-grid"):
             reports.append(RateReport(check, float("nan"), 1e-10, True, skipped=True))
         return reports
 
-    rho_d = reduction_ratio(q, w, diag_step)
+    diag_step = ideal_diag_step(w, y, np.zeros(w.size))
+    rho_d = _ratio(q, w, y, fw, diag_step)
     reports.append(RateReport("diag-one-step", rho_d, 1e-10, rho_d <= 1e-10 + 1e-12))
 
-    gap = _grid_component_gap(w, q @ w, diag_step)
+    gap = _grid_component_gap(w, y, diag_step)
     reports.append(RateReport("ideal-step-grid", gap, 1.0, gap <= 1.0 + 1e-12))
     return reports
 
@@ -163,13 +179,11 @@ def verify_theorems(trials: int, d_max: int = 10, seed: int = 0) -> list[RateRep
     to 1e6, random nonzero w, then the four :func:`check_instance` checks.
     Failures are reported, not raised.
     """
-    trials, d_max, seed = _count("trials", trials), _count("d_max", d_max), _count("seed", seed)
+    trials, d_max, seed = _count("trials", trials), _count("d_max", d_max), _seed(seed)
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if not (1 <= d_max <= 64):
         raise ValueError("d_max must be in [1, 64] (dense instances only)")
-    if seed < 0:
-        raise ValueError("seed must be >= 0")
     rng = np.random.default_rng(seed)
     reports: list[RateReport] = []
     for _ in range(trials):

@@ -409,3 +409,81 @@ def test_criterion_11_meta_gradient_rate_bound():
     report(11, "meta-gradient rate bound", smallest > 0.0,
            f"{len(gaps)} hd/idbd1 runs above the Kantorovich rate; "
            f"smallest gap {smallest:.4f} ({name}, instance {trial})")
+
+
+def test_criterion_12_planner_against_nesterov():
+    """The planner against Nesterov's accelerated gradient, in evaluations to error 1e-12.
+
+    ``csawg`` runs at gamma = 0.9/kappa and Nesterov in strongly convex mode with
+    mu = 1 and L = kappa, from the criterion-4 start, within 2e5 evaluations:
+
+    * on diag(kappa, 1), single-shot planning with K=2 (the best of K in
+      {2, 5, 10, 20, 50, 100, 200} as measured) must take at most 0.85 times
+      Nesterov's count at kappa = 1e2 and 1e3 (measured 0.79 and 0.74);
+    * on the same spectrum rotated by 45 degrees, repeated planning (P=5,
+      M=10) must take at most 0.7 times Nesterov's count at kappa = 1e3 for
+      the best K in {2, 5, 10} (measured 0.57).
+
+    Reported as data: the loss at kappa = 10, repeated planning at kappa =
+    1e2, single-shot planning on the rotated problem, and the dense d=8
+    instance of ``TestRepeatedPlanningDivergence``.
+    """
+    budget = EvalBudget(max_iterations=200000, max_grad_evals=200000, error_floor=1e-12)
+
+    def run(problem, optimizer):
+        return run_experiment(ExperimentConfig(problem=problem, optimizer=optimizer,
+                                               budget=budget))
+
+    def evals(problem, optimizer):
+        """Evaluations to the error floor, or inf if the run stops short of it."""
+        trace = run(problem, optimizer)
+        return trace.total_grad_evals if trace.status == CONVERGED else float("inf")
+
+    def nesterov(mu, L):
+        return {"name": "nesterov", "mode": "strongly_convex", "mu": mu, "L": L}
+
+    def csawg(gamma, k, p=1, m=0):
+        return {"name": "csawg", "gamma": gamma, "k": k, "p": p, "m": m}
+
+    def rotated_problem(kappa):
+        rotation = np.array([[np.cos(np.pi / 4), -np.sin(np.pi / 4)],
+                             [np.sin(np.pi / 4), np.cos(np.pi / 4)]])
+        q = rotation @ np.diag([kappa, 1.0]) @ rotation.T
+        return {"name": "quadratic", "q": q.tolist(), "w_star": [1.0, 1.0], "w0": [-1.0, 2.0]}
+
+    diag = {}
+    for kappa in (1e1, 1e2, 1e3):
+        problem = dict(CONVEX, q_diag=[kappa, 1.0])
+        diag[kappa] = evals(problem, csawg(0.9 / kappa, 2)), evals(problem, nesterov(1.0, kappa))
+    rotated = {}
+    for kappa in (1e2, 1e3):
+        problem = rotated_problem(kappa)
+        rotated[kappa] = ({k: evals(problem, csawg(0.9 / kappa, k, p=5, m=10)) for k in (2, 5, 10)},
+                          evals(problem, nesterov(1.0, kappa)))
+    single = {k: evals(rotated_problem(1e3), csawg(0.9 / 1e3, k)) for k in (2, 5, 10)}
+
+    rng = np.random.default_rng(0)
+    q, mu, L = random_spd(rng, 8, 1e3)
+    problem = {"name": "quadratic", "q": q.tolist(), "w0": rng.standard_normal(8).tolist()}
+    diverging = run(problem, csawg(0.9 / L, 2, p=2))
+    dense = (f"P=1 {evals(problem, csawg(0.9 / L, 2))}, "
+             f"P=2 {diverging.status} after {diverging.total_grad_evals}, "
+             f"Nesterov {evals(problem, nesterov(mu, L))}")
+
+    diag_ratios = {kappa: diag[kappa][0] / diag[kappa][1] for kappa in (1e2, 1e3)}
+    best_rotated, nest_rotated = min(rotated[1e3][0].values()), rotated[1e3][1]
+    ok = all(r <= 0.85 for r in diag_ratios.values()) and best_rotated <= 0.7 * nest_rotated
+
+    def counts(by_k):
+        return "/".join(str(n) for n in by_k.values())
+
+    report(12, "planner against Nesterov", ok,
+           "diag(kappa, 1), K=2 vs Nesterov: "
+           + ", ".join(f"kappa={kappa:g} {p} vs {n}" for kappa, (p, n) in diag.items())
+           + f" (ratios {diag_ratios[1e2]:.2f}, {diag_ratios[1e3]:.2f}; bound 0.85); "
+           "rotated 45 degrees, P=5 M=10 K=2/5/10 vs Nesterov: "
+           + ", ".join(f"kappa={kappa:g} {counts(by_k)} vs {n}"
+                       for kappa, (by_k, n) in rotated.items())
+           + f" (best/Nesterov {best_rotated / nest_rotated:.2f} at 1e3; bound 0.7); "
+           f"single-shot K=2/5/10 at rotated kappa=1e3: {counts(single)}; "
+           f"dense d=8 kappa=1e3 K=2 M=0: {dense}")

@@ -182,6 +182,15 @@ class TestRun:
         assert csvs["option"] == csvs["set"]
         assert csvs["option"] != csvs["config"]  # the config's own seed is 7
 
+    @pytest.mark.parametrize("config", ["lms-idbd.json", "rosenbrock-gd.json"])
+    def test_negative_seed_exits_2(self, runner, tmp_path, config):
+        out = tmp_path / "out"
+        result = runner.invoke(cli, ["run", "--config", str(CONFIGS / config), "--out", str(out),
+                                     "--seed", "-1"])
+        assert result.exit_code == 2, result.output
+        assert "seed must be >= 0" in result.output
+        assert not out.exists()
+
     def test_set_without_equals_exits_2(self, runner, tmp_path):
         out = tmp_path / "out"
         result = runner.invoke(cli, ["run", "--config", str(write_config(tmp_path)),
@@ -240,11 +249,12 @@ class TestRun:
         ("problem.noise_std=NaN", "noise_std"),
         ("problem.noise_std=true", "noise_std"),
         ("problem.seed=2.5", "seed"),
+        ("problem.seed=-1", "seed must be >= 0"),
         ("problem.w_star={}", "w_star"),
         ("problem.w_star=[true,false,true]", "w_star"),
         ('problem.w0=["1","2"]', "w0"),
     ], ids=["no-w_star", "noise_std-string", "low-string", "high-infinite", "width-overflows",
-            "noise_std-nan", "noise_std-bool", "seed-fractional",
+            "noise_std-nan", "noise_std-bool", "seed-fractional", "seed-negative",
             "w_star-dict", "w_star-bools", "w0-strings"])
     def test_bad_lms_parameter_exits_2(self, runner, tmp_path, override, field):
         out = tmp_path / "out"

@@ -213,10 +213,18 @@ class TestDeterminism:
     def test_idbd_stream_golden_bytes(self, tmp_path):
         # sha256 of this CSV as written by the former dedicated stream loop.
         # numpy's float64 exp rounds differently in its AVX-512 kernel and in
-        # its AVX2/baseline one; both hashes were measured on x86-64.
+        # its AVX2/baseline one, and OpenBLAS's dot products round differently
+        # in its SkylakeX kernel and in its Haswell (AVX2) one, which Zen
+        # shares; all four hashes were measured on x86-64.
         golden = {
+            # AVX-512 exp, SkylakeX BLAS
             "c6654ac296bb2851c95203131e6ef38b81fb0498772e073d2b9f7d0f0a73343b",
+            # AVX2/baseline exp, SkylakeX BLAS
             "d004ec664d77e737421a139e2448d825cb5fa2ceb7e8d82bcf7d68a785e8d9a4",
+            # AVX-512 exp, Haswell BLAS
+            "49356b0bb77f7fefbf7fdebf500bbcb341ce667925f547efae1622e64a55acac",
+            # AVX2/baseline exp, Haswell BLAS
+            "fb5f731691d8dec74461a299519bf5cb42b69e937639d9829c581e8bd73ec7dc",
         }
         c = cfg({"name": "lms", "w_star": [1.0, -2.0, 0.5], "noise_std": 0.1},
                 {"name": "idbd", "eta": 0.02, "beta0": -3.0},
@@ -475,7 +483,7 @@ class TestConfigSerialization:
     @pytest.mark.parametrize("field, value", [
         ("problem", ["rosenbrock"]), ("problem", {"w0": [0.0, 0.0]}), ("optimizer", {"name": 1}),
         ("label", 5), ("seed", "a"), ("seed", 1.0), ("seed", True),
-        ("record_w", "yes"), ("record_alpha", 1)])
+        ("record_w", "yes"), ("record_alpha", 1), ("seed", -1)])
     def test_field_types_rejected(self, field, value):
         d = cfg(ROSEN, {"name": "gd", "gamma": 0.001}, EvalBudget(max_iterations=10)).to_dict()
         d[field] = value

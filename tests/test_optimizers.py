@@ -525,19 +525,30 @@ class TestGradientShape:
 class TestNumpyStepperBytes:
     """The steppers that compute on float64 arrays, which no preset runs, write
     the bytes they wrote when each kept its own ``w`` array: sha256 of a
-    100-row ``record_w`` CSV on a fixed 3-d quadratic, measured on x86-64."""
+    100-row ``record_w`` CSV on a fixed 3-d quadratic, measured on x86-64.
+    Their ``g @ v`` and ``Q @ w`` round differently in OpenBLAS's SkylakeX
+    kernel and in its Haswell (AVX2) one, which Zen shares, so each case
+    accepts the hash measured under each."""
 
     @pytest.mark.parametrize("name,params,golden", [
-        ("polyak", {}, "f19e4bb10e88c5a7fc04e007266caeb26a4a195363da3a0bfc551e555f6b4ab9"),
-        ("l4", {}, "2efabbea817facb649abd5ed02351bf7e566789a8d41eaeb4638d3f809dffb2f"),
+        ("polyak", {},
+         {"SkylakeX": "f19e4bb10e88c5a7fc04e007266caeb26a4a195363da3a0bfc551e555f6b4ab9",
+           "Haswell": "31eb378ef173938786cd6132e5a46035eadaf75c10730595c2d6f7658dc4443d"}),
+        ("l4", {},
+         {"SkylakeX": "2efabbea817facb649abd5ed02351bf7e566789a8d41eaeb4638d3f809dffb2f",
+           "Haswell": "c856a7b082b25eb4d901151b94636cb7da52705e7380d6781e56fe31b53a1a2c"}),
         ("l4", {"direction": "momentum", "p": 0.5},
-         "484a3631c138cca7e72cdd0e706d40cd72ea4263e526b9f4d65d07c66fd00a84"),
+         {"SkylakeX": "484a3631c138cca7e72cdd0e706d40cd72ea4263e526b9f4d65d07c66fd00a84",
+           "Haswell": "4886e476e8ef3af947bbfcf58777b8b77f9ee3f728a9276f000b3a306e88e678"}),
         ("lossgrad", {"alpha0": 0.05},
-         "f892f33481c831d3e7d9f7d753b2f8c3c38909c8922af1083e1e22c68af60a56"),
+         {"SkylakeX": "f892f33481c831d3e7d9f7d753b2f8c3c38909c8922af1083e1e22c68af60a56",
+           "Haswell": "29367893182579475661d9ebea1208be793d3e268832a7ce0dafaba94ea17110"}),
         ("hd", {"eta": 1e-3, "alpha0": 0.05},
-         "5529bf72951e69d19c22c842c8918abe77d1b2bcb6af782e4e56a5f61999c1c7"),
+         {"SkylakeX": "5529bf72951e69d19c22c842c8918abe77d1b2bcb6af782e4e56a5f61999c1c7",
+           "Haswell": "f04290a89031f6a120d54485d8ad9959fd2a0a2d2ea0fbcd58f94b448ac0c6fe"}),
         ("idbd1", {"eta": 1e-3, "lam": 0.5, "alpha0": 0.05},
-         "dc258ecc7b7f791ff5dd41b2228c6a3612fbeb2604213b1880a62f7aeb4a4197"),
+         {"SkylakeX": "dc258ecc7b7f791ff5dd41b2228c6a3612fbeb2604213b1880a62f7aeb4a4197",
+           "Haswell": "8f348a9f2863349cdf672edaf2bb401256857ff7398f24da69640b56be88287c"}),
     ], ids=["polyak", "l4-gradient", "l4-momentum", "lossgrad", "hd", "idbd1"])
     def test_record_w_csv_golden_bytes(self, tmp_path, name, params, golden):
         q = [[4.0, 1.0, 0.0], [1.0, 2.0, 0.5], [0.0, 0.5, 1.0]]
@@ -547,7 +558,7 @@ class TestNumpyStepperBytes:
                           record_w=True)
         assert len(trace) == trace.total_grad_evals == 100
         write_csv(trace, tmp_path / "t.csv")
-        assert hashlib.sha256((tmp_path / "t.csv").read_bytes()).hexdigest() == golden
+        assert hashlib.sha256((tmp_path / "t.csv").read_bytes()).hexdigest() in golden.values()
 
 
 class TestListStepperBytes:

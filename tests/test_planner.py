@@ -571,4 +571,6 @@ class TestRepeatedPlanningDivergence:
     def test_one_projection_per_event_converges(self):
         trace = self._run(1)
         assert trace.status == CONVERGED
-        assert trace.total_grad_evals == 5327
+        # the dense gradient's Q @ w rounds differently in OpenBLAS's SkylakeX
+        # kernel (5327) and in its Haswell (AVX2) one, which Zen shares (5372)
+        assert trace.total_grad_evals in (5327, 5372)

@@ -182,6 +182,10 @@ class TestLmsStream:
             assert np.array_equal(xa, xb)
             assert ya == yb
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            LmsStream([0.5, 2.0], seed=-1)
+
     def test_noise_mean_law_of_large_numbers(self):
         w_star = np.array([1.0, -1.0])
         s = LmsStream(w_star, noise_std=0.1, seed=7)

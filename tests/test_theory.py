@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from stepplan import theory
 from stepplan.problems import LmsStream, random_spd
 from stepplan.theory import (RateReport, SingularDirectionError, _grid_component_gap,
                              check_instance, ideal_diag_step, kantorovich_bound,
@@ -40,6 +41,11 @@ class TestOptimalScalarStep:
     def test_zero_w(self):
         with pytest.raises(ValueError, match="w = 0"):
             optimal_scalar_step(np.eye(2), [0.0, 0.0])
+
+    def test_an_underflowing_curvature_is_a_value_error(self):
+        # w != 0, but w^T Q^2 w and w^T Q^3 w both underflow to 0.0
+        with pytest.raises(ValueError, match=r"w\^T Q\^3 w = 0"):
+            optimal_scalar_step(np.eye(2), [1e-200, 1e-200])
 
 
 class TestOptimalDiagStep:
@@ -164,6 +170,10 @@ class TestVerify:
         summary = summarize_reports(reports)
         assert summary["diag-one-step"]["skipped"] == 1
 
+    def test_an_underflowing_curvature_is_a_value_error(self):
+        with pytest.raises(ValueError, match=r"w\^T Q\^3 w = 0"):
+            check_instance(np.eye(2), 1.0, 1.0, [1e-200, 1e-200])
+
     def test_summary_counts_a_failure(self):
         reports = [RateReport("scalar-rate", rho=0.1, bound=0.2, satisfied=True),
                    RateReport("scalar-rate", rho=0.3, bound=0.2, satisfied=False)]
@@ -219,6 +229,18 @@ class TestStochasticIdealStep:
             assert abs(best - formula[i]) <= spacing
 
 
+def verify_instances(n, d_max=10, seed=0):
+    """``n`` instances drawn as ``verify_theorems`` draws them."""
+    rng = np.random.default_rng(seed)
+    for _ in range(n):
+        d = int(rng.integers(1, d_max + 1))
+        q, mu, L = random_spd(rng, d, 10.0 ** rng.uniform(0.0, 6.0))
+        w = rng.standard_normal(d)
+        while not np.any(w):
+            w = rng.standard_normal(d)
+        yield q, mu, L, w
+
+
 def grid_component_gap_loop(w, g, exact):
     """The per-component reference: one 2001-point grid per component and a running max."""
     worst = 0.0
@@ -236,11 +258,7 @@ class TestGridComponentGap:
     """The whole-array gap equals the per-component loop, bit for bit."""
 
     def test_matches_the_loop_on_verify_instances(self):
-        rng = np.random.default_rng(0)
-        for _ in range(1000):  # drawn as verify_theorems(d_max=10) draws them
-            d = int(rng.integers(1, 11))
-            q, _, _ = random_spd(rng, d, 10.0 ** rng.uniform(0.0, 6.0))
-            w = rng.standard_normal(d)
+        for q, _, _, w in verify_instances(1000):
             g = q @ w
             exact = optimal_diag_step(q, w)
             assert _grid_component_gap(w, g, exact) == grid_component_gap_loop(w, g, exact)
@@ -266,3 +284,32 @@ class TestGridComponentGap:
             gap = _grid_component_gap(w, g, exact)
             assert gap == grid_component_gap_loop(w, g, exact)
         assert gap <= 1.0  # the finite components' gap, or 0.0 when there is none
+
+
+class TestCheckInstance:
+    """``check_instance`` checks its input once and reuses Qw and f(w), with the
+    same values as the public helpers composed."""
+
+    def test_matches_the_public_helpers_bit_for_bit(self):
+        for q, mu, L, w in verify_instances(1000):
+            reports = {r.check: r for r in check_instance(q, mu, L, w)}
+            rho = reduction_ratio(q, w, optimal_scalar_step(q, w))
+            assert reports["scalar-rate"].rho == reports["scalar-grid"].rho == rho
+            assert reports["scalar-rate"].bound == kantorovich_bound(mu, L)
+            diag_step = optimal_diag_step(q, w)
+            assert reports["diag-one-step"].rho == reduction_ratio(q, w, diag_step)
+            assert reports["ideal-step-grid"].rho == _grid_component_gap(w, q @ w, diag_step)
+
+    def test_checks_its_input_at_most_twice(self, monkeypatch):
+        calls = []
+        check = theory._check_spd_input
+
+        def counted(q, w):
+            calls.append(1)
+            return check(q, w)
+
+        monkeypatch.setattr(theory, "_check_spd_input", counted)
+        for q, mu, L, w in verify_instances(20):
+            calls.clear()
+            check_instance(q, mu, L, w)
+            assert len(calls) <= 2
