@@ -114,28 +114,22 @@ def _prepare(cfg: ExperimentConfig) -> Callable[[], Trace]:
     problem, w0 = make_problem(problem_name, problem_params)
     optimizer_name, optimizer_params = _split(cfg.optimizer)
 
-    if (problem_name == "lms") != (optimizer_name == "idbd"):
-        raise ValueError("the 'lms' problem and the idbd optimizer run only together, "
-                         f"got problem {problem_name!r} with optimizer {optimizer_name!r}")
-    if problem_name == "lms":
-        objective, error_fn = problem, problem.population_error
-    else:
-        objective = Objective(problem.dimension, problem.value, problem.gradient,
-                              optimum_value=0.0)
-        error_fn = objective.error
+    if optimizer_name == "idbd" and problem_name != "lms":
+        raise ValueError(f"the idbd optimizer runs only on the 'lms' problem, got {problem_name!r}")
+    objective = problem if isinstance(problem, Objective) else Objective(
+        problem.dimension, problem.value, problem.gradient, optimum_value=0.0)
     stepper = make_optimizer(optimizer_name, w0, optimizer_params)
-    return lambda: run_steps(stepper, objective, cfg.budget, error_fn,
+    return lambda: run_steps(stepper, objective, cfg.budget, objective.error,
                              record_w=cfg.record_w, record_alpha=cfg.record_alpha)
 
 
 def run_experiment(cfg: ExperimentConfig) -> Trace:
     """Execute one config and return its trace.
 
-    Every optimizer runs through ``run_steps``; on the ``lms`` problem the
-    stream itself is the objective, counting one gradient evaluation per
-    sample.  Divergence is recorded in the trace status, not raised; unknown
-    problem/optimizer names, bad parameters and a mismatched lms/idbd
-    pairing raise ``ValueError`` before the run starts.
+    Every optimizer runs through ``run_steps`` on an ``Objective``, which the
+    ``lms`` stream is.  Divergence is recorded in the trace status, not raised;
+    unknown problem/optimizer names, bad parameters and ``idbd`` on a problem
+    other than ``lms`` raise ``ValueError`` before the run starts.
     """
     return _prepare(cfg)()
 

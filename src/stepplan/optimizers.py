@@ -297,8 +297,8 @@ class IdbdScalar(_Stepper):
 class Idbd(_Stepper):
     """Per-parameter log step-sizes for online least-mean-squares.
 
-    Driven by a stream rather than an objective: ``step(stream)`` draws one
-    sample (x, y*) and applies, with error delta = y* - w.x,
+    Runs on the LMS stream only: ``step(stream)`` draws one sample (x, y*)
+    with ``stream.next()`` and applies, with error delta = y* - w.x,
 
         beta_i  += eta * delta * x_i * h_i
         alpha_i  = exp(beta_i)

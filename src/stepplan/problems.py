@@ -4,8 +4,8 @@ Three instances drive every experiment in this package: a parameterized
 convex quadratic (ill-conditioned in the canonical setup), the 2-d
 Rosenbrock valley, and a synthetic least-mean-squares stream for online
 per-parameter step-size adaptation.  The quadratic and Rosenbrock problems
-are immutable and safe to share; the stream owns a stateful RNG and a
-sample counter, and is single-threaded.
+are immutable and safe to share; the stream is an ``Objective`` that owns a
+stateful RNG and the evaluation counters, and is single-threaded.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Array, _build, _finite, _real_array, _seed, as_vector
+from .core import Array, Objective, _build, _finite, _real_array, _seed, as_vector
 
 
 class QuadraticProblem:
@@ -80,15 +80,16 @@ class RosenbrockProblem:
         return [2.0 * (w1 - 1.0) - 400.0 * w1 * valley, 200.0 * valley]
 
 
-class LmsStream:
-    """Synthetic stream for online linear regression.
+class LmsStream(Objective):
+    """Synthetic stream for online linear regression, an :class:`~stepplan.core.Objective`.
 
-    Each call to :meth:`next` draws an input ``x`` with components uniform
-    on [low, high] and emits the target ``y* = w*.x + noise`` with Gaussian
-    noise of standard deviation ``noise_std``.  Identical seeds reproduce
-    identical sequences.  Each sample is one sampled gradient, so ``next``
-    counts into ``grad_evals`` (``func_evals`` stays 0) and the stream
-    serves as the objective of an :class:`~stepplan.optimizers.Idbd` run.
+    Each draw takes an input ``x`` with components uniform on [low, high]
+    and the target ``y* = w*.x + noise``, with Gaussian noise of standard
+    deviation ``noise_std``; identical seeds give identical sequences.
+    ``grad(w)`` draws one sample and returns ``(w.x - y*) x``; :meth:`next`,
+    which :class:`~stepplan.optimizers.Idbd` steps on, returns one ``(x, y*)``.
+    Both count one gradient evaluation and continue one RNG sequence.
+    ``value`` and ``error`` give the population loss, not a sampled one.
     """
 
     def __init__(self, w_star, low: float = -1.0, high: float = 1.0,
@@ -105,20 +106,24 @@ class LmsStream:
         self._rng = np.random.default_rng(self.seed)
         # E[x_i^2] for uniform [low, high]
         self._second_moment = (low * low + low * high + high * high) / 3.0
-        self.grad_evals = 0
-        self.func_evals = 0
-
-    @property
-    def dimension(self) -> int:
-        return self.w_star.size
+        # population_error is looked up at each call, so replacing it on the instance holds
+        super().__init__(self.w_star.size, lambda w: self.population_error(w),
+                         self._sampled_gradient, optimum_value=0.0)
 
     def next(self):
         self.grad_evals += 1
+        return self._draw()
+
+    def _draw(self):
         x = self._rng.uniform(self.low, self.high, size=self.dimension)
         y = float(self.w_star @ x)
         if self.noise_std > 0:
             y += self.noise_std * float(self._rng.standard_normal())
         return x, y
+
+    def _sampled_gradient(self, w) -> Array:
+        x, y = self._draw()
+        return (float(np.asarray(w, dtype=float) @ x) - y) * x
 
     def population_error(self, w) -> float:
         """Expected squared-error loss above its minimum: 1/2 E[x_i^2] ||w - w*||^2."""

@@ -237,8 +237,8 @@ def run_steps(stepper, obj: Objective, budget: EvalBudget,
     step), then divergence (non-finite or capped error), then the error
     floor.  ``record_alpha`` snapshots the stepper's ``last_alpha``
     attribute, which planners set only on planning-event iterations and
-    IDBD on every step.  IDBD's ``obj`` is the LMS stream.  The iterate
-    handed to ``error_fn`` and copied into the ``w`` column is the stepper's
+    IDBD on every step.  The iterate handed to ``error_fn`` (``obj.error``
+    in ``run_experiment``) and copied into the ``w`` column is the stepper's
     ``point`` where it has one, as every package stepper does, else its
     ``w``; a stepper needs only ``step`` and one of the two.
     """

@@ -487,3 +487,49 @@ def test_criterion_12_planner_against_nesterov():
            + f" (best/Nesterov {best_rotated / nest_rotated:.2f} at 1e3; bound 0.7); "
            f"single-shot K=2/5/10 at rotated kappa=1e3: {counts(single)}; "
            f"dense d=8 kappa=1e3 K=2 M=0: {dense}")
+
+
+def test_criterion_13_stochastic_negative_step_sizes():
+    """Negative planned step-sizes on the ``lms`` stream, against gradient descent.
+
+    d=3, w* = (1, 1.5, 2), noise_std = 0.1, gamma = 0.05 and 2e4 samples at
+    seeds 0, 1 and 2.  At every seed, ``csawg`` K=10 must plan a step-size
+    with a negative component at no fewer than 0.9 of its events (measured
+    0.93-0.95), and end at no more than 0.95 times ``gd``'s population error
+    (measured 0.75-0.91).
+
+    Reported as data: K=50 at the same seeds, and noiseless runs to error
+    1e-12 (``gd``, K=10 and K=2 at gamma = 0.2; K=2 at gamma = 0.05).
+    """
+    def run(optimizer, seed=0, noise_std=0.1, error_floor=None):
+        return run_experiment(ExperimentConfig(
+            problem={"name": "lms", "w_star": [1.0, 1.5, 2.0], "noise_std": noise_std},
+            optimizer=optimizer, seed=seed, record_alpha=True,
+            budget=EvalBudget(max_iterations=20000, max_grad_evals=20000,
+                              error_floor=error_floor)))
+
+    def csawg(k, gamma=0.05):
+        return {"name": "csawg", "gamma": gamma, "k": k}
+
+    gd = {"name": "gd", "gamma": 0.05}
+    ok, seeds, k50 = True, [], []
+    for seed in range(3):
+        base, planned = run(gd, seed), run(csawg(10), seed)
+        alphas = np.frombuffer(planned.alpha.flat).reshape(-1, planned.alpha.width)
+        negative = int((alphas < 0.0).any(axis=1).sum())
+        ratio = planned.final_error() / base.final_error()
+        ok = ok and negative >= 0.9 * len(alphas) and ratio <= 0.95
+        seeds.append(f"seed {seed}: gd {base.final_error():.3g}, K=10 "
+                     f"{planned.final_error():.3g} (ratio {ratio:.2f}), {negative} of "
+                     f"{len(alphas)} events negative")
+        k50.append(f"{run(csawg(50), seed).final_error():.3g}")
+
+    def noiseless(optimizer):
+        trace = run(optimizer, noise_std=0.0, error_floor=1e-12)
+        return f"{trace.status} after {trace.total_grad_evals}"
+
+    report(13, "stochastic negative step-sizes", ok,
+           "; ".join(seeds) + " (bounds 0.9 of events, ratio 0.95); "
+           f"K=50 at seeds 0/1/2: {'/'.join(k50)}; noiseless to 1e-12, gamma=0.2: "
+           f"gd {noiseless({'name': 'gd', 'gamma': 0.2})}, K=10 {noiseless(csawg(10, 0.2))}, "
+           f"K=2 {noiseless(csawg(2, 0.2))}; gamma=0.05: K=2 {noiseless(csawg(2))}")

@@ -182,6 +182,16 @@ class TestRun:
         assert csvs["option"] == csvs["set"]
         assert csvs["option"] != csvs["config"]  # the config's own seed is 7
 
+    def test_idbd_off_the_stream_exits_2(self, runner, tmp_path):
+        out = tmp_path / "out"
+        result = runner.invoke(cli, ["run", "--config", str(CONFIGS / "rosenbrock-gd.json"),
+                                     "--out", str(out), "--set",
+                                     'optimizer={"name":"idbd","eta":0.02,"beta0":-3.0}'])
+        assert result.exit_code == 2, result.output
+        assert "the idbd optimizer runs only on the 'lms' problem" in result.output
+        assert "Traceback" not in result.output
+        assert not out.exists()
+
     @pytest.mark.parametrize("config", ["lms-idbd.json", "rosenbrock-gd.json"])
     def test_negative_seed_exits_2(self, runner, tmp_path, config):
         out = tmp_path / "out"

@@ -161,12 +161,39 @@ class TestRunExperiment:
                                    seed=5))
         assert trace.records[-1].error < trace.records[0].error
         assert trace.total_grad_evals == 3000
-        with pytest.raises(ValueError, match="idbd"):
-            run_experiment(cfg({"name": "lms", "w_star": [1.0]},
-                               {"name": "gd", "gamma": 0.1}, EvalBudget(max_iterations=1)))
-        with pytest.raises(ValueError, match="lms"):
-            run_experiment(cfg(ROSEN, {"name": "idbd", "eta": 0.02, "beta0": -3.0},
-                               EvalBudget(max_iterations=1)))
+        # the stream is an Objective, so any other stepper runs on it too
+        trace = run_experiment(cfg({"name": "lms", "w_star": [1.0]},
+                                   {"name": "gd", "gamma": 0.1}, EvalBudget(max_iterations=1)))
+        assert len(trace) == trace.total_grad_evals == 1
+        for problem in (ROSEN, CONVEX):
+            with pytest.raises(ValueError, match="idbd.*'lms'"):
+                run_experiment(cfg(problem, {"name": "idbd", "eta": 0.02, "beta0": -3.0},
+                                   EvalBudget(max_iterations=1)))
+
+    @pytest.mark.parametrize("dim", [3, 30], ids=["lists", "arrays"])
+    @pytest.mark.parametrize("optimizer,per_event,func_per_step", [
+        ({"name": "gd", "gamma": 0.02}, 0, 0),
+        ({"name": "adam", "alpha": 0.01}, 0, 0),
+        ({"name": "csawg", "gamma": 0.01, "k": 10, "p": 5, "m": 10}, 5 * (1 + 10), 0),
+        ({"name": "polyak", "f_star": 0.0}, 0, 1),
+    ], ids=["gd", "adam", "csawg", "polyak"])
+    def test_stream_accounting(self, dim, optimizer, per_event, func_per_step):
+        # one sampled gradient per row and P(1 + M) per planning event, on
+        # either side of LIST_MAX_DIM; value is the population loss, counted
+        w_star = np.linspace(1.0, 2.0, dim).tolist()
+        trace = run_experiment(cfg({"name": "lms", "w_star": w_star, "noise_std": 0.1},
+                                   optimizer, EvalBudget(max_iterations=200, error_floor=None),
+                                   seed=3, record_alpha=True))
+        assert trace.total_grad_evals == len(trace) + len(trace.alpha) * per_event
+        assert trace.total_func_evals == func_per_step * len(trace)
+        if optimizer["name"] == "polyak":
+            # its step divides the population loss by one sampled gradient's
+            # squared norm, which can be short: the run diverges
+            assert trace.status == DIVERGED
+            return
+        assert trace.status == BUDGET_EXHAUSTED and len(trace) == 200
+        assert len(trace.alpha) == (19 if per_event else 0)
+        assert trace.final_error() < trace.error[0]
 
     def test_idbd_deterministic_per_seed(self):
         base = cfg({"name": "lms", "w_star": [0.5, 2.0], "noise_std": 0.1},

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from stepplan.core import finite_diff_grad
+from stepplan.core import Objective, finite_diff_grad
 from stepplan.problems import (LmsStream, QuadraticProblem, RosenbrockProblem,
                                make_problem, random_spd)
 
@@ -205,6 +205,24 @@ class TestLmsStream:
             x, y = s.next()
             total += 0.5 * (y - w @ x) ** 2
         assert abs(total / n - s.population_error(w)) <= 0.01 * s.population_error(w) + 1e-3
+
+    def test_is_an_objective_whose_draws_continue_one_sequence(self):
+        s = LmsStream([1.0, -1.0, 0.5], noise_std=0.1, seed=3)
+        twin = LmsStream([1.0, -1.0, 0.5], noise_std=0.1, seed=3)
+        assert isinstance(s, Objective) and s.dimension == 3
+        w = [0.5, 0.25, -1.0]
+        for point in (w, np.array(w)):  # the gradient comes back in the point's form
+            x, y = twin.next()
+            g = s.grad(point)
+            assert type(g) is type(point)
+            assert np.array_equal(g, (float(np.array(w) @ x) - y) * x)
+        for _ in range(3):  # next() draws the samples that follow the gradients'
+            x, y = s.next()
+            tx, ty = twin.next()
+            assert np.array_equal(x, tx) and y == ty
+        assert s.grad_evals == twin.grad_evals == 5 and s.func_evals == 0
+        assert s.value(w) == s.error(w) == s.population_error(w)
+        assert s.func_evals == 1 and s.grad_evals == 5
 
     def test_validation(self):
         with pytest.raises(ValueError):
