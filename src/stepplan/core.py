@@ -3,10 +3,10 @@ and run budgets.
 
 Every stepper keeps its iterate in ``point``.  ``_Stepper`` picks its form
 once, from the start point's dimension: a list of floats at ``LIST_MAX_DIM``
-entries and below, a one-dimensional float64 array above; the steppers with
-a reduction or ``exp`` always compute on arrays.  ``_unrolled`` renders each
-elementwise rule template in either form, one entry at a time on a list and
-as one whole-array statement on an array, so each rule has one copy.  The
+entries and below, a one-dimensional float64 array above.  ``_unrolled``
+renders each rule template in either form, one entry at a time on a list and
+as one whole-array statement on an array, so each rule has one copy; a
+reduction is a ``+`` chain on a list and BLAS ``@`` on an array.  The
 gradient ``Objective.grad`` returns has the form of the point it was asked
 at.  The helpers here validate finiteness and dimension at public
 boundaries; hot loops elsewhere assume validated inputs and only re-check
@@ -149,11 +149,10 @@ class _Stepper:
     """Shared state of every optimizer: the iterate ``point`` and a step counter ``k``.
 
     ``point`` starts as a list of floats when ``w0`` has at most
-    ``LIST_MAX_DIM`` entries, else as a float64 array, a copy of ``w0``; a
-    stepper that always computes on arrays converts it once in its
-    constructor.  ``w`` builds a new float64 array from ``point`` at each
-    read, so writing into it never moves the stepper.  ``run_steps`` reads
-    ``point``.
+    ``LIST_MAX_DIM`` entries, else as a float64 array, a copy of ``w0``; only
+    ``Idbd`` converts it, once in its constructor.  ``w`` builds a new float64
+    array from ``point`` at each read, so writing into it never moves the
+    stepper.  ``run_steps`` reads ``point``.
     """
 
     def __init__(self, w0):
@@ -208,7 +207,10 @@ def _unrolled(d: Optional[int], params: str, *rules: str) -> Callable:
     as ``(x if c else y)``.  For ``d=None`` it becomes one whole-array
     statement, ``expr`` without its ``[i]``, with ``np.sqrt`` and
     ``np.where``, one kernel for every dimension.  Both round each entry as
-    ``expr`` does on one component.
+    ``expr`` does on one component.  A reduction rule ``"s = sum(x[i] *
+    y[i])"`` assigns a float: ``(x_0 * y_0 + ... + x_{d-1} * y_{d-1})``, one
+    left-to-right chain, for ``d`` entries (builtin ``sum`` is compensated
+    from Python 3.12 on), and ``float(x @ y)`` through BLAS for ``d=None``.
     The rules run in order, and a later one reads what an earlier one
     assigned.  The rules are string constants in the steppers; only the
     integer ``d`` enters the source.  Each kernel is built once per process
@@ -217,11 +219,17 @@ def _unrolled(d: Optional[int], params: str, *rules: str) -> Callable:
     names, lines = [], []
     for rule in rules:
         name, expr = (part.strip() for part in rule.split("=", 1))
+        tree = ast.parse(expr, mode="eval").body
+        reduction = isinstance(tree, ast.Call) and getattr(tree.func, "id", None) == "sum"
         if d is None:
+            if reduction:  # sum(a[i] * b[i]) -> float(a[i] @ b[i])
+                tree.func.id, tree.args[0].op = "float", ast.MatMult()
+                expr = ast.unparse(tree)
             value = expr.replace("[i]", "")
         else:
-            expr = ast.unparse(_Conditional().visit(ast.parse(expr, mode="eval")))
-            value = "[" + ", ".join(expr.replace("[i]", f"[{j}]") for j in range(d)) + "]"
+            term = ast.unparse(_Conditional().visit(tree.args[0] if reduction else tree))
+            entries = [term.replace("[i]", f"[{j}]") for j in range(d)]
+            value = f"({' + '.join(entries)})" if reduction else f"[{', '.join(entries)}]"
         names.append(name)
         lines.append(f"    {name} = {value}")
     source = f"def kernel({params}):\n" + "\n".join(lines) + f"\n    return {', '.join(names)}\n"

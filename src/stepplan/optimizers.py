@@ -8,18 +8,17 @@ objective counts separately.  Steppers do not police stability — finite
 oscillation passes through, and only a non-finite iterate aborts.
 
 Every stepper keeps its iterate in ``point`` and ends a step with
-``_commit``.  The purely elementwise rules (gd, heavy_ball, nesterov,
-rmsprop, adam) keep ``point`` and their state vectors in the form
-``core._Stepper`` picks from the dimension: lists of Python floats up to
-``core.LIST_MAX_DIM`` entries, where a numpy ufunc call costs more than the
-arithmetic, and float64 arrays above.  Each builds its update once, in its
-constructor, as one kernel that ``core._unrolled`` renders from its rule
+``_commit``.  All but ``Idbd`` keep ``point`` and their state vectors in the
+form ``core._Stepper`` picks from the dimension: lists of Python floats up
+to ``core.LIST_MAX_DIM`` entries, where a numpy ufunc call costs more than
+the arithmetic, and float64 arrays above.  Each builds its update once, in
+its constructor, from kernels that ``core._unrolled`` renders from rule
 templates in that form, so a step sets up no loop.  ``+ - * /`` and
-``sqrt`` round correctly in both forms, so they give the same bytes.  The
-rules with a reduction (``g @ v``) or ``exp``, whose results may round
-differently from a Python sum or ``math.exp``, keep ``point`` as a float64
-array at every dimension.  On every stepper ``w`` is a new float64 array
-built from ``point``.
+``sqrt`` round correctly in both forms, so they give the same bytes; a
+reduction (``_DOT``) is a left-to-right ``+`` chain on a list and BLAS on an
+array.  ``Idbd``, whose ``exp`` may round differently from ``math.exp``,
+keeps ``point`` as a float64 array at every dimension.  On every stepper
+``w`` is a new float64 array built from ``point``.
 """
 
 from __future__ import annotations
@@ -30,6 +29,10 @@ import numpy as np
 
 from .core import Array, Objective, StationaryPointError, _Stepper, _build, _finite, _kernel, _zeros
 from .planner import _DESCEND, StepSizePlanner
+
+# the scalar product of two vectors, and the decay of L4's momentum and IDBD1's trace
+_DOT = ("a, b", "s = sum(a[i] * b[i])")
+_DECAY = ("v, p, g", "v = p * v[i] + g[i]")
 
 
 class GradientDescent(_Stepper):
@@ -116,24 +119,25 @@ class PolyakStep(_Stepper):
 
     def __init__(self, w0, f_star: float = 0.0):
         super().__init__(w0)
-        self.point = np.array(self.point)
         self.f_star = _finite("f_star", f_star)
         self.alpha = 0.0
+        self._dot, self._descend = _kernel(self.point, *_DOT), _kernel(self.point, *_DESCEND)
 
     def step(self, obj: Objective):
-        fval = obj.value(self.point)
-        g = obj.grad(self.point)
-        gg = float(g @ g)
+        w = self.point
+        fval = obj.value(w)
+        g = obj.grad(w)
+        gg = self._dot(g, g)
         if gg == 0.0:
             if fval > self.f_star:
                 raise StationaryPointError(
                     f"zero gradient with f(w) = {fval} above f* = {self.f_star}"
                 )
             self.alpha = 0.0
-            self._commit(self.point)
+            self._commit(w)
             return
         self.alpha = (fval - self.f_star) / gg
-        self._commit(self.point - self.alpha * g)
+        self._commit(self._descend(w, self.alpha, g))
 
 
 class L4(_Stepper):
@@ -147,7 +151,6 @@ class L4(_Stepper):
     def __init__(self, w0, f_star: float = 0.0, eps: float = 1e-12,
                  direction: str = "gradient", p: float = 0.9):
         super().__init__(w0)
-        self.point = np.array(self.point)
         self.f_star = _finite("f_star", f_star)
         self.eps = _finite("eps", eps)
         if self.eps <= 0:
@@ -156,19 +159,19 @@ class L4(_Stepper):
             raise ValueError(f"unknown direction {direction!r}")
         self.direction = direction
         self.p = _finite("p", p)
-        self.v = np.zeros_like(self.point)
+        self.v = _zeros(self.point)
         self.alpha = 0.0
+        self._dot, self._descend = _kernel(self.point, *_DOT), _kernel(self.point, *_DESCEND)
+        self._decay = _kernel(self.point, *_DECAY)
 
     def step(self, obj: Objective):
-        fval = obj.value(self.point)
-        g = obj.grad(self.point)
-        if self.direction == "gradient":
-            v = g
-        else:
-            self.v = self.p * self.v + g
-            v = self.v
-        self.alpha = (fval - self.f_star) / (float(g @ v) + self.eps)
-        self._commit(self.point - self.alpha * v)
+        w = self.point
+        fval = obj.value(w)
+        v = g = obj.grad(w)
+        if self.direction == "momentum":
+            v = self.v = self._decay(self.v, self.p, g)
+        self.alpha = (fval - self.f_star) / (self._dot(g, v) + self.eps)
+        self._commit(self._descend(w, self.alpha, v))
 
 
 class LossGrad(_Stepper):
@@ -184,29 +187,30 @@ class LossGrad(_Stepper):
 
     def __init__(self, w0, alpha0: float, rho: float = 1.1):
         super().__init__(w0)
-        self.point = np.array(self.point)
         self.alpha = _finite("alpha0", alpha0)
         self.rho = _finite("rho", rho)
         if self.alpha <= 0:
             raise ValueError("alpha0 must be positive")
         if self.rho <= 1:
             raise ValueError("adjustment factor rho must exceed 1")
+        self._dot, self._descend = _kernel(self.point, *_DOT), _kernel(self.point, *_DESCEND)
 
     def step(self, obj: Objective):
-        g = obj.grad(self.point)
-        gg = float(g @ g)
+        w = self.point
+        g = obj.grad(w)
+        gg = self._dot(g, g)
         if self.alpha * gg == 0.0:
-            self._commit(self.point)
+            self._commit(w)
             return
-        fval = obj.value(self.point)
-        probe = obj.value(self.point - self.alpha * g)
+        fval = obj.value(w)
+        probe = obj.value(self._descend(w, self.alpha, g))
         e = probe - (fval - self.alpha * gg)
         r = e / (self.alpha * gg)
         if r < 0.5:
             self.alpha *= self.rho
         else:
             self.alpha /= self.rho
-        self._commit(self.point - self.alpha * g)
+        self._commit(self._descend(w, self.alpha, g))
 
 
 class RMSprop(_Stepper):
@@ -279,19 +283,21 @@ class IdbdScalar(_Stepper):
 
     def __init__(self, w0, eta: float, lam: float, alpha0: float):
         super().__init__(w0)
-        self.point = np.array(self.point)
         self.eta = _finite("eta", eta)
         self.lam = _finite("lam", lam)
         self.alpha = _finite("alpha0", alpha0)
         if not (0.0 <= self.lam < 1.0):
             raise ValueError("lam must be in [0, 1)")
-        self.h = np.zeros_like(self.point)
+        self.h = _zeros(self.point)
+        self._dot, self._descend = _kernel(self.point, *_DOT), _kernel(self.point, *_DESCEND)
+        self._decay = _kernel(self.point, *_DECAY)
 
     def step(self, obj: Objective):
-        g = obj.grad(self.point)
-        self.alpha = self.alpha + self.eta * float(g @ self.h)
-        self._commit(self.point - self.alpha * g)
-        self.h = self.lam * self.h + g
+        w = self.point
+        g = obj.grad(w)
+        self.alpha = self.alpha + self.eta * self._dot(g, self.h)
+        self._commit(self._descend(w, self.alpha, g))
+        self.h = self._decay(self.h, self.lam, g)
 
 
 class Idbd(_Stepper):

@@ -49,7 +49,7 @@ _ALPHA = ("sum1, sum2",
 @dataclass
 class ExperiencePair:
     """One recorded update: the iterate and the gradient that drove it.  Only
-    ``ExperienceBuffer.record`` takes it, for ``perfbench/micro.py`` lines 21, 122."""
+    ``ExperienceBuffer.record`` takes it, for ``perfbench``'s ``micro._steppers``."""
 
     w: Array
     g: Array
@@ -87,7 +87,7 @@ class ExperienceBuffer:
 
     def record(self, pair: ExperiencePair) -> bool:
         """Append a pair; return True when planning should fire now.  Kept for
-        ``perfbench/micro.py`` line 122; the planner calls ``push``."""
+        ``perfbench``'s ``micro._steppers``; the planner calls ``push``."""
         if self.count and pair.w.size != self.dim:
             raise ValueError(f"dimension mismatch: buffer holds {self.dim}-vectors, "
                              f"got {pair.w.size}")
@@ -119,7 +119,7 @@ def compute_alpha(buf: ExperienceBuffer) -> Array:
     ``alpha_i = sum1_i / sum2_i``, except alpha_i = 0 where sum2_i = 0; a
     float64 array from either form of buffer.  The planner, which has just
     seen ``push`` fire, calls ``buf.alpha`` in its own form instead;
-    this check and conversion are kept for ``perfbench/micro.py`` line 124.
+    this check and conversion are kept for ``perfbench``'s ``micro._steppers``.
     """
     if buf.count <= buf.k or buf.count % buf.k:
         raise ValueError("planning requires a full window of K pairs")

@@ -39,8 +39,8 @@ DIVERGED = "diverged"
 @dataclass(slots=True)
 class TraceRecord:
     """One row, for ``Trace(records=...)`` and the ``Trace.records`` view, which
-    ``perfbench/micro.py`` (lines 26, 142-147) and ``perfbench/workloads.py``
-    (141-149, 228, 232, 270-272) use; the package reads the columns."""
+    ``perfbench`` uses (``micro._tracing``, ``workloads.accounting_faults``,
+    ``TrajectoryWorkload.run_pass`` and ``.anchors``); the package reads the columns."""
 
     iteration: int
     grad_evals: int
@@ -216,8 +216,8 @@ class Trace:
 
     @property
     def records(self) -> TraceRows:
-        """The rows as records, for ``perfbench/workloads.py`` (lines 141-149,
-        228, 232, 270-272); nothing in the package reads them."""
+        """The rows as records, for ``perfbench``'s ``workloads.accounting_faults``,
+        ``TrajectoryWorkload.run_pass`` and ``.anchors``; the package reads none."""
         return TraceRows(self)
 
     def __len__(self) -> int:

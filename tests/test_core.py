@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from stepplan.core import (EvalBudget, Objective, _finite, all_finite, as_vector,
+from stepplan.core import (EvalBudget, Objective, _finite, _unrolled, all_finite, as_vector,
                            finite_diff_grad)
 
 from conftest import rosenbrock_objective, scalar_objective
@@ -231,3 +231,16 @@ class TestFinite:
     def test_rejects_integers_beyond_the_float_range(self, value):
         with pytest.raises(ValueError, match="gamma must be finite"):
             _finite("gamma", value)
+
+
+class TestReductionKernel:
+    """A reduction template is one left-to-right ``+`` chain on a list and BLAS
+    ``@`` on an array."""
+
+    def test_the_list_form_sums_left_to_right(self):
+        # a compensated sum (builtin sum from Python 3.12, math.fsum) gives 1.0
+        a, b = [1e16, 1.0, -1e16], [1.0, 1.0, 1.0]
+        assert _unrolled(3, "a, b", "s = sum(a[i] * b[i])")(a, b) == 0.0
+        a, b = np.array(a), np.array(b)
+        s = _unrolled(None, "a, b", "s = sum(a[i] * b[i])")(a, b)
+        assert type(s) is float and s == float(a @ b)

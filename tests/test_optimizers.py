@@ -397,12 +397,17 @@ class TestElementwiseBitIdentity:
 def _rosenbrock_float_errors(name: str, params: dict, iterations: int) -> list:
     """Each row's error of ``name`` on Rosenbrock from (-1, 0), written straight
     from the update rule on two Python floats."""
+    def value(w1, w2):
+        return (w1 - 1.0) ** 2 + 100.0 * (w2 - w1 * w1) ** 2
+
     def grad(w1, w2):
         return (2.0 * (w1 - 1.0) - 400.0 * w1 * (w2 - w1 * w1), 200.0 * (w2 - w1 * w1))
 
     w1, w2 = -1.0, 0.0
     d1 = d2 = m1 = m2 = v1 = v2 = 0.0  # heavy ball's delta, Adam's m, the v's
+    h1 = h2 = 0.0  # IDBD1's trace
     x1, x2, t = w1, w2, 1.0  # Nesterov's lookahead point
+    alpha = params.get("alpha0")  # LossGrad's and IDBD1's step-size
     errors = []
     for k in range(1, iterations + 1):
         if name == "gd":
@@ -427,6 +432,31 @@ def _rosenbrock_float_errors(name: str, params: dict, iterations: int) -> list:
             g1, g2 = grad(w1, w2)
             v1, v2 = beta * v1 + (1.0 - beta) * g1 * g1, beta * v2 + (1.0 - beta) * g2 * g2
             w1, w2 = w1 - alpha * g1 / math.sqrt(v1 + eps), w2 - alpha * g2 / math.sqrt(v2 + eps)
+        elif name in ("polyak", "l4"):  # v is L4's direction; a reduction is a left-to-right sum
+            f, (g1, g2) = value(w1, w2) - params["f_star"], grad(w1, w2)
+            if params.get("direction") == "momentum":
+                v1, v2 = params["p"] * v1 + g1, params["p"] * v2 + g2
+            else:
+                v1, v2 = g1, g2
+            if name == "polyak":
+                alpha = f / (g1 * g1 + g2 * g2)
+            else:
+                alpha = f / (g1 * v1 + g2 * v2 + params["eps"])
+            w1, w2 = w1 - alpha * v1, w2 - alpha * v2
+        elif name == "lossgrad":
+            g1, g2 = grad(w1, w2)
+            gg = g1 * g1 + g2 * g2
+            if alpha * gg != 0.0:
+                f = value(w1, w2)
+                e = value(w1 - alpha * g1, w2 - alpha * g2) - (f - alpha * gg)
+                alpha = alpha * params["rho"] if e / (alpha * gg) < 0.5 else alpha / params["rho"]
+                w1, w2 = w1 - alpha * g1, w2 - alpha * g2
+        elif name in ("hd", "idbd1"):
+            lam = params.get("lam", 0.0)
+            g1, g2 = grad(w1, w2)
+            alpha = alpha + params["eta"] * (g1 * h1 + g2 * h2)
+            w1, w2 = w1 - alpha * g1, w2 - alpha * g2
+            h1, h2 = lam * h1 + g1, lam * h2 + g2
         else:  # adam
             alpha, b1, b2, eps = params["alpha"], params["beta1"], params["beta2"], params["eps"]
             g1, g2 = grad(w1, w2)
@@ -435,7 +465,7 @@ def _rosenbrock_float_errors(name: str, params: dict, iterations: int) -> list:
             c1, c2 = 1.0 - b1 ** k, 1.0 - b2 ** k
             w1 = w1 - alpha * (m1 / c1) / (math.sqrt(v1 / c2) + eps)
             w2 = w2 - alpha * (m2 / c1) / (math.sqrt(v2 / c2) + eps)
-        errors.append((w1 - 1.0) ** 2 + 100.0 * (w2 - w1 * w1) ** 2)
+        errors.append(value(w1, w2))
     return errors
 
 
@@ -455,8 +485,8 @@ def sphere_objective(d):
 
 
 class TestListPath:
-    """The elementwise steppers run on lists of floats from the problem to the
-    trace: each error column equals a float loop written from the equations."""
+    """The steppers run on lists of floats from the problem to the trace: each
+    error column equals a float loop written from the equations."""
 
     STEPPERS = [
         ("gd", {"gamma": 0.001}),
@@ -464,6 +494,12 @@ class TestListPath:
         ("nesterov", {"mode": "convex", "L": 1000.0, "step": 0.0005}),
         ("rmsprop", {"alpha": 0.001, "beta": 0.9, "eps": 1e-8}),
         ("adam", {"alpha": 0.01, "beta1": 0.9, "beta2": 0.999, "eps": 1e-8}),
+        ("polyak", {"f_star": 0.0}),
+        ("l4", {"f_star": 0.0, "eps": 1e-12, "direction": "gradient"}),
+        ("l4", {"f_star": 0.0, "eps": 1e-12, "direction": "momentum", "p": 0.5}),
+        ("lossgrad", {"alpha0": 0.001, "rho": 2.0}),
+        ("hd", {"eta": 1e-7, "alpha0": 0.001}),
+        ("idbd1", {"eta": 1e-7, "lam": 0.5, "alpha0": 0.001}),
     ]
 
     @pytest.mark.parametrize("name,params", STEPPERS)
@@ -523,22 +559,21 @@ class TestGradientShape:
 
 
 class TestNumpyStepperBytes:
-    """The steppers that compute on float64 arrays, which no preset runs, write
-    the bytes they wrote when each kept its own ``w`` array: sha256 of a
-    100-row ``record_w`` CSV on a fixed 3-d quadratic, measured on x86-64.
-    Their ``g @ v`` and ``Q @ w`` round differently in OpenBLAS's SkylakeX
+    """The scalar step-size rules, which no preset runs, on a fixed 3-d
+    quadratic: sha256 of a 100-row ``record_w`` CSV, measured on x86-64.
+    The quadratic's ``Q @ w`` rounds differently in OpenBLAS's SkylakeX
     kernel and in its Haswell (AVX2) one, which Zen shares, so each case
     accepts the hash measured under each."""
 
     @pytest.mark.parametrize("name,params,golden", [
         ("polyak", {},
-         {"SkylakeX": "f19e4bb10e88c5a7fc04e007266caeb26a4a195363da3a0bfc551e555f6b4ab9",
+         {"SkylakeX": "58a3f5a90e02fefa8a7162feb179dee89c22866d902351b8a3c4fae0e3b0adb5",
            "Haswell": "31eb378ef173938786cd6132e5a46035eadaf75c10730595c2d6f7658dc4443d"}),
         ("l4", {},
-         {"SkylakeX": "2efabbea817facb649abd5ed02351bf7e566789a8d41eaeb4638d3f809dffb2f",
+         {"SkylakeX": "bd90384e590ccb305630188f3f9380c6b27884d3f157301288a8640945b29c84",
            "Haswell": "c856a7b082b25eb4d901151b94636cb7da52705e7380d6781e56fe31b53a1a2c"}),
         ("l4", {"direction": "momentum", "p": 0.5},
-         {"SkylakeX": "484a3631c138cca7e72cdd0e706d40cd72ea4263e526b9f4d65d07c66fd00a84",
+         {"SkylakeX": "32ff6ed72b5a6705ca97cdeec433aacbfab71a68b271d8dff10faf95fff9e8d4",
            "Haswell": "4886e476e8ef3af947bbfcf58777b8b77f9ee3f728a9276f000b3a306e88e678"}),
         ("lossgrad", {"alpha0": 0.05},
          {"SkylakeX": "f892f33481c831d3e7d9f7d753b2f8c3c38909c8922af1083e1e22c68af60a56",
@@ -562,10 +597,11 @@ class TestNumpyStepperBytes:
 
 
 class TestListStepperBytes:
-    """The steppers that compute on lists of floats write the bytes they wrote
-    when each step was a comprehension per vector: sha256 of a 300-row
-    ``record_w`` and ``record_alpha`` CSV on Rosenbrock from (-1, 0).  The runs
-    are float arithmetic with no numpy kernel, so the bytes hold on any platform."""
+    """The steppers that compute on lists of floats: sha256 of a 300-row
+    ``record_w`` and ``record_alpha`` CSV on Rosenbrock from (-1, 0).  The
+    elementwise rows hold the bytes written when each step was a comprehension
+    per vector.  The runs are float arithmetic with no numpy kernel, and each
+    reduction is a left-to-right chain, so the bytes hold on any platform."""
 
     @pytest.mark.parametrize("name,params,golden", [
         ("gd", {"gamma": 0.001},
@@ -582,8 +618,20 @@ class TestListStepperBytes:
          "a21fbc44e93bd7dbdc88338d83515e1e371c417ca6ace8565424b95f0091a40d"),
         ("csawg", {"gamma": 0.001, "k": 2, "p": 5, "m": 10},
          "87e93f01f3f39484593a214d2e443b81535369127b2e0ef9044ec711424d5754"),
+        ("polyak", {"f_star": 0.0},
+         "525dacb28eb5abe4b420b873ac76d63cd1414c7bd0de8c809b5e238b443c2159"),
+        ("l4", {"direction": "gradient"},
+         "ff981a88ccfdf0bf0c3353cf8489f7e05e57ffb1bba12e1c12bfe1ca7ecf4eda"),
+        ("l4", {"direction": "momentum", "p": 0.5},
+         "a5898436db581ac663b2f3e18f2cc5a0a79e0758f7a0e4b7cd21d42d6d0a8563"),
+        ("lossgrad", {"alpha0": 0.001, "rho": 2.0},
+         "dac279bc48bbaa030905df776fe7c1381eb9112850a14d53df9a15cd0505abf3"),
+        ("hd", {"eta": 1e-7, "alpha0": 0.001},
+         "28f785d1147aef61c5b05f3b16c056e55ba734edd731e4cf9f3f2e5d0d0fe47e"),
+        ("idbd1", {"eta": 1e-7, "lam": 0.5, "alpha0": 0.001},
+         "3ab02103f84819e2787b14aaa78e399d8e1c055e4c9d5276823ff895bc352880"),
     ], ids=["gd", "heavy_ball", "nesterov-convex", "nesterov-strongly_convex", "rmsprop",
-            "adam", "csawg"])
+            "adam", "csawg", "polyak", "l4-gradient", "l4-momentum", "lossgrad", "hd", "idbd1"])
     def test_rosenbrock_csv_golden_bytes(self, tmp_path, name, params, golden):
         obj = make_objective(RosenbrockProblem())
         s = make_optimizer(name, [-1.0, 0.0], params)

@@ -6,8 +6,8 @@ import pytest
 
 from stepplan.core import LIST_MAX_DIM, EvalBudget, Objective
 from stepplan.harness import ExperimentConfig, run_experiment
-from stepplan.optimizers import (Adam, GradientDescent, HeavyBall, NesterovAGD, RMSprop,
-                                 make_optimizer)
+from stepplan.optimizers import (Adam, GradientDescent, HeavyBall, IdbdScalar, L4, LossGrad,
+                                 NesterovAGD, PolyakStep, RMSprop, make_optimizer)
 from stepplan.planner import ExperienceBuffer, ExperiencePair, StepSizePlanner, compute_alpha
 from stepplan.theory import ideal_diag_step
 from stepplan.tracing import (BUDGET_EXHAUSTED, CONVERGED, DIVERGED, ERROR_CAP, Trace,
@@ -120,15 +120,23 @@ class TestReferencePlanner:
         assert forms == {list, np.ndarray}  # both sides of LIST_MAX_DIM
 
 
-# every stepper that computes with rule-template kernels, and the vectors it keeps
+# every stepper that computes with rule-template kernels, the vectors it keeps
+# and the kernels it binds
+SCALAR_KERNELS = ("_dot", "_descend")
 KERNEL_STEPPERS = {
-    "gd": (GradientDescent, {"gamma": 0.1}, ()),
-    "heavy_ball": (HeavyBall, {"gamma": 0.1, "p": 0.5}, ("delta",)),
-    "nesterov": (NesterovAGD, {"mode": "convex"}, ("x",)),
-    "rmsprop": (RMSprop, {"alpha": 0.1, "beta": 0.9}, ("v",)),
-    "adam": (Adam, {"alpha": 0.1}, ("m", "v")),
+    "gd": (GradientDescent, {"gamma": 0.1}, (), ("_update",)),
+    "heavy_ball": (HeavyBall, {"gamma": 0.1, "p": 0.5}, ("delta",), ("_update",)),
+    "nesterov": (NesterovAGD, {"mode": "convex"}, ("x",), ("_update",)),
+    "polyak": (PolyakStep, {}, (), SCALAR_KERNELS),
+    "l4": (L4, {"direction": "momentum"}, ("v",), (*SCALAR_KERNELS, "_decay")),
+    "lossgrad": (LossGrad, {"alpha0": 0.1}, (), SCALAR_KERNELS),
+    "rmsprop": (RMSprop, {"alpha": 0.1, "beta": 0.9}, ("v",), ("_update",)),
+    "adam": (Adam, {"alpha": 0.1}, ("m", "v"), ("_update",)),
+    "idbd1": (IdbdScalar, {"eta": 1e-3, "lam": 0.5, "alpha0": 0.1}, ("h",),
+              (*SCALAR_KERNELS, "_decay")),
     "csawg": (StepSizePlanner, {"gamma": 0.1, "k": 2},
-              ("last_alpha", "buffer.sum1", "buffer.sum2")),
+              ("last_alpha", "buffer.sum1", "buffer.sum2"),
+              ("_descend", "_project", "buffer.add_pair", "buffer.alpha")),
 }
 
 
@@ -143,7 +151,7 @@ class TestPlannerForm:
                             lambda stepper, *args, **kw: started.append(stepper) or Trace())
         want = list if d <= LIST_MAX_DIM else np.ndarray
         obj = Objective(d, lambda w: 0.0, lambda w: np.linspace(0.5, 1.0, d))
-        for name, (cls, params, state) in KERNEL_STEPPERS.items():
+        for name, (cls, params, state, _) in KERNEL_STEPPERS.items():
             run_experiment(ExperimentConfig(
                 problem={"name": "quadratic", "q_diag": [1.0] * d, "w0": w0.tolist()},
                 optimizer={"name": name, **params}, budget=EvalBudget(1)))
@@ -160,14 +168,11 @@ class TestPlannerForm:
 
     def test_above_the_constant_every_dimension_binds_one_kernel(self):
         obj = Objective(1, lambda w: 0.0, lambda w: np.ones(len(w)))
-        for name, (cls, params, _) in KERNEL_STEPPERS.items():
+        for name, (cls, params, _, kernels) in KERNEL_STEPPERS.items():
             listed, *arrays = (cls(np.ones(d), **params)
                                for d in (LIST_MAX_DIM, LIST_MAX_DIM + 1, 20000))
             for s in (listed, *arrays):
                 s.step(obj)
-            kernels = ("_update",)
-            if name == "csawg":
-                kernels = ("_descend", "_project", "buffer.add_pair", "buffer.alpha")
             for key in kernels:
                 kernel = attrgetter(key)
                 assert kernel(arrays[0]) is kernel(arrays[1]) is not kernel(listed), (name, key)
