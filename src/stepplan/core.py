@@ -8,9 +8,10 @@ renders each rule template in either form, one entry at a time on a list and
 as one whole-array statement on an array, so each rule has one copy; a
 reduction is a ``+`` chain on a list and BLAS ``@`` on an array.  The
 gradient ``Objective.grad`` returns has the form of the point it was asked
-at.  The helpers here validate finiteness and dimension at public
-boundaries; hot loops elsewhere assume validated inputs and only re-check
-where an update can blow up.
+at.  The helpers here validate finiteness, dimension and the ranges that
+more than one field shares (``_count``'s lower bound, ``_positive``,
+``_rate``) at public boundaries; hot loops elsewhere assume validated inputs
+and only re-check where an update can blow up.
 """
 
 from __future__ import annotations
@@ -102,9 +103,7 @@ class Objective:
         optimum_value: Optional[float] = None,
         optimum_point=None,
     ):
-        if dimension < 1:
-            raise ValueError("dimension must be >= 1")
-        self.dimension = int(dimension)
+        self.dimension = _count("dimension", dimension, 1)
         self.value_fn = value_fn
         self.grad_fn = grad_fn
         self.optimum_value = None if optimum_value is None else float(optimum_value)
@@ -256,8 +255,7 @@ def finite_diff_grad(obj: Objective, w, h: float = 1e-6) -> Array:
     step stays meaningful for large coordinates at 64-bit precision.
     Does not touch the objective's evaluation counters.
     """
-    if not (h > 0):
-        raise ValueError("h must be positive")
+    h = _positive("h", h)
     wv = as_vector(w, dim=obj.dimension)
     g = np.empty_like(wv)
     for i in range(wv.size):
@@ -274,19 +272,15 @@ def finite_diff_grad(obj: Objective, w, h: float = 1e-6) -> Array:
     return g
 
 
-def _count(name: str, value) -> int:
-    """``value`` as an int; ``ValueError`` for bools, floats and other non-integers."""
+def _count(name: str, value, least: Optional[int] = None) -> int:
+    """``value`` as an int, which must be >= ``least`` when given; ``ValueError``
+    for bools, floats and other non-integers."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
-def _seed(value) -> int:
-    """``value`` as a random seed: ``_count("seed", value)``, which must be >= 0."""
-    seed = _count("seed", value)
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
-    return seed
+    value = int(value)
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+    return value
 
 
 def _number(name: str, value) -> float:
@@ -309,6 +303,22 @@ def _finite(name: str, value) -> float:
     return value
 
 
+def _positive(name: str, value) -> float:
+    """``_finite(name, value)``, which must be > 0."""
+    value = _finite(name, value)
+    if not value > 0:
+        raise ValueError(f"{name} must be positive, got {value!r}")
+    return value
+
+
+def _rate(name: str, value) -> float:
+    """``_finite(name, value)``, which must be in [0, 1)."""
+    value = _finite(name, value)
+    if not 0.0 <= value < 1.0:
+        raise ValueError(f"{name} must be in [0, 1), got {value!r}")
+    return value
+
+
 @dataclass
 class EvalBudget:
     """Stopping conditions for a run.
@@ -326,13 +336,9 @@ class EvalBudget:
     error_floor: Optional[float] = 0.0
 
     def __post_init__(self):
-        self.max_iterations = _count("max_iterations", self.max_iterations)
+        self.max_iterations = _count("max_iterations", self.max_iterations, 0)
         if self.max_grad_evals is not None:
-            self.max_grad_evals = _count("max_grad_evals", self.max_grad_evals)
-        if self.max_iterations < 0:
-            raise ValueError("max_iterations must be >= 0")
-        if self.max_grad_evals is not None and self.max_grad_evals <= 0:
-            raise ValueError("max_grad_evals must be positive when set")
+            self.max_grad_evals = _count("max_grad_evals", self.max_grad_evals, 1)
         if self.error_floor is not None:
             self.error_floor = _number("error_floor", self.error_floor)
             if not self.error_floor >= 0:

@@ -17,7 +17,7 @@ from bisect import bisect_right
 from dataclasses import asdict, dataclass
 from typing import Callable, Iterable, List, Tuple
 
-from .core import EvalBudget, Objective, _count, _seed
+from .core import EvalBudget, Objective, _count
 from .optimizers import make_optimizer
 from .problems import make_problem
 from .tracing import CONVERGED, Trace, run_steps
@@ -57,7 +57,7 @@ class ExperimentConfig:
             self.label.encode()
         except UnicodeEncodeError:
             raise ValueError(f"label must be encodable as UTF-8, got {self.label!r}") from None
-        self.seed = _seed(self.seed)
+        self.seed = _count("seed", self.seed, 0)
         for field in ("record_w", "record_alpha"):
             if not isinstance(getattr(self, field), bool):
                 raise ValueError(f"{field} must be true or false, got {getattr(self, field)!r}")
@@ -160,9 +160,7 @@ def speedup_at_budget(a: Trace, b: Trace, grad_evals: int) -> float:
     budget.  Both traces must reach the budget.  Returns ``inf`` when b's
     error is zero and a's is not.
     """
-    grad_evals = _count("grad_evals", grad_evals)
-    if grad_evals < 1:
-        raise ValueError("grad_evals must be positive")
+    grad_evals = _count("grad_evals", grad_evals, 1)
     errors = []
     for name, t in (("first", a), ("second", b)):
         # a converged run covers any later budget: on these deterministic

@@ -27,7 +27,8 @@ import math
 
 import numpy as np
 
-from .core import Array, Objective, StationaryPointError, _Stepper, _build, _finite, _kernel, _zeros
+from .core import (Array, Objective, StationaryPointError, _Stepper, _build, _finite, _kernel,
+                   _positive, _rate, _zeros)
 from .planner import _DESCEND, StepSizePlanner
 
 # the scalar product of two vectors, and the decay of L4's momentum and IDBD1's trace
@@ -54,9 +55,7 @@ class HeavyBall(_Stepper):
     def __init__(self, w0, gamma: float, p: float):
         super().__init__(w0)
         self.gamma = _finite("gamma", gamma)
-        self.p = _finite("p", p)
-        if not (0.0 <= self.p < 1.0):
-            raise ValueError("momentum rate p must be in [0, 1)")
+        self.p = _rate("p", p)
         self.delta = _zeros(self.point)
         self._update = _kernel(self.point, "w, g, delta, gamma, p",
                                "w_new = w[i] - gamma * g[i] + p * delta[i]",
@@ -85,9 +84,7 @@ class NesterovAGD(_Stepper):
         if mode not in ("convex", "strongly_convex"):
             raise ValueError(f"unknown mode {mode!r}")
         self.mu = _finite("mu", mu)
-        self.L = _finite("L", L)
-        if self.L <= 0:
-            raise ValueError("L must be positive")
+        self.L = _positive("L", L)
         self.momentum = None  # gamma_k in strongly_convex mode, where it is constant
         if mode == "strongly_convex":
             if not (0 < self.mu <= self.L):
@@ -152,9 +149,7 @@ class L4(_Stepper):
                  direction: str = "gradient", p: float = 0.9):
         super().__init__(w0)
         self.f_star = _finite("f_star", f_star)
-        self.eps = _finite("eps", eps)
-        if self.eps <= 0:
-            raise ValueError("eps must be positive")
+        self.eps = _positive("eps", eps)
         if direction not in ("gradient", "momentum"):
             raise ValueError(f"unknown direction {direction!r}")
         self.direction = direction
@@ -187,10 +182,8 @@ class LossGrad(_Stepper):
 
     def __init__(self, w0, alpha0: float, rho: float = 1.1):
         super().__init__(w0)
-        self.alpha = _finite("alpha0", alpha0)
+        self.alpha = _positive("alpha0", alpha0)
         self.rho = _finite("rho", rho)
-        if self.alpha <= 0:
-            raise ValueError("alpha0 must be positive")
         if self.rho <= 1:
             raise ValueError("adjustment factor rho must exceed 1")
         self._dot, self._descend = _kernel(self.point, *_DOT), _kernel(self.point, *_DESCEND)
@@ -223,12 +216,8 @@ class RMSprop(_Stepper):
     def __init__(self, w0, alpha: float, beta: float, eps: float = 1e-8):
         super().__init__(w0)
         self.alpha = _finite("alpha", alpha)
-        self.beta = _finite("beta", beta)
-        self.eps = _finite("eps", eps)
-        if not (0.0 <= self.beta < 1.0):
-            raise ValueError("beta must be in [0, 1)")
-        if self.eps <= 0:
-            raise ValueError("eps must be positive")
+        self.beta = _rate("beta", beta)
+        self.eps = _positive("eps", eps)
         self.v = _zeros(self.point)
         self._c = 1.0 - self.beta  # taken once, not per entry
         self._update = _kernel(self.point, "w, g, v, alpha, beta, c, eps",
@@ -249,13 +238,9 @@ class Adam(_Stepper):
                  eps: float = 1e-8):
         super().__init__(w0)
         self.alpha = _finite("alpha", alpha)
-        self.beta1 = _finite("beta1", beta1)
-        self.beta2 = _finite("beta2", beta2)
-        self.eps = _finite("eps", eps)
-        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
-            raise ValueError("beta1, beta2 must be in [0, 1)")
-        if self.eps <= 0:
-            raise ValueError("eps must be positive")
+        self.beta1 = _rate("beta1", beta1)
+        self.beta2 = _rate("beta2", beta2)
+        self.eps = _positive("eps", eps)
         self.m, self.v = _zeros(self.point), _zeros(self.point)
         self._c1, self._c2 = 1.0 - self.beta1, 1.0 - self.beta2  # taken once, not per entry
         self._update = _kernel(self.point, "w, g, m, v, alpha, b1, c1, b2, c2, eps, d1, d2",
@@ -284,10 +269,8 @@ class IdbdScalar(_Stepper):
     def __init__(self, w0, eta: float, lam: float, alpha0: float):
         super().__init__(w0)
         self.eta = _finite("eta", eta)
-        self.lam = _finite("lam", lam)
+        self.lam = _rate("lam", lam)
         self.alpha = _finite("alpha0", alpha0)
-        if not (0.0 <= self.lam < 1.0):
-            raise ValueError("lam must be in [0, 1)")
         self.h = _zeros(self.point)
         self._dot, self._descend = _kernel(self.point, *_DOT), _kernel(self.point, *_DESCEND)
         self._decay = _kernel(self.point, *_DECAY)

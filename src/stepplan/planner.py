@@ -78,9 +78,7 @@ class ExperienceBuffer:
     """
 
     def __init__(self, k: int):
-        self.k = _count("K", k)
-        if self.k < 1:
-            raise ValueError("buffer capacity K must be >= 1")
+        self.k = _count("K", k, 1)
         self.count = 0
         self.ring = []
         self.dim = self.add_pair = self.alpha = self.sum1 = self.sum2 = None
@@ -151,12 +149,8 @@ class StepSizePlanner(_Stepper):
         self._descend = _kernel(self.point, *_DESCEND)
         self._project = _kernel(self.point, *_PROJECT)
         self.gamma = _finite("gamma", gamma)
-        self.p = _count("P", p)
-        self.m = _count("M", m)
-        if self.p < 1:
-            raise ValueError("P must be >= 1")
-        if self.m < 0:
-            raise ValueError("M must be >= 0")
+        self.p = _count("P", p, 1)
+        self.m = _count("M", m, 0)
         self.buffer = ExperienceBuffer(k)
         self.last_alpha: Optional[Point] = None
 

@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Array, Objective, _build, _finite, _real_array, _seed, as_vector
+from .core import Array, Objective, _build, _count, _finite, _positive, _real_array, as_vector
 
 
 class QuadraticProblem:
@@ -102,7 +102,7 @@ class LmsStream(Objective):
         self.noise_std = _finite("noise_std", noise_std)
         if self.noise_std < 0:
             raise ValueError("noise_std must be non-negative")
-        self.seed = _seed(seed)
+        self.seed = _count("seed", seed, 0)
         self._rng = np.random.default_rng(self.seed)
         # E[x_i^2] for uniform [low, high]
         self._second_moment = (low * low + low * high + high * high) / 3.0
@@ -137,10 +137,9 @@ def random_spd(rng: np.random.Generator, dim: int, cond: float, scale: float = 1
     Built as V^T diag(e) V with V orthogonal from the QR of a Gaussian
     matrix, so mu and L are controlled exactly.
     """
-    if dim < 1:
-        raise ValueError("dim must be >= 1")
+    dim, cond, scale = _count("dim", dim, 1), _finite("cond", cond), _positive("scale", scale)
     if cond < 1:
-        raise ValueError("cond must be >= 1")
+        raise ValueError(f"cond must be >= 1, got {cond!r}")
     if dim == 1:
         eigs = np.array([1.0])
     else:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Array, _count, _real_array, _seed, as_vector
+from .core import Array, _count, _real_array, as_vector
 from .problems import random_spd
 
 
@@ -39,13 +39,8 @@ def _check_spd_input(q, w) -> tuple[Array, Array]:
     return q, w
 
 
-def quadratic_value(q, w) -> float:
-    """f(w) = 1/2 w^T Q w (optimum-at-zero convention)."""
-    q, w = _check_spd_input(q, w)
-    return _value(q, w)
-
-
 def _value(q: Array, w: Array) -> float:
+    """f(w) = 1/2 w^T Q w (optimum-at-zero convention)."""
     return float(0.5 * w @ q @ w)
 
 
@@ -69,15 +64,19 @@ def optimal_diag_step(q, w) -> Array:
     """w_i / (Qw)_i, the diagonal step reaching the optimum in one iteration:
     ``ideal_diag_step`` with the gradient Qw and the target 0."""
     q, w = _check_spd_input(q, w)
-    return ideal_diag_step(w, q @ w, np.zeros(w.size))
+    return _diag_step(w, q @ w, 0.0)
 
 
 def ideal_diag_step(w, g, target) -> Array:
     """(w_i - target_i) / g_i: the step that lands each component on the target."""
     w = as_vector(w)
-    g = as_vector(g, dim=w.size)
-    target = as_vector(target, dim=w.size)
-    if np.any(g == 0.0):
+    return _diag_step(w, as_vector(g, dim=w.size), as_vector(target, dim=w.size))
+
+
+def _diag_step(w: Array, g: Array, target) -> Array:
+    """``ideal_diag_step`` on checked vectors, ``target`` an array or a float;
+    a zero component of ``g`` is a ``SingularDirectionError``."""
+    if not g.all():
         bad = int(np.flatnonzero(g == 0.0)[0])
         raise SingularDirectionError(f"gradient component {bad} is zero")
     return (w - target) / g
@@ -163,7 +162,7 @@ def check_instance(q, mu: float, L: float, w) -> list[RateReport]:
             reports.append(RateReport(check, float("nan"), 1e-10, True, skipped=True))
         return reports
 
-    diag_step = ideal_diag_step(w, y, np.zeros(w.size))
+    diag_step = _diag_step(w, y, 0.0)
     rho_d = _ratio(q, w, y, fw, diag_step)
     reports.append(RateReport("diag-one-step", rho_d, 1e-10, rho_d <= 1e-10 + 1e-12))
 
@@ -179,9 +178,8 @@ def verify_theorems(trials: int, d_max: int = 10, seed: int = 0) -> list[RateRep
     to 1e6, random nonzero w, then the four :func:`check_instance` checks.
     Failures are reported, not raised.
     """
-    trials, d_max, seed = _count("trials", trials), _count("d_max", d_max), _seed(seed)
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    trials, d_max = _count("trials", trials, 1), _count("d_max", d_max)
+    seed = _count("seed", seed, 0)
     if not (1 <= d_max <= 64):
         raise ValueError("d_max must be in [1, 64] (dense instances only)")
     rng = np.random.default_rng(seed)

@@ -1,4 +1,6 @@
 import math
+from functools import reduce
+from operator import add, mul
 
 import numpy as np
 import pytest
@@ -49,14 +51,16 @@ def hd_reference(grad_fn, w0, eta: float, alpha0: float):
     """Hypergradient descent as Baydin et al. state it, one step per ``next``.
 
     ``alpha += eta * g.g_prev``, then ``w -= alpha * g``, with ``g_prev``
-    zero before the first step.  Yields ``(w, alpha, g)`` after each step.
+    zero before the first step.  ``g.g_prev`` is summed left to right from the
+    first product, as ``hd`` sums it on a list iterate (``core.LIST_MAX_DIM``
+    entries and below).  Yields ``(w, alpha, g)`` after each step.
     """
     w = np.array(w0, dtype=float)
     alpha = float(alpha0)
     g_prev = np.zeros_like(w)
     while True:
         g = np.asarray(grad_fn(w), dtype=float)
-        alpha = alpha + eta * float(g @ g_prev)
+        alpha = alpha + eta * reduce(add, map(mul, g.tolist(), g_prev.tolist()))
         w = w - alpha * g
         g_prev = g
         yield w, alpha, g

@@ -399,7 +399,7 @@ class TestCompare:
         result = runner.invoke(cli, ["compare", "--config", str(paths[0]), "--config", str(paths[1]),
                                      "--out", str(out)])
         assert result.exit_code == 2, result.output
-        assert "momentum rate p" in result.output
+        assert "p must be in [0, 1), got 1.0" in result.output
         assert runs == []
         assert not out.exists()
 
@@ -427,7 +427,7 @@ class TestSweep:
         result = runner.invoke(cli, ["sweep", "--config", str(cfg), "--out", str(out),
                                      "--grid", "optimizer.p=0.5,1.0"])
         assert result.exit_code == 2, result.output
-        assert "momentum rate p" in result.output
+        assert "p must be in [0, 1), got 1.0" in result.output
         assert runs == []
         assert not out.exists()
 

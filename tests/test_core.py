@@ -1,9 +1,17 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from stepplan.core import (EvalBudget, Objective, _finite, _unrolled, all_finite, as_vector,
-                           finite_diff_grad)
+from stepplan.core import (EvalBudget, Objective, _count, _finite, _positive, _rate, _unrolled,
+                           all_finite, as_vector, finite_diff_grad)
+from stepplan.harness import ExperimentConfig, speedup_at_budget
+from stepplan.optimizers import (Adam, HeavyBall, IdbdScalar, L4, LossGrad, NesterovAGD,
+                                 RMSprop)
+from stepplan.planner import ExperienceBuffer, StepSizePlanner
+from stepplan.problems import LmsStream, random_spd
+from stepplan.theory import verify_theorems
 
 from conftest import rosenbrock_objective, scalar_objective
 
@@ -231,6 +239,100 @@ class TestFinite:
     def test_rejects_integers_beyond_the_float_range(self, value):
         with pytest.raises(ValueError, match="gamma must be finite"):
             _finite("gamma", value)
+
+
+def _spd(dim=2, cond=10.0, **kw):
+    return random_spd(np.random.default_rng(0), dim, cond, **kw)
+
+
+class TestBoundRules:
+    """``_count(name, value, least)``, ``_positive`` and ``_rate``: each call site
+    violated once, and values of the wrong type or not finite."""
+
+    SITES = {
+        # _count(..., least)
+        "budget-max_iterations": (lambda: EvalBudget(max_iterations=-1),
+                                  "max_iterations must be >= 0, got -1"),
+        "budget-max_grad_evals": (lambda: EvalBudget(max_iterations=1, max_grad_evals=0),
+                                  "max_grad_evals must be >= 1, got 0"),
+        "objective-dimension": (lambda: Objective(0, abs, abs), "dimension must be >= 1, got 0"),
+        "buffer-K": (lambda: ExperienceBuffer(0), "K must be >= 1, got 0"),
+        "planner-P": (lambda: StepSizePlanner([0.0], 0.1, k=1, p=0), "P must be >= 1, got 0"),
+        "planner-M": (lambda: StepSizePlanner([0.0], 0.1, k=1, m=-1), "M must be >= 0, got -1"),
+        "speedup-grad_evals": (lambda: speedup_at_budget(None, None, 0),
+                               "grad_evals must be >= 1, got 0"),
+        "verify-trials": (lambda: verify_theorems(0), "trials must be >= 1, got 0"),
+        "verify-seed": (lambda: verify_theorems(1, seed=-1), "seed must be >= 0, got -1"),
+        "config-seed": (lambda: ExperimentConfig({"name": "rosenbrock"}, {"name": "gd"},
+                                                 EvalBudget(1), seed=-2),
+                        "seed must be >= 0, got -2"),
+        "lms-seed": (lambda: LmsStream([1.0], seed=-3), "seed must be >= 0, got -3"),
+        "spd-dim": (lambda: _spd(dim=0), "dim must be >= 1, got 0"),
+        # _positive
+        "finite_diff-h": (lambda: finite_diff_grad(Objective(1, abs, abs), [1.0], h=0.0),
+                          "h must be positive, got 0.0"),
+        "nesterov-L": (lambda: NesterovAGD([0.0], "convex", L=-1.0),
+                       "L must be positive, got -1.0"),
+        "l4-eps": (lambda: L4([0.0], eps=0.0), "eps must be positive, got 0.0"),
+        "lossgrad-alpha0": (lambda: LossGrad([0.0], alpha0=-0.5),
+                            "alpha0 must be positive, got -0.5"),
+        "rmsprop-eps": (lambda: RMSprop([0.0], 0.1, 0.9, eps=-1e-8),
+                        "eps must be positive, got -1e-08"),
+        "adam-eps": (lambda: Adam([0.0], 0.1, eps=0), "eps must be positive, got 0.0"),
+        "spd-scale": (lambda: _spd(scale=0.0), "scale must be positive, got 0.0"),
+        # _rate
+        "heavy_ball-p": (lambda: HeavyBall([0.0], 0.1, p=1.0), "p must be in [0, 1), got 1.0"),
+        "rmsprop-beta": (lambda: RMSprop([0.0], 0.1, beta=-0.1),
+                         "beta must be in [0, 1), got -0.1"),
+        "adam-beta1": (lambda: Adam([0.0], 0.1, beta1=1), "beta1 must be in [0, 1), got 1.0"),
+        "adam-beta2": (lambda: Adam([0.0], 0.1, beta2=1.5), "beta2 must be in [0, 1), got 1.5"),
+        "idbd1-lam": (lambda: IdbdScalar([0.0], 0.1, lam=1.0, alpha0=0.1),
+                      "lam must be in [0, 1), got 1.0"),
+    }
+
+    @pytest.mark.parametrize("site", SITES)
+    def test_each_site_names_the_parameter_and_the_value(self, site):
+        call, message = self.SITES[site]
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()
+
+    # a count that is not an integer, a float that is not finite or not positive
+    REJECTED = {
+        "objective-float-dimension": (lambda: Objective(2.5, abs, abs),
+                                      "dimension must be an integer, got 2.5"),
+        "objective-bool-dimension": (lambda: Objective(True, abs, abs),
+                                     "dimension must be an integer, got True"),
+        "spd-negative-scale": (lambda: _spd(scale=-1.0), "scale must be positive, got -1.0"),
+        "spd-nan-scale": (lambda: _spd(scale=float("nan")), "scale must be finite, got nan"),
+        "spd-nan-cond": (lambda: _spd(cond=float("nan")), "cond must be finite, got nan"),
+        "spd-huge-cond": (lambda: _spd(cond=10 ** 400), "cond must be finite, got inf"),
+        "spd-float-dim": (lambda: _spd(dim=2.0), "dim must be an integer, got 2.0"),
+        "spd-bool-dim": (lambda: _spd(dim=True), "dim must be an integer, got True"),
+        "finite_diff-inf-h": (lambda: finite_diff_grad(Objective(1, abs, abs), [1.0],
+                                                       h=float("inf")),
+                              "h must be finite, got inf"),
+    }
+
+    @pytest.mark.parametrize("case", REJECTED)
+    def test_wrong_type_or_non_finite_values_name_the_value(self, case):
+        call, message = self.REJECTED[case]
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()
+
+    @pytest.mark.parametrize("rule", [_positive, _rate])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_values_say_finite(self, rule, value):
+        with pytest.raises(ValueError, match=f"^x must be finite, got {value!r}$"):
+            rule("x", value)
+
+    def test_values_at_the_bounds(self):
+        assert _count("n", np.int64(3), 3) == 3 and _count("n", -5) == -5
+        assert _rate("r", 0) == _rate("r", -0.0) == 0.0 and _rate("r", np.float32(0.5)) == 0.5
+        assert _positive("x", 5e-324) == 5e-324
+        with pytest.raises(ValueError, match="^x must be positive, got -0.0$"):
+            _positive("x", -0.0)
+        with pytest.raises(ValueError, match="^n must be an integer, got 3.0$"):
+            _count("n", 3.0, 0)
 
 
 class TestReductionKernel:

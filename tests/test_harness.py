@@ -361,7 +361,7 @@ class TestSpeedup:
             speedup_at_budget(ONE, trace_of([]), 5)
 
     def test_budget_must_be_positive(self):
-        with pytest.raises(ValueError, match="grad_evals must be positive"):
+        with pytest.raises(ValueError, match="grad_evals must be >= 1, got 0"):
             speedup_at_budget(ONE, ONE, 0)
 
     def test_equal_counts_give_the_latest_record(self):
@@ -492,7 +492,7 @@ class TestRunAll:
         configs = [self.gd("a"), cfg(ROSEN, {"name": "heavy_ball", "gamma": 0.001, "p": 1.0},
                                      EvalBudget(max_iterations=50))]
         done = []
-        with pytest.raises(ValueError, match="momentum rate p"):
+        with pytest.raises(ValueError, match=r"p must be in \[0, 1\), got 1\.0"):
             run_all(configs, lambda c, trace: done.append(c))
         assert done == []
 

@@ -669,6 +669,22 @@ class TestHyperGradient:
             assert np.sign(s.alpha - prev_alpha) == np.sign(float(g @ g_prev))
             g_prev = g
 
+    def test_the_reference_sums_in_the_steppers_order(self, rng):
+        # at eta=1e-2, eta * g.g_prev moves alpha at full weight, so a reference
+        # that summed g.g_prev through BLAS would part from hd at step 3
+        q, _, _ = random_spd(rng, 2, 10.0)
+        p = QuadraticProblem(q, np.zeros(2))
+        obj = make_objective(p)
+        w0 = rng.standard_normal(2)
+        s = make_optimizer("hd", w0, {"eta": 1e-2, "alpha0": 1e-3})
+        ref = hd_reference(p.gradient, w0, 1e-2, 1e-3)
+        for k in range(1, 10):
+            s.step(obj)
+            w, alpha, _ = next(ref)
+            assert same_bits(s.w, w) and same_bits(s.alpha, alpha), k
+        with pytest.raises(DivergenceError, match="after step 10"):
+            s.step(obj)
+
 
 class TestIdbdScalar:
     def test_lambda_zero_reduces_to_hd(self, rng):
@@ -894,7 +910,7 @@ class TestHyperparameterValidation:
         ("nesterov", {"mode": "convex", "L": 0.0}, "L must be positive"),
         ("rmsprop", {"alpha": 0.001, "beta": 1.0}, r"beta must be in \[0, 1\)"),
         ("rmsprop", {"alpha": 0.001, "beta": 0.9, "eps": 0.0}, "eps must be positive"),
-        ("adam", {"alpha": 0.001, "beta2": 1.0}, r"beta1, beta2 must be in \[0, 1\)"),
+        ("adam", {"alpha": 0.001, "beta2": 1.0}, r"beta2 must be in \[0, 1\), got 1\.0"),
         ("adam", {"alpha": 0.001, "eps": -1e-8}, "eps must be positive"),
     ], ids=["nesterov-L", "rmsprop-beta", "rmsprop-eps", "adam-beta2", "adam-eps"])
     def test_out_of_range_rejected(self, name, params, message):

@@ -392,7 +392,7 @@ class TestComputeAlpha:
             assert np.isclose(planned, start * r ** k, rtol=1e-12)
 
 
-class TestApplyProjection:
+class TestIdealDiagStep:
     def test_ideal_step_lands_on_target(self, rng):
         for _ in range(20):
             d = int(rng.integers(1, 6))

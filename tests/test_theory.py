@@ -5,8 +5,7 @@ from stepplan import theory
 from stepplan.problems import LmsStream, random_spd
 from stepplan.theory import (RateReport, SingularDirectionError, _grid_component_gap,
                              check_instance, ideal_diag_step, kantorovich_bound,
-                             optimal_diag_step, optimal_scalar_step,
-                             quadratic_value, reduction_ratio,
+                             optimal_diag_step, optimal_scalar_step, reduction_ratio,
                              summarize_reports, verify_theorems)
 
 
@@ -64,7 +63,7 @@ class TestOptimalDiagStep:
         assert np.allclose(alpha, [1.0 / 3.0, 1.0 / 3.0])
         w_next = w - alpha * (q @ w)
         assert np.allclose(w_next, [0.0, 0.0], atol=1e-15)
-        assert quadratic_value(q, w_next) == 0.0
+        assert reduction_ratio(q, w, alpha) == 0.0
 
     def test_identity_matrix(self):
         alpha = optimal_diag_step(np.eye(3), [2.0, -1.0, 0.5])
@@ -103,14 +102,15 @@ class TestSpdInput:
     @pytest.mark.parametrize("q", [{}, [[True]], [["1"]]])
     def test_q_entries_follow_the_vector_rule(self, q):
         with pytest.raises(ValueError, match="Q must be a number"):
-            quadratic_value(q, [1.0])
+            optimal_scalar_step(q, [1.0])
 
     def test_q_shape_must_match_w(self):
         with pytest.raises(ValueError, match=r"Q shape \(2, 2\) does not match w dimension 3"):
-            quadratic_value(np.eye(2), [1.0, 1.0, 1.0])
+            reduction_ratio(np.eye(2), [1.0, 1.0, 1.0], 0.5)
 
     def test_numeric_q_is_accepted(self):
-        assert quadratic_value([[2]], [1.0]) == quadratic_value(np.eye(1) * 2.0, [1.0]) == 1.0
+        # w^T Q^2 w / w^T Q^3 w = 4 / 8
+        assert optimal_scalar_step([[2]], [1.0]) == optimal_scalar_step(np.eye(1) * 2.0, [1.0]) == 0.5
 
 
 class TestKantorovichBound:
@@ -313,3 +313,27 @@ class TestCheckInstance:
             calls.clear()
             check_instance(q, mu, L, w)
             assert len(calls) <= 2
+
+    def test_checks_each_vector_once(self, monkeypatch):
+        # w through _check_spd_input; Qw and the zero target are not re-checked
+        names = []
+        as_vector = theory.as_vector
+
+        def counted(x, *args, **kwargs):
+            names.append(kwargs.get("name", "vector"))
+            return as_vector(x, *args, **kwargs)
+
+        monkeypatch.setattr(theory, "as_vector", counted)
+        for q, mu, L, w in verify_instances(20):
+            names.clear()
+            check_instance(q, mu, L, w)
+            assert names == ["vector"]
+
+    def test_an_overflowing_qw_is_reported_not_raised(self):
+        # Qw = [1, inf]: the scalar and diagonal ratios are NaN, so three checks fail
+        with np.errstate(over="ignore", invalid="ignore"):
+            reports = check_instance(np.diag([1.0, 1e150]), 1.0, 1e150, [1.0, 1e160])
+        assert [r.check for r in reports] == ["scalar-rate", "scalar-grid", "diag-one-step",
+                                              "ideal-step-grid"]
+        assert [r.satisfied for r in reports] == [False, False, False, True]
+        assert not any(r.skipped for r in reports)
