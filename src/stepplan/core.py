@@ -54,9 +54,9 @@ def all_finite(values: Sequence[float]) -> bool:
 
 
 def _real_array(x, name: str) -> Array:
-    """``x`` as a float64 array; each entry of anything but a numeric array must
-    pass ``_finite``, so a bool, a string or a dict is a ``ValueError``."""
-    if not (isinstance(x, np.ndarray) and x.dtype.kind in "fiu"):
+    """``x`` as a float64 array, each entry of which must pass ``_finite``; a numeric
+    array meets that per-entry loop only when one ``all_finite`` pass over it fails."""
+    if not (isinstance(x, np.ndarray) and x.dtype.kind in "fiu" and all_finite(x.ravel().tolist())):
         for e in np.asarray(x, dtype=object).ravel():  # .flat refuses more than 32 dims
             _finite(name, e)
     return np.asarray(x, dtype=float)
@@ -66,14 +66,12 @@ def as_vector(x, dim: Optional[int] = None, name: str = "vector") -> Array:
     """Validate and return ``x`` as a finite 1-d float64 array.
 
     Dimension is checked against ``dim`` when given.  Raises ``ValueError``
-    naming ``name`` on an entry that is not a number, non-finite entries,
+    naming ``name`` on an entry that is not a finite number (``_real_array``),
     wrong rank, or mismatched length.
     """
     v = _real_array(x, name)
     if v.ndim != 1 or v.size < 1:
         raise ValueError(f"{name} must be 1-d with at least one entry, got shape {v.shape}")
-    if not all_finite(v.tolist()):
-        raise ValueError(f"{name} contains non-finite entries")
     if dim is not None and v.size != dim:
         raise ValueError(f"{name} dimension mismatch: expected {dim}, got {v.size}")
     return v

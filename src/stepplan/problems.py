@@ -28,10 +28,8 @@ class QuadraticProblem:
 
     def __init__(self, q, w_star=None):
         q = _real_array(q, "Q")
-        if q.ndim != 2 or q.shape[0] != q.shape[1]:
-            raise ValueError(f"Q must be square, got shape {q.shape}")
-        if not np.isfinite(q).all():
-            raise ValueError("Q contains non-finite entries")
+        if q.ndim != 2 or q.shape[0] != q.shape[1] or not q.size:
+            raise ValueError(f"Q must be square with at least one row, got shape {q.shape}")
         if np.max(np.abs(q - q.T)) > 1e-12:
             raise ValueError("Q must be symmetric (within 1e-12 component-wise)")
         eigs = np.linalg.eigvalsh(q)

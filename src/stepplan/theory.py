@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Array, _count, _real_array, as_vector
+from .core import Array, _count, _finite, _real_array, as_vector
 from .problems import random_spd
 
 
@@ -33,7 +33,7 @@ class SingularDirectionError(ValueError):
 
 def _check_spd_input(q, w) -> tuple[Array, Array]:
     q = _real_array(q, "Q")
-    w = as_vector(w)
+    w = as_vector(w, name="w")
     if q.shape != (w.size, w.size):
         raise ValueError(f"Q shape {q.shape} does not match w dimension {w.size}")
     return q, w
@@ -69,8 +69,8 @@ def optimal_diag_step(q, w) -> Array:
 
 def ideal_diag_step(w, g, target) -> Array:
     """(w_i - target_i) / g_i: the step that lands each component on the target."""
-    w = as_vector(w)
-    return _diag_step(w, as_vector(g, dim=w.size), as_vector(target, dim=w.size))
+    w = as_vector(w, name="w")
+    return _diag_step(w, as_vector(g, w.size, "g"), as_vector(target, w.size, "target"))
 
 
 def _diag_step(w: Array, g: Array, target) -> Array:
@@ -85,7 +85,8 @@ def _diag_step(w: Array, g: Array, target) -> Array:
 def reduction_ratio(q, w, step) -> float:
     """f(w - step * Qw) / f(w) for a scalar or per-component step."""
     q, w = _check_spd_input(q, w)
-    return _ratio(q, w, q @ w, _value(q, w), np.asarray(step, dtype=float))
+    step = _real_array(step, "step")
+    return _ratio(q, w, q @ w, _value(q, w), as_vector(step, w.size, "step") if step.ndim else step)
 
 
 def _ratio(q: Array, w: Array, y: Array, fw: float, step) -> float:
@@ -97,8 +98,9 @@ def _ratio(q: Array, w: Array, y: Array, fw: float, step) -> float:
 
 def kantorovich_bound(mu: float, L: float) -> float:
     """1 - 4 mu L / (mu + L)^2, the scalar-optimum rate limit."""
+    mu, L = _finite("mu", mu), _finite("L", L)
     if not (0 < mu <= L):
-        raise ValueError("need 0 < mu <= L")
+        raise ValueError(f"need 0 < mu <= L, got mu={mu!r}, L={L!r}")
     return 1.0 - 4.0 * mu * L / (mu + L) ** 2
 
 

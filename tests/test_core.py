@@ -10,7 +10,7 @@ from stepplan.harness import ExperimentConfig, speedup_at_budget
 from stepplan.optimizers import (Adam, HeavyBall, IdbdScalar, L4, LossGrad, NesterovAGD,
                                  RMSprop)
 from stepplan.planner import ExperienceBuffer, StepSizePlanner
-from stepplan.problems import LmsStream, random_spd
+from stepplan.problems import LmsStream, QuadraticProblem, make_problem, random_spd
 from stepplan.theory import verify_theorems
 
 from conftest import rosenbrock_objective, scalar_objective
@@ -66,6 +66,35 @@ edge_floats = st.one_of(
     st.sampled_from([1e308, -1e308, 1.7976931348623157e308, -0.0, 5e-324, -5e-324,
                      2.2250738585072014e-308]),
 )
+
+
+class TestEntryRule:
+    """One bad entry raises the same message whether it comes in a list or in a
+    float64 array: ``core._real_array`` checks both."""
+
+    ENTRY_POINTS = {
+        "as_vector": (lambda x: as_vector(x, name="v"), "vector", "v"),
+        "QuadraticProblem": (QuadraticProblem, "matrix", "Q"),
+        "quadratic-q": (lambda x: make_problem("quadratic", {"q": x}), "matrix", "q"),
+        "quadratic-q_diag": (lambda x: make_problem("quadratic", {"q_diag": x}), "vector",
+                             "q_diag"),
+        "quadratic-w0": (lambda x: make_problem("quadratic", {"q_diag": [1.0, 1.0], "w0": x}),
+                         "vector", "w0"),
+        "LmsStream": (LmsStream, "vector", "w_star"),
+        "Objective": (lambda x: Objective(2, sum, list, optimum_point=x), "vector", "vector"),
+    }
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("entry", list(ENTRY_POINTS))
+    def test_a_list_and_an_array_say_the_same(self, entry, bad):
+        build, kind, name = self.ENTRY_POINTS[entry]
+        x = [[1.0, 0.0], [0.0, bad]] if kind == "matrix" else [1.0, bad]
+        messages = []
+        for form in (x, np.array(x)):
+            with pytest.raises(ValueError) as info:
+                build(form)
+            messages.append(str(info.value))
+        assert messages == [f"{name} must be finite, got {bad!r}"] * 2
 
 
 class TestAllFinite:

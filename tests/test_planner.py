@@ -405,6 +405,8 @@ class TestIdealDiagStep:
 
 
 class TestPlannerConfig:
+    """``StepSizePlanner``'s constructor rejects a bad ``gamma``, K, P or M."""
+
     @pytest.mark.parametrize("kwargs", [
         dict(gamma=np.inf, k=1),
         dict(gamma=0.1, k=0),
@@ -421,6 +423,9 @@ class TestPlannerConfig:
 
 
 class TestCsawgRun:
+    """Planner runs: the cost and cadence of planning events, convergence,
+    divergence inside an event, and budget exhaustion."""
+
     def test_event_cost_is_p_times_one_plus_m(self):
         obj = quadratic_objective()
         planner = StepSizePlanner([-1.0, 2.0], gamma=0.0009, k=1, p=5, m=10)

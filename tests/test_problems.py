@@ -51,10 +51,12 @@ class TestQuadratic:
                 QuadraticProblem(params["q"], [0.0, 0.0])
 
     @pytest.mark.parametrize("call, message", [
-        (lambda: QuadraticProblem(np.diag([1.0, np.inf])), "Q contains non-finite entries"),
+        (lambda: QuadraticProblem(np.diag([1.0, np.inf])), "Q must be finite, got inf"),
+        (lambda: QuadraticProblem(np.zeros((0, 0))),
+         r"Q must be square with at least one row, got shape \(0, 0\)"),
         (lambda: random_spd(np.random.default_rng(0), 0, 10.0), "dim must be >= 1"),
         (lambda: random_spd(np.random.default_rng(0), 2, 0.5), "cond must be >= 1"),
-    ], ids=["numpy-q-inf", "spd-dim-0", "spd-cond-below-1"])
+    ], ids=["numpy-q-inf", "numpy-q-empty", "spd-dim-0", "spd-cond-below-1"])
     def test_bad_matrix_input_is_a_value_error(self, call, message):
         with pytest.raises(ValueError, match=message):
             call()
@@ -252,7 +254,7 @@ class TestRegistry:
     @pytest.mark.parametrize("q", [5, 5.0])
     def test_scalar_q_is_a_value_error(self, q):
         # the default w_star is sized from q only after q is checked
-        with pytest.raises(ValueError, match=r"Q must be square, got shape \(\)"):
+        with pytest.raises(ValueError, match=r"Q must be square with at least one row, got shape \(\)"):
             make_problem("quadratic", {"q": q})
 
     @pytest.mark.parametrize("params", [{}, {"q": [[1.0]], "q_diag": [1.0]}, {"w_star": [0.0]}])

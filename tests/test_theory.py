@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -97,12 +99,41 @@ class TestReductionRatio:
         with pytest.raises(ValueError):
             reduction_ratio(np.eye(2), [0.0, 0.0], 0.1)
 
+    @pytest.mark.parametrize("step, message", [
+        (True, "step must be a number, got True"),
+        (np.array(True), "step must be a number, got True"),
+        ("0.5", "step must be a number, got '0.5'"),
+        (np.nan, "step must be finite, got nan"),
+        ([0.5, np.inf], "step must be finite, got inf"),
+        (np.array([0.5, np.inf]), "step must be finite, got inf"),
+        ([[0.5, 0.5]], "step must be 1-d with at least one entry, got shape (1, 2)"),
+        ([], "step must be 1-d with at least one entry, got shape (0,)"),
+        ([0.5, 0.5, 0.5], "step dimension mismatch: expected 2, got 3"),
+        ([0.5], "step dimension mismatch: expected 2, got 1"),
+    ], ids=["bool", "0-d-bool", "string", "nan", "list-inf", "array-inf", "2-d", "empty",
+            "too-long", "too-short"])
+    def test_step_follows_the_scalar_or_the_vector_rule(self, step, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            reduction_ratio(np.diag([1.0, 2.0]), [1.0, 1.0], step)
+
+    @pytest.mark.parametrize("step", [0.25, 1, np.float64(0.25), np.array(0.25), [0.25, -0.5],
+                                      np.array([0.25, -0.5]), np.array([1, 2])])
+    def test_a_valid_step_gives_the_bits_of_the_formula(self, step):
+        q, w = np.array([[2.0, 0.5], [0.5, 1.0]]), np.array([0.3, -1.7])
+        nxt = w - np.asarray(step, dtype=float) * (q @ w)
+        assert reduction_ratio(q, w, step) == float(0.5 * nxt @ q @ nxt) / float(0.5 * w @ q @ w)
+
 
 class TestSpdInput:
-    @pytest.mark.parametrize("q", [{}, [[True]], [["1"]]])
+    @pytest.mark.parametrize("q", [{}, [[True]], [["1"]], np.array([[np.inf]]),
+                                   np.array([[np.nan]])])
     def test_q_entries_follow_the_vector_rule(self, q):
-        with pytest.raises(ValueError, match="Q must be a number"):
-            optimal_scalar_step(q, [1.0])
+        # a float64 array is checked entry by entry too, at every entry point
+        message = "Q must be finite" if isinstance(q, np.ndarray) else "Q must be a number"
+        for call in (optimal_scalar_step, optimal_diag_step, lambda q, w: reduction_ratio(q, w, 0.5),
+                     lambda q, w: check_instance(q, 1.0, 1.0, w)):
+            with pytest.raises(ValueError, match=message):
+                call(q, [1.0])
 
     def test_q_shape_must_match_w(self):
         with pytest.raises(ValueError, match=r"Q shape \(2, 2\) does not match w dimension 3"):
@@ -124,10 +155,16 @@ class TestKantorovichBound:
         assert kantorovich_bound(1.0, 10.0) < kantorovich_bound(1.0, 100.0)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            kantorovich_bound(0.0, 1.0)
-        with pytest.raises(ValueError):
-            kantorovich_bound(2.0, 1.0)
+        for mu, L, message in [(0.0, 1.0, "need 0 < mu <= L, got mu=0.0, L=1.0"),
+                               (2, 1, "need 0 < mu <= L, got mu=2.0, L=1.0"),
+                               (True, True, "mu must be a number, got True"),
+                               ("1", 2.0, "mu must be a number, got '1'"),
+                               (1.0, np.inf, "L must be finite, got inf"),
+                               (np.nan, 1.0, "mu must be finite, got nan")]:
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                kantorovich_bound(mu, L)
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                check_instance(np.eye(1), mu, L, [1.0])
 
 
 class TestIdealDiagStep:
@@ -327,7 +364,7 @@ class TestCheckInstance:
         for q, mu, L, w in verify_instances(20):
             names.clear()
             check_instance(q, mu, L, w)
-            assert names == ["vector"]
+            assert names == ["w"]
 
     def test_an_overflowing_qw_is_reported_not_raised(self):
         # Qw = [1, inf]: the scalar and diagonal ratios are NaN, so three checks fail
