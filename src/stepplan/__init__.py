@@ -7,8 +7,7 @@ from .harness import (ExperimentConfig, empirical_rate, run_all, run_experiment,
 from .optimizers import make_optimizer
 from .planner import ExperienceBuffer, ExperiencePair, StepSizePlanner, compute_alpha
 from .problems import LmsStream, QuadraticProblem, RosenbrockProblem, make_problem
-from .theory import (RateReport, kantorovich_bound, optimal_diag_step,
-                     optimal_scalar_step, reduction_ratio, verify_theorems)
+from .theory import RateReport, kantorovich_bound, verify_theorems
 from .tracing import Trace, TraceRecord, run_steps, write_csv
 
 __version__ = "0.1.0"

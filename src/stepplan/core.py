@@ -105,7 +105,8 @@ class Objective:
         self.value_fn = value_fn
         self.grad_fn = grad_fn
         self.optimum_value = None if optimum_value is None else float(optimum_value)
-        self.optimum_point = None if optimum_point is None else as_vector(optimum_point, dim=dimension)
+        self.optimum_point = (None if optimum_point is None
+                              else as_vector(optimum_point, dim=dimension, name="optimum_point"))
         self.grad_evals = 0
         self.func_evals = 0
 
@@ -254,7 +255,7 @@ def finite_diff_grad(obj: Objective, w, h: float = 1e-6) -> Array:
     Does not touch the objective's evaluation counters.
     """
     h = _positive("h", h)
-    wv = as_vector(w, dim=obj.dimension)
+    wv = as_vector(w, dim=obj.dimension, name="w")
     g = np.empty_like(wv)
     for i in range(wv.size):
         step = h * max(1.0, abs(wv[i]))

@@ -133,7 +133,8 @@ def random_spd(rng: np.random.Generator, dim: int, cond: float, scale: float = 1
     """Random SPD matrix with exact extreme eigenvalues (scale, scale * cond).
 
     Built as V^T diag(e) V with V orthogonal from the QR of a Gaussian
-    matrix, so mu and L are controlled exactly.
+    matrix, so mu and L are controlled exactly.  At ``dim=1`` the one
+    eigenvalue is ``scale``, so mu = L = scale whatever ``cond`` is.
     """
     dim, cond, scale = _count("dim", dim, 1), _finite("cond", cond), _positive("scale", scale)
     if cond < 1:

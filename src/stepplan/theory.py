@@ -44,27 +44,15 @@ def _value(q: Array, w: Array) -> float:
     return float(0.5 * w @ q @ w)
 
 
-def optimal_scalar_step(q, w) -> float:
-    """w^T Q^2 w / w^T Q^3 w, the scalar step minimizing the next loss."""
-    q, w = _check_spd_input(q, w)
-    return _scalar_step(q, q @ w)
-
-
 def _scalar_step(q: Array, y: Array) -> float:
-    """``optimal_scalar_step`` from y = Qw; a zero curvature w^T Q^3 w, at w = 0
-    or where it underflows, is a ``ValueError``."""
+    """w^T Q^2 w / w^T Q^3 w, the scalar step minimizing the next loss, from
+    y = Qw; a zero curvature w^T Q^3 w, at w = 0 or where it underflows, is a
+    ``ValueError``."""
     curvature = float(y @ (q @ y))
     if curvature == 0.0:
         raise ValueError("optimal scalar step is undefined where w^T Q^3 w = 0 "
                          "(at w = 0, or when it underflows)")
     return float(y @ y) / curvature
-
-
-def optimal_diag_step(q, w) -> Array:
-    """w_i / (Qw)_i, the diagonal step reaching the optimum in one iteration:
-    ``ideal_diag_step`` with the gradient Qw and the target 0."""
-    q, w = _check_spd_input(q, w)
-    return _diag_step(w, q @ w, 0.0)
 
 
 def ideal_diag_step(w, g, target) -> Array:
@@ -82,15 +70,9 @@ def _diag_step(w: Array, g: Array, target) -> Array:
     return (w - target) / g
 
 
-def reduction_ratio(q, w, step) -> float:
-    """f(w - step * Qw) / f(w) for a scalar or per-component step."""
-    q, w = _check_spd_input(q, w)
-    step = _real_array(step, "step")
-    return _ratio(q, w, q @ w, _value(q, w), as_vector(step, w.size, "step") if step.ndim else step)
-
-
 def _ratio(q: Array, w: Array, y: Array, fw: float, step) -> float:
-    """``reduction_ratio`` from y = Qw and fw = f(w)."""
+    """f(w - step * Qw) / f(w) for a scalar or per-component step, from y = Qw
+    and fw = f(w)."""
     if fw == 0.0:
         raise ValueError("reduction ratio undefined at f(w) = 0")
     return _value(q, w - step * y) / fw

@@ -81,7 +81,9 @@ class TestEntryRule:
         "quadratic-w0": (lambda x: make_problem("quadratic", {"q_diag": [1.0, 1.0], "w0": x}),
                          "vector", "w0"),
         "LmsStream": (LmsStream, "vector", "w_star"),
-        "Objective": (lambda x: Objective(2, sum, list, optimum_point=x), "vector", "vector"),
+        "Objective": (lambda x: Objective(2, sum, list, optimum_point=x), "vector",
+                      "optimum_point"),
+        "finite_diff_grad": (lambda x: finite_diff_grad(Objective(2, sum, list), x), "vector", "w"),
     }
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])

@@ -404,7 +404,7 @@ class TestIdealDiagStep:
             assert np.allclose(w - alpha * g, target, atol=1e-12)
 
 
-class TestPlannerConfig:
+class TestPlannerValidation:
     """``StepSizePlanner``'s constructor rejects a bad ``gamma``, K, P or M."""
 
     @pytest.mark.parametrize("kwargs", [
@@ -422,7 +422,7 @@ class TestPlannerConfig:
             StepSizePlanner([0.0], **kwargs)
 
 
-class TestCsawgRun:
+class TestPlannerRun:
     """Planner runs: the cost and cadence of planning events, convergence,
     divergence inside an event, and budget exhaustion."""
 

@@ -7,141 +7,130 @@ from stepplan import theory
 from stepplan.problems import LmsStream, random_spd
 from stepplan.theory import (RateReport, SingularDirectionError, _grid_component_gap,
                              check_instance, ideal_diag_step, kantorovich_bound,
-                             optimal_diag_step, optimal_scalar_step, reduction_ratio,
                              summarize_reports, verify_theorems)
 
 
+def by_check(q, mu, L, w):
+    """``check_instance``'s four reports, keyed by check name."""
+    return {r.check: r for r in check_instance(q, mu, L, w)}
+
+
+def ratio(q, w, step):
+    """f(w - step * Qw) / f(w), written out in numpy."""
+    v = w - step * (q @ w)
+    return float(0.5 * v @ q @ v) / float(0.5 * w @ q @ w)
+
+
+def diag_step(q, w):
+    """w_i / (Qw)_i: ``ideal_diag_step`` with the gradient Qw and the target 0."""
+    w = np.asarray(w, dtype=float)
+    return ideal_diag_step(w, q @ w, np.zeros(w.size))
+
+
 class TestOptimalScalarStep:
+    """The scalar step a* = w^T Q^2 w / w^T Q^3 w, through ``check_instance``'s
+    ``scalar-rate`` report, whose rho is f(w - a* Qw) / f(w)."""
+
     def test_identity_matrix(self, rng):
-        for _ in range(10):
-            w = rng.standard_normal(3)
-            assert np.isclose(optimal_scalar_step(np.eye(3), w), 1.0, rtol=1e-12)
+        # a* = 1 on the identity, which lands on the optimum exactly
+        for w in [np.array([2.0, -1.0, 0.5])] + [rng.standard_normal(3) for _ in range(10)]:
+            assert by_check(np.eye(3), 1.0, 1.0, w)["scalar-rate"].rho == 0.0
 
     def test_hand_instance(self):
-        # diag(1, 2), w = (1, 1): (1 + 4) / (1 + 8)
-        assert np.isclose(optimal_scalar_step(np.diag([1.0, 2.0]), [1.0, 1.0]), 5.0 / 9.0)
+        # diag(1, 2), w = (1, 1): a* = (1 + 4) / (1 + 8), rho = (1/9) / (3/2), one ulp off 2/27
+        rho = by_check(np.diag([1.0, 2.0]), 1.0, 2.0, [1.0, 1.0])["scalar-rate"].rho
+        assert rho == pytest.approx(2.0 / 27.0, rel=1e-15, abs=0.0)
 
     def test_beats_grid(self, rng):
         q, mu, L = random_spd(rng, 4, 300.0)
         w = rng.standard_normal(4)
-        a_star = optimal_scalar_step(q, w)
-        f_star_ratio = reduction_ratio(q, w, a_star)
+        rho = by_check(q, mu, L, w)["scalar-rate"].rho
         alphas = np.linspace(0.0, 2.0 / L, 10 ** 4)
         for a in alphas[:: 500]:
-            assert f_star_ratio <= reduction_ratio(q, w, float(a)) + 1e-12
+            assert rho <= ratio(q, w, float(a)) + 1e-12
 
     def test_rayleigh_range(self, rng):
-        # w^T Q^2 w / w^T Q^3 w always lies in [1/L, 1/mu]
+        # w^T Q^2 w / w^T Q^3 w always lies in [1/L, 1/mu], from the core check_instance uses
         for _ in range(200):
             d = int(rng.integers(1, 9))
             q, mu, L = random_spd(rng, d, 10.0 ** rng.uniform(0, 5))
             w = rng.standard_normal(d)
-            a = optimal_scalar_step(q, w)
+            a = theory._scalar_step(q, q @ w)
             assert 1.0 / L - 1e-9 / L <= a <= 1.0 / mu + 1e-9 / mu
 
     def test_zero_w(self):
         with pytest.raises(ValueError, match="w = 0"):
-            optimal_scalar_step(np.eye(2), [0.0, 0.0])
-
-    def test_an_underflowing_curvature_is_a_value_error(self):
-        # w != 0, but w^T Q^2 w and w^T Q^3 w both underflow to 0.0
-        with pytest.raises(ValueError, match=r"w\^T Q\^3 w = 0"):
-            optimal_scalar_step(np.eye(2), [1e-200, 1e-200])
+            check_instance(np.eye(2), 1.0, 1.0, [0.0, 0.0])
 
 
 class TestOptimalDiagStep:
+    """The diagonal step w_i / (Qw)_i, which reaches the optimum in one iteration."""
+
     def test_diagonal_q_inverse_spectrum(self, rng):
         mu, L = 0.5, 800.0
         q = np.diag([mu, L])
         for _ in range(10):
             w = rng.standard_normal(2)
             w[w == 0.0] = 1.0
-            assert np.allclose(optimal_diag_step(q, w), [1.0 / mu, 1.0 / L], rtol=1e-12)
+            assert np.allclose(diag_step(q, w), [1.0 / mu, 1.0 / L], rtol=1e-12)
 
     def test_coupled_hand_instance(self):
         q = np.array([[2.0, 1.0], [1.0, 2.0]])
         w = np.array([1.0, 1.0])
-        alpha = optimal_diag_step(q, w)
+        alpha = diag_step(q, w)
         assert np.allclose(alpha, [1.0 / 3.0, 1.0 / 3.0])
         w_next = w - alpha * (q @ w)
         assert np.allclose(w_next, [0.0, 0.0], atol=1e-15)
-        assert reduction_ratio(q, w, alpha) == 0.0
+        assert by_check(q, 1.0, 3.0, w)["diag-one-step"].rho == 0.0
 
     def test_identity_matrix(self):
-        alpha = optimal_diag_step(np.eye(3), [2.0, -1.0, 0.5])
+        alpha = diag_step(np.eye(3), [2.0, -1.0, 0.5])
         assert np.array_equal(alpha, np.ones(3))
 
     def test_singular_direction(self):
         with pytest.raises(SingularDirectionError):
-            optimal_diag_step(np.diag([1.0, 1.0]), [0.0, 1.0])
+            diag_step(np.diag([1.0, 1.0]), [0.0, 1.0])
 
 
 class TestReductionRatio:
-    def test_zero_step(self, rng):
-        q, _, _ = random_spd(rng, 3, 10.0)
-        assert reduction_ratio(q, rng.standard_normal(3), 0.0) == 1.0
+    """The one-step ratio rho = f(w - step * Qw) / f(w) of ``check_instance``'s reports."""
 
     def test_diag_step_one_iteration(self, rng):
         for _ in range(20):
             d = int(rng.integers(1, 8))
-            q, _, _ = random_spd(rng, d, 10.0 ** rng.uniform(0, 6))
+            q, mu, L = random_spd(rng, d, 10.0 ** rng.uniform(0, 6))
             w = rng.standard_normal(d)
-            assert reduction_ratio(q, w, optimal_diag_step(q, w)) <= 1e-10
+            assert by_check(q, mu, L, w)["diag-one-step"].rho <= 1e-10
 
     def test_scalar_step_kantorovich_hand_value(self):
-        q = np.diag([1.0, 1000.0])
-        w = np.array([1.0, 1.0])
-        ratio = reduction_ratio(q, w, optimal_scalar_step(q, w))
-        assert ratio <= 1.0 - 4.0 * 1000.0 / 1001.0 ** 2 + 1e-12
-        assert ratio <= 0.996008
+        rho = by_check(np.diag([1.0, 1000.0]), 1.0, 1000.0, [1.0, 1.0])["scalar-rate"].rho
+        assert rho <= 1.0 - 4.0 * 1000.0 / 1001.0 ** 2 + 1e-12
+        assert rho <= 0.996008
 
     def test_zero_value_rejected(self):
-        with pytest.raises(ValueError):
-            reduction_ratio(np.eye(2), [0.0, 0.0], 0.1)
-
-    @pytest.mark.parametrize("step, message", [
-        (True, "step must be a number, got True"),
-        (np.array(True), "step must be a number, got True"),
-        ("0.5", "step must be a number, got '0.5'"),
-        (np.nan, "step must be finite, got nan"),
-        ([0.5, np.inf], "step must be finite, got inf"),
-        (np.array([0.5, np.inf]), "step must be finite, got inf"),
-        ([[0.5, 0.5]], "step must be 1-d with at least one entry, got shape (1, 2)"),
-        ([], "step must be 1-d with at least one entry, got shape (0,)"),
-        ([0.5, 0.5, 0.5], "step dimension mismatch: expected 2, got 3"),
-        ([0.5], "step dimension mismatch: expected 2, got 1"),
-    ], ids=["bool", "0-d-bool", "string", "nan", "list-inf", "array-inf", "2-d", "empty",
-            "too-long", "too-short"])
-    def test_step_follows_the_scalar_or_the_vector_rule(self, step, message):
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            reduction_ratio(np.diag([1.0, 2.0]), [1.0, 1.0], step)
-
-    @pytest.mark.parametrize("step", [0.25, 1, np.float64(0.25), np.array(0.25), [0.25, -0.5],
-                                      np.array([0.25, -0.5]), np.array([1, 2])])
-    def test_a_valid_step_gives_the_bits_of_the_formula(self, step):
-        q, w = np.array([[2.0, 0.5], [0.5, 1.0]]), np.array([0.3, -1.7])
-        nxt = w - np.asarray(step, dtype=float) * (q @ w)
-        assert reduction_ratio(q, w, step) == float(0.5 * nxt @ q @ nxt) / float(0.5 * w @ q @ w)
+        # f(w) underflows to 0.0 while w^T Q^3 w does not
+        with pytest.raises(ValueError, match=r"reduction ratio undefined at f\(w\) = 0"):
+            check_instance(np.array([[1e10]]), 1e10, 1e10, [1e-170])
 
 
 class TestSpdInput:
     @pytest.mark.parametrize("q", [{}, [[True]], [["1"]], np.array([[np.inf]]),
                                    np.array([[np.nan]])])
     def test_q_entries_follow_the_vector_rule(self, q):
-        # a float64 array is checked entry by entry too, at every entry point
+        # a float64 array is checked entry by entry too
         message = "Q must be finite" if isinstance(q, np.ndarray) else "Q must be a number"
-        for call in (optimal_scalar_step, optimal_diag_step, lambda q, w: reduction_ratio(q, w, 0.5),
-                     lambda q, w: check_instance(q, 1.0, 1.0, w)):
-            with pytest.raises(ValueError, match=message):
-                call(q, [1.0])
+        with pytest.raises(ValueError, match=message):
+            check_instance(q, 1.0, 1.0, [1.0])
 
     def test_q_shape_must_match_w(self):
         with pytest.raises(ValueError, match=r"Q shape \(2, 2\) does not match w dimension 3"):
-            reduction_ratio(np.eye(2), [1.0, 1.0, 1.0], 0.5)
+            check_instance(np.eye(2), 1.0, 1.0, [1.0, 1.0, 1.0])
 
     def test_numeric_q_is_accepted(self):
-        # w^T Q^2 w / w^T Q^3 w = 4 / 8
-        assert optimal_scalar_step([[2]], [1.0]) == optimal_scalar_step(np.eye(1) * 2.0, [1.0]) == 0.5
+        # a* = w^T Q^2 w / w^T Q^3 w = 4 / 8 lands on the optimum
+        reports = check_instance([[2]], 2.0, 2.0, [1.0])
+        assert reports == check_instance(np.eye(1) * 2.0, 2.0, 2.0, [1.0])
+        assert reports[0].rho == 0.0
 
 
 class TestKantorovichBound:
@@ -297,7 +286,7 @@ class TestGridComponentGap:
     def test_matches_the_loop_on_verify_instances(self):
         for q, _, _, w in verify_instances(1000):
             g = q @ w
-            exact = optimal_diag_step(q, w)
+            exact = diag_step(q, w)
             assert _grid_component_gap(w, g, exact) == grid_component_gap_loop(w, g, exact)
 
     def test_radius_rule_switches_at_a_half(self):
@@ -325,17 +314,18 @@ class TestGridComponentGap:
 
 class TestCheckInstance:
     """``check_instance`` checks its input once and reuses Qw and f(w), with the
-    same values as the public helpers composed."""
+    values of the closed forms written out in numpy."""
 
-    def test_matches_the_public_helpers_bit_for_bit(self):
-        for q, mu, L, w in verify_instances(1000):
-            reports = {r.check: r for r in check_instance(q, mu, L, w)}
-            rho = reduction_ratio(q, w, optimal_scalar_step(q, w))
+    def test_matches_the_formulas_bit_for_bit(self):
+        for q, mu, L, w in verify_instances(100):
+            reports = by_check(q, mu, L, w)
+            y = q @ w
+            rho = ratio(q, w, float(y @ y) / float(y @ (q @ y)))
             assert reports["scalar-rate"].rho == reports["scalar-grid"].rho == rho
             assert reports["scalar-rate"].bound == kantorovich_bound(mu, L)
-            diag_step = optimal_diag_step(q, w)
-            assert reports["diag-one-step"].rho == reduction_ratio(q, w, diag_step)
-            assert reports["ideal-step-grid"].rho == _grid_component_gap(w, q @ w, diag_step)
+            exact = w / y
+            assert reports["diag-one-step"].rho == ratio(q, w, exact)
+            assert reports["ideal-step-grid"].rho == _grid_component_gap(w, y, exact)
 
     def test_checks_its_input_at_most_twice(self, monkeypatch):
         calls = []
