@@ -62,6 +62,12 @@ class TestOptimalScalarStep:
         with pytest.raises(ValueError, match="w = 0"):
             check_instance(np.eye(2), 1.0, 1.0, [0.0, 0.0])
 
+    def test_an_underflowing_curvature_is_a_value_error(self):
+        # w != 0, but w^T Q^2 w and w^T Q^3 w both underflow to 0.0 in the core
+        w = np.array([1e-200, 1e-200])
+        with pytest.raises(ValueError, match=r"w\^T Q\^3 w = 0"):
+            theory._scalar_step(np.eye(2), np.eye(2) @ w)
+
 
 class TestOptimalDiagStep:
     """The diagonal step w_i / (Qw)_i, which reaches the optimum in one iteration."""
