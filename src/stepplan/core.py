@@ -148,19 +148,13 @@ class _Stepper:
 
     ``point`` starts as a list of floats when ``w0`` has at most
     ``LIST_MAX_DIM`` entries, else as a float64 array, a copy of ``w0``; only
-    ``Idbd`` converts it, once in its constructor.  ``w`` builds a new float64
-    array from ``point`` at each read, so writing into it never moves the
-    stepper.  ``run_steps`` reads ``point``.
+    ``Idbd`` converts it, once in its constructor.  ``run_steps`` reads ``point``.
     """
 
     def __init__(self, w0):
         w0 = as_vector(w0, name="w0")
         self.point = w0.tolist() if w0.size <= LIST_MAX_DIM else w0.copy()
         self.k = 0
-
-    @property
-    def w(self) -> Array:
-        return np.array(self.point, dtype=float)
 
     def _check(self, point: Point):
         """The one divergence rule: a non-finite iterate ends step ``k + 1``."""

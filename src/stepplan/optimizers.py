@@ -17,8 +17,7 @@ templates in that form, so a step sets up no loop.  ``+ - * /`` and
 ``sqrt`` round correctly in both forms, so they give the same bytes; a
 reduction (``_DOT``) is a left-to-right ``+`` chain on a list and BLAS on an
 array.  ``Idbd``, whose ``exp`` may round differently from ``math.exp``,
-keeps ``point`` as a float64 array at every dimension.  On every stepper
-``w`` is a new float64 array built from ``point``.
+keeps ``point`` as a float64 array at every dimension.
 """
 
 from __future__ import annotations
@@ -309,11 +308,9 @@ class Idbd(_Stepper):
         self.h = np.zeros_like(self.point)
 
     @property
-    def alpha(self) -> Array:
+    def last_alpha(self) -> Array:
+        """The per-parameter step-sizes in force after every step, for traces."""
         return np.exp(self.beta)
-
-    # the per-parameter step-sizes in force after every step, for traces
-    last_alpha = alpha
 
     def step(self, stream):
         x, y_star = stream.next()
@@ -322,7 +319,7 @@ class Idbd(_Stepper):
     def step_sample(self, x: Array, y_star: float):
         """One update on the sample ``(x, y_star)``.
 
-        ``x`` is the float64 array of ``w``'s dimension that
+        ``x`` is the float64 array of the iterate's dimension that
         ``LmsStream.next()`` returns; it is not validated here.
         """
         delta = float(y_star) - float(self.point @ x)

@@ -55,8 +55,8 @@ class ExperiencePair:
     g: Array
 
     def __post_init__(self):
-        self.w = as_vector(self.w)
-        self.g = as_vector(self.g, dim=self.w.size)
+        self.w = as_vector(self.w, name="w")
+        self.g = as_vector(self.g, dim=self.w.size, name="g")
 
 
 class ExperienceBuffer:

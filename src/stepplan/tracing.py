@@ -179,17 +179,18 @@ class Trace:
     columns; ``Trace(records=[...])`` builds them from records, which
     must be numbered 1..n with non-decreasing integer ``grad_evals`` from
     0 up and a number, finite or not, as ``error``.  The metrics
-    in ``harness`` rely on both orders.
+    in ``harness`` rely on both orders.  ``status`` starts as
+    ``BUDGET_EXHAUSTED`` and the two totals at 0; ``run_steps`` sets all
+    three, and a trace built from records takes them as attributes.
     """
 
-    def __init__(self, records: Iterable[TraceRecord] = (), status: str = BUDGET_EXHAUSTED,
-                 total_grad_evals: int = 0, total_func_evals: int = 0):
+    def __init__(self, records: Iterable[TraceRecord] = ()):
         self.error = array("d")
         self.w = Snapshots()
         self.alpha = Snapshots()
-        self.status = status
-        self.total_grad_evals = total_grad_evals
-        self.total_func_evals = total_func_evals
+        self.status = BUDGET_EXHAUSTED
+        self.total_grad_evals = 0
+        self.total_func_evals = 0
         rows, evals = array("q"), array("q")
         last = 0
         for i, r in enumerate(records):
@@ -239,8 +240,8 @@ def run_steps(stepper, obj: Objective, budget: EvalBudget,
     attribute, which planners set only on planning-event iterations and
     IDBD on every step.  The iterate handed to ``error_fn`` (``obj.error``
     in ``run_experiment``) and copied into the ``w`` column is the stepper's
-    ``point`` where it has one, as every package stepper does, else its
-    ``w``; a stepper needs only ``step`` and one of the two.
+    ``point``, which every package stepper has; a stepper from outside the
+    package that has no ``point`` is read through its ``w``.
     """
     trace = Trace()
     rows, evals = array("q"), array("q")

@@ -71,7 +71,7 @@ def elementwise_reference(name: str, grad_fn, w0, params: dict):
 
     ``name`` is a registry name (gd, heavy_ball, nesterov, rmsprop, adam)
     and ``params`` its hyperparameters, defaults included.  Yields the
-    iterate and the state vectors after each step, as ``{"w": ...,
+    iterate and the state vectors after each step, as ``{"point": ...,
     "delta" | "x" | "m" | "v": ...}``.  A non-finite iterate raises
     ``DivergenceError`` after the state has moved, as in the steppers.
     """
@@ -119,7 +119,7 @@ def elementwise_reference(name: str, grad_fn, w0, params: dict):
         if not np.isfinite(w_new).all():
             raise DivergenceError(f"non-finite iterate after step {k}")
         w = w_new
-        yield {"w": w, **state}
+        yield {"point": w, **state}
 
 
 def same_bits(a, b) -> bool:

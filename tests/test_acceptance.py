@@ -234,7 +234,7 @@ def test_criterion_9_property_suite():
         prev_alpha = s.alpha
         s.step(obj)
         w, alpha, g = next(ref)
-        sign_ok &= same_bits(s.w, w) and same_bits(s.alpha, alpha)
+        sign_ok &= same_bits(s.point, w) and same_bits(s.alpha, alpha)
         sign_ok &= np.sign(s.alpha - prev_alpha) == np.sign(float(g @ g_prev))
         g_prev = g
     checks["HD sign property"] = sign_ok
@@ -252,8 +252,8 @@ def test_criterion_9_property_suite():
         hd.step(obj_a)
         scalar.step(obj_b)
         w, alpha, _ = next(ref)
-        same &= same_bits(hd.w, w) and same_bits(hd.alpha, alpha)
-        same &= same_bits(scalar.w, w) and same_bits(scalar.alpha, alpha)
+        same &= same_bits(hd.point, w) and same_bits(hd.alpha, alpha)
+        same &= same_bits(scalar.point, w) and same_bits(scalar.alpha, alpha)
     checks["idbd1(lam=0) == hd"] = same
 
     # heavy ball p=0 bit-identical to gd
@@ -268,7 +268,7 @@ def test_criterion_9_property_suite():
         for _ in range(50):
             hb.step(obj_a)
             gd.step(obj_b)
-            same &= np.array_equal(hb.w, gd.w)
+            same &= np.array_equal(hb.point, gd.point)
     checks["heavy_ball(p=0) == gd"] = same
 
     # constant gradient: the first planning window is pure GD experience, so

@@ -9,7 +9,7 @@ from stepplan.core import (EvalBudget, Objective, _count, _finite, _positive, _r
 from stepplan.harness import ExperimentConfig, speedup_at_budget
 from stepplan.optimizers import (Adam, HeavyBall, IdbdScalar, L4, LossGrad, NesterovAGD,
                                  RMSprop)
-from stepplan.planner import ExperienceBuffer, StepSizePlanner
+from stepplan.planner import ExperienceBuffer, ExperiencePair, StepSizePlanner
 from stepplan.problems import LmsStream, QuadraticProblem, make_problem, random_spd
 from stepplan.theory import verify_theorems
 
@@ -84,6 +84,8 @@ class TestEntryRule:
         "Objective": (lambda x: Objective(2, sum, list, optimum_point=x), "vector",
                       "optimum_point"),
         "finite_diff_grad": (lambda x: finite_diff_grad(Objective(2, sum, list), x), "vector", "w"),
+        "ExperiencePair-w": (lambda x: ExperiencePair(w=x, g=[1.0, 1.0]), "vector", "w"),
+        "ExperiencePair-g": (lambda x: ExperiencePair(w=[1.0, 1.0], g=x), "vector", "g"),
     }
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])

@@ -72,15 +72,17 @@ def cfg(problem, optimizer, budget, **kw):
 
 
 def synthetic_trace(errors, grad_per_iter=1):
-    return Trace(records=[TraceRecord(iteration=i, grad_evals=i * grad_per_iter, error=e)
-                          for i, e in enumerate(errors, start=1)],
-                 total_grad_evals=len(errors) * grad_per_iter)
+    trace = Trace(records=[TraceRecord(iteration=i, grad_evals=i * grad_per_iter, error=e)
+                           for i, e in enumerate(errors, start=1)])
+    trace.total_grad_evals = len(errors) * grad_per_iter
+    return trace
 
 
 def trace_of(grad_evals):
     """A converged trace with these counts and error 1 / i on row i."""
-    return Trace(records=[TraceRecord(i, g, 1.0 / i) for i, g in enumerate(grad_evals, 1)],
-                 status=CONVERGED)
+    trace = Trace(records=[TraceRecord(i, g, 1.0 / i) for i, g in enumerate(grad_evals, 1)])
+    trace.status = CONVERGED
+    return trace
 
 
 ONE = trace_of([1])

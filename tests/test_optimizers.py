@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from stepplan.core import DivergenceError, EvalBudget, Objective, StationaryPointError, _Stepper
+from stepplan.core import DivergenceError, EvalBudget, Objective, StationaryPointError
 from stepplan.harness import ExperimentConfig, run_experiment
 from stepplan.optimizers import (Adam, GradientDescent, HeavyBall, Idbd,
                                  IdbdScalar, L4, LossGrad, NesterovAGD,
@@ -28,10 +28,10 @@ def linear_objective(slope):
 
 
 def run_trajectory(stepper, obj, steps):
-    out = [stepper.w.copy()]
+    out = [np.array(stepper.point, dtype=float)]
     for _ in range(steps):
         stepper.step(obj)
-        out.append(stepper.w.copy())
+        out.append(np.array(stepper.point, dtype=float))
     return np.array(out)
 
 
@@ -39,17 +39,17 @@ class TestGradientDescent:
     def test_hand_recurrence(self):
         s = GradientDescent([1.0], gamma=0.1)
         s.step(scalar_objective())
-        assert s.w[0] == 0.9
+        assert s.point[0] == 0.9
 
     def test_zero_step(self):
         s = GradientDescent([1.0, -2.0], gamma=0.0)
         s.step(quadratic_objective())
-        assert np.array_equal(s.w, [1.0, -2.0])
+        assert np.array_equal(s.point, [1.0, -2.0])
 
     def test_oscillation_admitted(self):
         s = GradientDescent([1.0], gamma=2.0)
         s.step(scalar_objective())
-        assert s.w[0] == -1.0  # divergent oscillation passes through
+        assert s.point[0] == -1.0  # divergent oscillation passes through
 
     def test_one_grad_eval_per_step(self):
         obj = quadratic_objective()
@@ -65,9 +65,9 @@ class TestHeavyBall:
         obj = scalar_objective()
         s = HeavyBall([1.0], gamma=0.1, p=0.5)
         s.step(obj)
-        assert np.isclose(s.w[0], 0.9)
+        assert np.isclose(s.point[0], 0.9)
         s.step(obj)
-        assert np.isclose(s.w[0], 0.76)  # 0.9 - 0.09 + 0.5 * (-0.1)
+        assert np.isclose(s.point[0], 0.76)  # 0.9 - 0.09 + 0.5 * (-0.1)
 
     def test_p_zero_matches_gd_exactly(self, rng):
         for _ in range(100):
@@ -85,7 +85,7 @@ class TestHeavyBall:
         obj = constant_objective()
         for _ in range(10):
             s.step(obj)
-        assert np.array_equal(s.w, [3.0, -1.0])
+        assert np.array_equal(s.point, [3.0, -1.0])
 
     def test_momentum_range(self):
         with pytest.raises(ValueError):
@@ -115,8 +115,8 @@ class TestNesterov:
         # t0 = 1 makes gamma_0 = 0: first step is plain GD on x0 = w0
         s = NesterovAGD([2.0], "convex", L=1.0)
         s.step(scalar_objective())
-        assert s.w[0] == 0.0  # 2 - (1/1)*2
-        assert np.array_equal(s.x, s.w)
+        assert s.point[0] == 0.0  # 2 - (1/1)*2
+        assert np.array_equal(s.x, s.point)
 
     def test_empirical_rate_beats_gd_rate(self):
         # diag(1000, 1): momentum schedule should track ~(1 - sqrt(mu/L))
@@ -125,7 +125,7 @@ class TestNesterov:
         errs = []
         for _ in range(2000):
             s.step(obj)
-            errs.append(obj.error(s.w))
+            errs.append(obj.error(s.point))
         rate = (errs[1999] / errs[99]) ** (1.0 / 1900.0)
         assert rate <= (1.0 - np.sqrt(1.0 / 1000.0)) + 0.01
 
@@ -142,15 +142,15 @@ class TestPolyak:
         s = PolyakStep([2.0], f_star=0.0)
         s.step(obj)
         assert s.alpha == 0.5
-        assert s.w[0] == 1.0
+        assert s.point[0] == 1.0
         s.step(obj)
         assert s.alpha == 0.5
-        assert s.w[0] == 0.5
+        assert s.point[0] == 0.5
 
     def test_converged_noop(self):
         s = PolyakStep([0.0], f_star=0.0)
         s.step(scalar_objective())
-        assert s.w[0] == 0.0
+        assert s.point[0] == 0.0
         assert s.alpha == 0.0
 
     def test_rosenbrock_step_size(self):
@@ -186,13 +186,13 @@ class TestL4:
         s = L4([2.0], f_star=0.0, eps=1e-12)
         s.step(scalar_objective())
         assert abs(s.alpha - 0.5) <= 1e-12
-        assert abs(s.w[0] - 1.0) <= 1e-11
+        assert abs(s.point[0] - 1.0) <= 1e-11
 
     def test_converged_noop(self):
         s = L4([0.0], f_star=0.0)
         s.step(scalar_objective())
         assert s.alpha == 0.0
-        assert s.w[0] == 0.0
+        assert s.point[0] == 0.0
 
     def test_ascent_direction_gives_negative_alpha(self):
         s = L4([1.0], f_star=0.0, direction="momentum", p=0.9)
@@ -219,7 +219,7 @@ class TestLossGrad:
         s.step(scalar_objective())
         # e = f(0.5) - (0.5 - 0.5) = 0.125, r = 0.25 < 1/2 -> increase
         assert np.isclose(s.alpha, 0.55)
-        assert np.isclose(s.w[0], 1.0 - 0.55)
+        assert np.isclose(s.point[0], 1.0 - 0.55)
 
     def test_boundary_decreases(self):
         s = LossGrad([1.0], alpha0=1.0, rho=1.1)
@@ -231,7 +231,7 @@ class TestLossGrad:
         s = LossGrad([1.0, 1.0], alpha0=0.3)
         s.step(constant_objective())
         assert s.alpha == 0.3
-        assert np.array_equal(s.w, [1.0, 1.0])
+        assert np.array_equal(s.point, [1.0, 1.0])
 
     def test_underflowing_model_decrease_noop(self):
         # g.g = 1e-320 is nonzero, but alpha * g.g underflows to 0.0
@@ -239,7 +239,7 @@ class TestLossGrad:
         s = LossGrad([2.0], alpha0=1e-5)
         s.step(obj)
         assert s.alpha == 1e-5
-        assert np.array_equal(s.w, [2.0])
+        assert np.array_equal(s.point, [2.0])
         assert obj.grad_evals == 1 and obj.func_evals == 0
 
     def test_eval_accounting(self):
@@ -261,24 +261,24 @@ class TestRMSprop:
         s = RMSprop([0.0], alpha=0.01, beta=0.9, eps=1e-8)
         s.step(linear_objective([1.0]))
         # v = 0.1, update = 0.01 / sqrt(0.1 + 1e-8)
-        assert abs(abs(s.w[0]) - 0.0316228) <= 1e-6
+        assert abs(abs(s.point[0]) - 0.0316228) <= 1e-6
 
     def test_zero_gradient_decays_v(self):
         s = RMSprop([1.0], alpha=0.01, beta=0.9)
         s.v = [0.4]
         s.step(constant_objective(dim=1))
-        assert s.w[0] == 1.0
+        assert s.point[0] == 1.0
         assert np.isclose(s.v[0], 0.36)
 
     def test_constant_gradient_limit(self):
         slope = 2.0
         s = RMSprop([0.0], alpha=0.01, beta=0.9, eps=1e-8)
         obj = linear_objective([slope])
-        prev = s.w[0]
+        prev = s.point[0]
         for _ in range(2000):
-            prev = s.w[0]
+            prev = s.point[0]
             s.step(obj)
-        final_step = abs(s.w[0] - prev)
+        final_step = abs(s.point[0] - prev)
         expected = 0.01 * slope / np.sqrt(slope ** 2 + 1e-8)
         assert np.isclose(final_step, expected, rtol=1e-6)
 
@@ -288,14 +288,14 @@ class TestAdam:
         for g0 in ([5.0], [0.01, -3.0]):
             s = Adam(np.zeros(len(g0)), alpha=0.1)
             s.step(linear_objective(g0))
-            assert np.allclose(np.abs(s.w), 0.1, rtol=1e-4)
+            assert np.allclose(np.abs(s.point), 0.1, rtol=1e-4)
 
     def test_zero_gradient_noop_forever(self):
         s = Adam([1.0, -1.0], alpha=0.1)
         obj = constant_objective()
         for _ in range(20):
             s.step(obj)
-        assert np.array_equal(s.w, [1.0, -1.0])
+        assert np.array_equal(s.point, [1.0, -1.0])
 
     def test_collapses_to_sign_gd(self, rng):
         for _ in range(100):
@@ -311,7 +311,7 @@ class TestAdam:
                 g = p.gradient(w_sign)
                 adam.step(obj)
                 w_sign = w_sign - alpha * np.sign(g)
-                assert np.max(np.abs(adam.w - w_sign)) <= 1e-12
+                assert np.max(np.abs(np.asarray(adam.point) - w_sign)) <= 1e-12
 
 
 def _random_params(name: str, rng) -> dict:
@@ -356,15 +356,14 @@ def _compare_with_reference(name: str, params: dict, d: int, rng, steps: int = 2
             except DivergenceError:
                 with pytest.raises(DivergenceError, match=f"after step {k}$"):
                     stepper.step(obj)
-                assert same_bits(stepper.w, last_w) and stepper.k == k - 1
+                assert same_bits(stepper.point, last_w) and stepper.k == k - 1
                 assert obj.grad_evals == k
                 return k
             stepper.step(obj)
             assert obj.grad_evals == k
-            assert type(stepper.w) is np.ndarray and stepper.w.dtype == np.float64
             for key, value in expected.items():
                 assert same_bits(getattr(stepper, key), value), (name, k, key)
-            last_w = expected["w"]
+            last_w = expected["point"]
     return None
 
 
@@ -511,23 +510,6 @@ class TestListPath:
         assert len(trace) == 2000 and trace.total_grad_evals == 2000
         assert same_bits(trace.error, _rosenbrock_float_errors(name, params, 2000))
 
-    def test_w_is_a_fresh_float64_array(self):
-        # every stepper keeps its iterate in point; w is a copy on all of them
-        for name, d in [(name, 2) for name in REGISTRY] + [("csawg", LIST_MAX_DIM + 1)]:
-            s = make_optimizer(name, ([-1.0, 0.5] * d)[:d], REGISTRY[name])
-            assert isinstance(s, _Stepper), name
-            for _ in range(5):  # csawg with K=2 plans at the fourth step
-                if name == "idbd":
-                    s.step_sample(np.array([1.0, 2.0]), 0.5)
-                else:
-                    s.step(sphere_objective(d))
-            point = np.array(s.point, dtype=float)
-            w = s.w
-            assert type(w) is np.ndarray and w.dtype == np.float64, name
-            assert w is not s.w and w is not s.point and same_bits(w, point), name
-            w[:] = 99.0
-            assert same_bits(s.point, point) and same_bits(s.w, point), name
-
     @pytest.mark.parametrize("name,params", STEPPERS)
     def test_array_gradient_callable_on_a_list_raises(self, name, params):
         # 2 * w on a list repeats it; without the length check the update
@@ -648,10 +630,10 @@ class TestHyperGradient:
         s = make_optimizer("hd", [1.0], {"eta": 0.01, "alpha0": 0.1})
         s.step(obj)
         assert s.alpha == 0.1  # no previous gradient yet
-        assert np.isclose(s.w[0], 0.9)
+        assert np.isclose(s.point[0], 0.9)
         s.step(obj)
         assert np.isclose(s.alpha, 0.109)  # 0.1 + 0.01 * 0.9 * 1.0
-        assert np.isclose(s.w[0], 0.9 - 0.109 * 0.9)
+        assert np.isclose(s.point[0], 0.9 - 0.109 * 0.9)
 
     def test_sign_property_exact(self, rng):
         q, _, _ = random_spd(rng, 2, 10.0)
@@ -665,7 +647,7 @@ class TestHyperGradient:
             prev_alpha = s.alpha
             s.step(obj)
             w, alpha, g = next(ref)
-            assert same_bits(s.w, w) and same_bits(s.alpha, alpha)
+            assert same_bits(s.point, w) and same_bits(s.alpha, alpha)
             assert np.sign(s.alpha - prev_alpha) == np.sign(float(g @ g_prev))
             g_prev = g
 
@@ -681,7 +663,7 @@ class TestHyperGradient:
         for k in range(1, 10):
             s.step(obj)
             w, alpha, _ = next(ref)
-            assert same_bits(s.w, w) and same_bits(s.alpha, alpha), k
+            assert same_bits(s.point, w) and same_bits(s.alpha, alpha), k
         with pytest.raises(DivergenceError, match="after step 10"):
             s.step(obj)
 
@@ -700,15 +682,15 @@ class TestIdbdScalar:
             hd.step(obj_a)
             scalar.step(obj_b)
             w, alpha, _ = next(ref)
-            assert same_bits(hd.w, w) and same_bits(hd.alpha, alpha)
-            assert same_bits(scalar.w, w) and same_bits(scalar.alpha, alpha)
+            assert same_bits(hd.point, w) and same_bits(hd.alpha, alpha)
+            assert same_bits(scalar.point, w) and same_bits(scalar.alpha, alpha)
 
     def test_hand_recurrence_with_trace(self):
         obj = scalar_objective()
         s = IdbdScalar([1.0], eta=0.01, lam=0.5, alpha0=0.1)
         s.step(obj)
         assert s.alpha == 0.1  # trace starts at zero
-        assert np.isclose(s.w[0], 0.9)
+        assert np.isclose(s.point[0], 0.9)
         assert np.isclose(s.h[0], 1.0)
         s.step(obj)
         assert np.isclose(s.alpha, 0.109)  # 0.1 + 0.01 * 0.9 * 1.0
@@ -749,7 +731,7 @@ class TestNonFiniteStepSize:
         assert trace.status == DIVERGED
         assert list(trace.error).count(np.inf) == 1 and trace.error[-1] == np.inf
         assert s.k == len(trace) - 1 and s.alpha == np.inf
-        assert np.array_equal(trace.w.get(len(trace) - 1), s.w)
+        assert np.array_equal(trace.w.get(len(trace) - 1), s.point)
         if name != "l4":
             assert np.array_equal(s.h, [10.0])  # the trace of step 1, not of the failed step
         write_csv(trace, tmp_path / "t.csv")
@@ -761,11 +743,11 @@ class TestIdbd:
         s = Idbd([1.0, 0.0], eta=0.1, beta0=np.log(0.1))
         s.h = np.array([1.0, 1.0])
         x = np.array([1.0, 0.5])
-        y = float(s.w @ x)  # delta = 0
+        y = float(s.point @ x)  # delta = 0
         beta_before = s.beta.copy()
         s.step_sample(x, y)
         assert np.array_equal(s.beta, beta_before)
-        assert np.array_equal(s.w, [1.0, 0.0])
+        assert np.array_equal(s.point, [1.0, 0.0])
         decay = np.maximum(0.0, 1.0 - 0.1 * x * x)
         assert np.allclose(s.h, decay)
 
@@ -773,7 +755,7 @@ class TestIdbd:
         s = Idbd([0.0], eta=0.01, beta0=np.log(0.1))
         s.step_sample(np.array([1.0]), 1.0)  # delta = 1, h = 0 -> beta unchanged
         assert np.isclose(s.beta[0], np.log(0.1))
-        assert np.isclose(s.w[0], 0.1)
+        assert np.isclose(s.point[0], 0.1)
         assert np.isclose(s.h[0], 0.1)  # 0.9 * 0 + 0.1
 
     def test_relu_reset(self):
@@ -789,8 +771,8 @@ class TestIdbd:
         for _ in range(500):
             x = rng.uniform(-1, 1, size=3)
             s.step_sample(x, float(w_star @ x))
-            assert np.all(s.alpha > 0.0)
-            decay = np.maximum(0.0, 1.0 - s.alpha * x * x)
+            assert np.all(s.last_alpha > 0.0)
+            decay = np.maximum(0.0, 1.0 - s.last_alpha * x * x)
             assert np.all((decay >= 0.0) & (decay <= 1.0))
 
     def test_divergent_sample_commits_nothing(self):
@@ -798,7 +780,7 @@ class TestIdbd:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(DivergenceError, match="non-finite iterate"):
                 s.step_sample(np.array([1.0, 0.5]), 2.0)
-        assert np.array_equal(s.w, [0.5, -0.5])
+        assert np.array_equal(s.point, [0.5, -0.5])
         assert np.array_equal(s.beta, [710.0, 710.0])
         assert np.array_equal(s.h, [0.0, 0.0])
         assert s.k == 0
@@ -809,7 +791,7 @@ class TestIdbd:
         s.step_sample(np.array([1.0]), 1.0)  # w = 1, h = 1
         s.step_sample(np.array([1.0]), 3.0)  # beta = -1e308 * 2 = -inf
         assert s.beta.tolist() == [-np.inf]
-        assert s.w.tolist() == [1.0] and s.k == 2
+        assert s.point.tolist() == [1.0] and s.k == 2
 
     def test_step_draws_one_counted_sample(self):
         stream = LmsStream([1.0, -1.0], seed=4)
@@ -819,7 +801,7 @@ class TestIdbd:
         for n in range(1, 6):
             a.step(stream)
             b.step_sample(*twin.next())
-            assert np.array_equal(a.w, b.w)
+            assert np.array_equal(a.point, b.point)
             assert np.array_equal(a.last_alpha, np.exp(a.beta))
             assert stream.grad_evals == n and stream.func_evals == 0
 
@@ -929,4 +911,4 @@ class TestHyperparameterValidation:
     def test_negative_step_sizes_accepted(self, name, params):
         s = make_optimizer(name, [-1.0, 2.0], params)
         s.step(quadratic_objective())
-        assert np.all(np.isfinite(s.w))
+        assert np.all(np.isfinite(s.point))

@@ -157,9 +157,7 @@ class TestPlannerForm:
                 optimizer={"name": name, **params}, budget=EvalBudget(1)))
             for stepper in (cls(w0, **params), make_optimizer(name, w0, params), started.pop()):
                 assert type(stepper.point) is want and stepper.point is not w0, name
-                w = stepper.w
-                assert type(w) is np.ndarray and w.dtype == np.float64 and w is not stepper.point
-                assert same_bits(w, w0)
+                assert same_bits(stepper.point, w0)
                 for _ in range(4):  # csawg with K=2 plans at the fourth step
                     stepper.step(obj)
                 assert type(stepper.point) is want, name
@@ -294,9 +292,9 @@ class TestExperienceBuffer:
             buf.record(pair([1.0], [0.5]))
 
     def test_pair_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^g dimension mismatch: expected 1, got 2$"):
             ExperiencePair(w=np.array([1.0]), g=np.array([1.0, 2.0]))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^w must be finite, got nan$"):
             ExperiencePair(w=np.array([np.nan]), g=np.array([1.0]))
 
 

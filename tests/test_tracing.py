@@ -13,8 +13,8 @@ from hypothesis import given, settings, strategies as st
 from stepplan.core import EvalBudget, Objective, StationaryPointError
 from stepplan.optimizers import GradientDescent, PolyakStep
 from stepplan.planner import StepSizePlanner
-from stepplan.tracing import (CONVERGED, DIVERGED, Trace, TraceRecord, run_steps,
-                              write_csv)
+from stepplan.tracing import (BUDGET_EXHAUSTED, CONVERGED, DIVERGED, Trace, TraceRecord,
+                              run_steps, write_csv)
 
 from conftest import quadratic_objective, rosenbrock_objective, scalar_objective
 
@@ -219,10 +219,9 @@ class TestConstructor:
         t = Trace(records=[TraceRecord(1, 0, np.nan), TraceRecord(2, np.int64(1), np.inf)])
         assert list(t.grad_evals) == [0, 1] and math.isnan(t.error[0]) and t.error[1] == np.inf
 
-    def test_keeps_the_totals_and_status(self):
-        t = Trace(records=[TraceRecord(1, 2, 0.5)], status=CONVERGED,
-                  total_grad_evals=2, total_func_evals=3)
-        assert (t.status, t.total_grad_evals, t.total_func_evals) == (CONVERGED, 2, 3)
+    def test_status_and_totals_start_at_their_defaults(self):
+        t = Trace(records=[TraceRecord(1, 2, 0.5)])
+        assert (t.status, t.total_grad_evals, t.total_func_evals) == (BUDGET_EXHAUSTED, 0, 0)
         assert t.final_error() == 0.5
         assert np.array(t.error).tolist() == [0.5]
 
@@ -235,8 +234,7 @@ class TestColumnarTrace:
         trace = run_steps(StepSizePlanner([-1.0, 2.0], gamma=0.0009, k=3), obj,
                           EvalBudget(max_iterations=40, error_floor=None), obj.error,
                           record_w=record_w, record_alpha=record_alpha)
-        rebuilt = Trace(records=list(trace.records), status=trace.status,
-                        total_grad_evals=trace.total_grad_evals)
+        rebuilt = Trace(records=list(trace.records))
         a, b = tmp_path / "run.csv", tmp_path / "rebuilt.csv"
         write_csv(trace, a)
         write_csv(rebuilt, b)
