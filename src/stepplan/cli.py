@@ -19,7 +19,7 @@ from .harness import (ExperimentConfig, apply_override, load_config, parse_overr
 from .presets import PRESETS
 from .svgplot import render_traces
 from .theory import summarize_reports, verify_theorems
-from .tracing import write_csv
+from .tracing import DIVERGED, write_csv
 
 
 def _slug(text: str) -> str:
@@ -73,6 +73,15 @@ def _run(configs, out: pathlib.Path, line: str, svg: bool, chart=None, per_run_s
     return done, [f"run {cfg.label!r} failed: {type(exc).__name__}: {exc}" for cfg, exc in failed]
 
 
+# The options every run-like command takes; ``repro`` takes ``--out`` and ``--svg/--no-svg``.
+_OUT = click.option("--out", default="out", help="Output directory.",
+                    type=click.Path(file_okay=False, path_type=pathlib.Path))
+_SEED = click.option("--seed", type=int, default=None, help="Override the config seed.")
+_SVG = click.option("--svg/--no-svg", default=True, help="Also render an SVG chart.")
+_SET = click.option("--set", "overrides", multiple=True, metavar="KEY=VALUE",
+                    help="Dotted-path config override (repeatable).")
+
+
 class _Command(click.Command):
     """The one exit rule: a ``ValueError`` exits 2; the failures a subcommand returns exit 1."""
 
@@ -93,28 +102,26 @@ def cli():
 @cli.command(cls=_Command)
 @click.option("--config", "config_path", required=True,
               type=click.Path(exists=True, dir_okay=False), help="Experiment config (JSON).")
-@click.option("--out", default="out", type=click.Path(file_okay=False, path_type=pathlib.Path),
-              help="Output directory.")
-@click.option("--seed", type=int, default=None, help="Override the config seed.")
-@click.option("--svg/--no-svg", default=True, help="Also render an SVG chart.")
-@click.option("--set", "overrides", multiple=True, metavar="KEY=VALUE",
-              help="Dotted-path config override (repeatable).")
+@_OUT
+@_SEED
+@_SVG
+@_SET
 def run(config_path, out, seed, svg, overrides):
     """Run one experiment and write its trace as CSV (and SVG)."""
     cfg = _load_with_overrides(config_path, overrides, seed)
     done, failed = _run([cfg], out, "{label}: status={status} iterations={n} "
                         "grad_evals={evals} final_error={error:.6g}", svg, per_run_svg=True)
-    return failed + ["run diverged" for _, trace in done if trace.status == "diverged"]
+    return failed + ["run diverged" for _, trace in done if trace.status == DIVERGED]
 
 
 @cli.command(cls=_Command)
 @click.option("--config", "config_paths", required=True, multiple=True,
               type=click.Path(exists=True, dir_okay=False),
               help="Experiment config (repeat for each run).")
-@click.option("--out", default="out", type=click.Path(file_okay=False, path_type=pathlib.Path))
-@click.option("--seed", type=int, default=None)
-@click.option("--svg/--no-svg", default=True)
-@click.option("--set", "overrides", multiple=True, metavar="KEY=VALUE")
+@_OUT
+@_SEED
+@_SVG
+@_SET
 def compare(config_paths, out, seed, svg, overrides):
     """Build several configs, then run and overlay them in one chart + combined CSV."""
     configs = [_load_with_overrides(path, overrides, seed) for path in config_paths]
@@ -135,10 +142,10 @@ def compare(config_paths, out, seed, svg, overrides):
               type=click.Path(exists=True, dir_okay=False), help="Base config (JSON).")
 @click.option("--grid", "grid_items", required=True, multiple=True, metavar="KEY=V1,V2,...",
               help="Dotted-path grid values (repeatable; Cartesian product).")
-@click.option("--out", default="out", type=click.Path(file_okay=False, path_type=pathlib.Path))
-@click.option("--seed", type=int, default=None)
-@click.option("--svg/--no-svg", default=True)
-@click.option("--set", "overrides", multiple=True, metavar="KEY=VALUE")
+@_OUT
+@_SEED
+@_SVG
+@_SET
 def sweep_cmd(config_path, grid_items, out, seed, svg, overrides):
     """Run a Cartesian parameter grid over a base config."""
     base = _load_with_overrides(config_path, overrides, seed, label_from_stem=False)
@@ -157,9 +164,11 @@ def sweep_cmd(config_path, grid_items, out, seed, svg, overrides):
 
 
 @cli.command(cls=_Command)
-@click.option("--trials", type=int, default=1000, show_default=True)
-@click.option("--d-max", type=int, default=10, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--trials", type=int, default=1000, show_default=True,
+              help="Random instances to check.")
+@click.option("--d-max", type=int, default=10, show_default=True,
+              help="Largest instance dimension (1 to 64).")
+@click.option("--seed", type=int, default=0, show_default=True, help="Seed of the instances.")
 @click.option("--out", default="out", type=click.Path(file_okay=False, path_type=pathlib.Path),
               help="Directory for the machine-readable report.")
 def verify(trials, d_max, seed, out):
@@ -183,8 +192,8 @@ def verify(trials, d_max, seed, out):
 
 @cli.command(cls=_Command)
 @click.argument("preset")
-@click.option("--out", default="out", type=click.Path(file_okay=False, path_type=pathlib.Path))
-@click.option("--svg/--no-svg", default=True)
+@_OUT
+@_SVG
 def repro(preset, out, svg):
     """Run a canned benchmark preset (see `stepplan repro --help` for names).
 

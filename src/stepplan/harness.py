@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import json
 from bisect import bisect_right
-from dataclasses import asdict, dataclass
+from dataclasses import MISSING, asdict, dataclass, fields
 from typing import Callable, Iterable, List, Tuple
 
 from .core import EvalBudget, Objective, _count
@@ -74,11 +74,10 @@ class ExperimentConfig:
             raise ValueError(f"config is not JSON data: {exc}") from None
         if not isinstance(d, dict):
             raise ValueError(f"config must be an object, got {type(d).__name__}")
-        known = {"problem", "optimizer", "budget", "seed", "record_w", "record_alpha", "label"}
-        extra = set(d) - known
+        extra = set(d) - {f.name for f in fields(cls)}
         if extra:
             raise ValueError(f"unknown config keys: {sorted(extra)}")
-        missing = {"problem", "optimizer", "budget"} - set(d)
+        missing = {f.name for f in fields(cls) if f.default is MISSING} - set(d)
         if missing:
             raise ValueError(f"missing config keys: {sorted(missing)}")
         try:

@@ -1,6 +1,7 @@
 """Closed-form optimal step-sizes on quadratics and their numeric checks.
 
-For f(w) = 1/2 w^T Q w with SPD Q (the optimum translated to zero):
+For f(w) = 1/2 w^T Q w with symmetric positive-definite Q, a
+:class:`~stepplan.problems.QuadraticProblem` with its optimum at zero:
 
 * the best scalar step for one iteration is  a* = w^T Q^2 w / w^T Q^3 w,
   and its one-step error-reduction ratio never exceeds the Kantorovich
@@ -22,26 +23,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Array, _count, _finite, _real_array, as_vector
-from .problems import random_spd
+from .core import Array, _count, _finite, as_vector
+from .problems import QuadraticProblem, random_spd
 
 
 class SingularDirectionError(ValueError):
     """A diagonal step is undefined: some gradient component, (Qw)_i on a
     quadratic, is exactly zero."""
-
-
-def _check_spd_input(q, w) -> tuple[Array, Array]:
-    q = _real_array(q, "Q")
-    w = as_vector(w, name="w")
-    if q.shape != (w.size, w.size):
-        raise ValueError(f"Q shape {q.shape} does not match w dimension {w.size}")
-    return q, w
-
-
-def _value(q: Array, w: Array) -> float:
-    """f(w) = 1/2 w^T Q w (optimum-at-zero convention)."""
-    return float(0.5 * w @ q @ w)
 
 
 def _scalar_step(q: Array, y: Array) -> float:
@@ -68,14 +56,6 @@ def _diag_step(w: Array, g: Array, target) -> Array:
         bad = int(np.flatnonzero(g == 0.0)[0])
         raise SingularDirectionError(f"gradient component {bad} is zero")
     return (w - target) / g
-
-
-def _ratio(q: Array, w: Array, y: Array, fw: float, step) -> float:
-    """f(w - step * Qw) / f(w) for a scalar or per-component step, from y = Qw
-    and fw = f(w)."""
-    if fw == 0.0:
-        raise ValueError("reduction ratio undefined at f(w) = 0")
-    return _value(q, w - step * y) / fw
 
 
 def kantorovich_bound(mu: float, L: float) -> float:
@@ -118,7 +98,9 @@ def _grid_component_gap(w, g, exact) -> float:
 
 
 def check_instance(q, mu: float, L: float, w) -> list[RateReport]:
-    """Run the four checks on one SPD instance.
+    """Run the four checks on one instance: ``q`` symmetric positive definite by
+    :class:`~stepplan.problems.QuadraticProblem`'s rule and ``w`` of its
+    dimension; ``mu`` and ``L`` enter the Kantorovich bound as given.
 
     * ``scalar-rate``      rho(a*) <= Kantorovich bound,
     * ``scalar-grid``      f(a*) <= min over a 10 000-point step grid,
@@ -128,17 +110,22 @@ def check_instance(q, mu: float, L: float, w) -> list[RateReport]:
       distance within one grid spacing of the closed form.
 
     ``(q, w)`` is checked once, and Qw and f(w) are computed once for all four.
+    A zero curvature w^T Q^3 w, checked before f(w) = 0, is a ``ValueError``; so is f(w) = 0.
     """
-    q, w = _check_spd_input(q, w)
-    y = q @ w
-    fw = _value(q, w)
+    f = QuadraticProblem(q)
+    w = as_vector(w, f.dimension, name="w")
+    y = f.gradient(w)
+    fw = f.value(w)
     reports: list[RateReport] = []
 
-    rho = _ratio(q, w, y, fw, _scalar_step(q, y))
+    step = _scalar_step(f.q, y)
+    if fw == 0.0:
+        raise ValueError("reduction ratio undefined at f(w) = 0")
+    rho = f.value(w - step * y) / fw
     bound = kantorovich_bound(mu, L)
     reports.append(RateReport("scalar-rate", rho, bound, rho <= bound + 1e-12))
 
-    grid_best = _grid_scalar_oracle(q, w, y, fw, L)
+    grid_best = _grid_scalar_oracle(f.q, w, y, fw, L)
     reports.append(RateReport("scalar-grid", rho, grid_best, rho <= grid_best + 1e-12))
 
     if not y.all():
@@ -147,7 +134,7 @@ def check_instance(q, mu: float, L: float, w) -> list[RateReport]:
         return reports
 
     diag_step = _diag_step(w, y, 0.0)
-    rho_d = _ratio(q, w, y, fw, diag_step)
+    rho_d = f.value(w - diag_step * y) / fw
     reports.append(RateReport("diag-one-step", rho_d, 1e-10, rho_d <= 1e-10 + 1e-12))
 
     gap = _grid_component_gap(w, y, diag_step)

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import pathlib
+import re
 import warnings
 
 import numpy as np
@@ -566,6 +567,16 @@ class TestConfigSerialization:
                                         "optimizer": {"name": "gd", "gamma": 0.1},
                                         "budget": {"max_iterations": 1},
                                         "wall_clock": 60})
+
+    @pytest.mark.parametrize("d, message", [
+        ({"budget": {}, "wall_clock": 60, "Seed": 1}, "unknown config keys: ['Seed', 'wall_clock']"),
+        ({"seed": 1, "label": "x"}, "missing config keys: ['budget', 'optimizer', 'problem']"),
+        ({"problem": {"name": "rosenbrock"}, "budget": {}}, "missing config keys: ['optimizer']"),
+    ], ids=["unknown", "missing-all", "missing-one"])
+    def test_key_messages_name_the_keys(self, d, message):
+        # the known and required keys are the dataclass's fields, and those without a default
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ExperimentConfig.from_dict(d)
 
     def test_apply_override(self):
         d = self_dict = cfg(ROSEN, {"name": "gd", "gamma": 0.001},

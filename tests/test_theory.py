@@ -129,8 +129,17 @@ class TestSpdInput:
             check_instance(q, 1.0, 1.0, [1.0])
 
     def test_q_shape_must_match_w(self):
-        with pytest.raises(ValueError, match=r"Q shape \(2, 2\) does not match w dimension 3"):
+        with pytest.raises(ValueError, match="^w dimension mismatch: expected 2, got 3$"):
             check_instance(np.eye(2), 1.0, 1.0, [1.0, 1.0, 1.0])
+
+    @pytest.mark.parametrize("q, message", [
+        ([[1.0, 0.5], [0.0, 1.0]], "Q must be symmetric (within 1e-12 component-wise)"),
+        ([[1.0, 2.0], [2.0, 1.0]], "Q must be positive definite, smallest eigenvalue -1.0"),
+    ], ids=["asymmetric", "indefinite"])
+    def test_q_must_be_symmetric_positive_definite(self, q, message):
+        # unchecked, the indefinite Q gives a negative reduction ratio (-0.19)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            check_instance(np.array(q), 1.0, 3.0, [1.0, 0.3])
 
     def test_numeric_q_is_accepted(self):
         # a* = w^T Q^2 w / w^T Q^3 w = 4 / 8 lands on the optimum
@@ -333,22 +342,22 @@ class TestCheckInstance:
             assert reports["diag-one-step"].rho == ratio(q, w, exact)
             assert reports["ideal-step-grid"].rho == _grid_component_gap(w, y, exact)
 
-    def test_checks_its_input_at_most_twice(self, monkeypatch):
-        calls = []
-        check = theory._check_spd_input
+    def test_builds_one_quadratic_problem(self, monkeypatch):
+        built = []
+        quadratic = theory.QuadraticProblem
 
-        def counted(q, w):
-            calls.append(1)
-            return check(q, w)
+        def counted(q):
+            built.append(q)
+            return quadratic(q)
 
-        monkeypatch.setattr(theory, "_check_spd_input", counted)
+        monkeypatch.setattr(theory, "QuadraticProblem", counted)
         for q, mu, L, w in verify_instances(20):
-            calls.clear()
+            built.clear()
             check_instance(q, mu, L, w)
-            assert len(calls) <= 2
+            assert len(built) == 1 and built[0] is q
 
     def test_checks_each_vector_once(self, monkeypatch):
-        # w through _check_spd_input; Qw and the zero target are not re-checked
+        # w against the problem's dimension; Qw and the zero target are not re-checked
         names = []
         as_vector = theory.as_vector
 
