@@ -5,7 +5,7 @@ from .core import (Array, DivergenceError, EvalBudget, Objective,
 from .harness import (ExperimentConfig, empirical_rate, run_all, run_experiment,
                       speedup_at_budget, sweep)
 from .optimizers import make_optimizer
-from .planner import ExperienceBuffer, ExperiencePair, StepSizePlanner, compute_alpha
+from .planner import ExperienceBuffer, StepSizePlanner
 from .problems import LmsStream, QuadraticProblem, RosenbrockProblem, make_problem
 from .theory import RateReport, kantorovich_bound, verify_theorems
 from .tracing import Trace, TraceRecord, run_steps, write_csv

@@ -306,11 +306,9 @@ class Idbd(_Stepper):
         self.eta = _finite("eta", eta)
         self.beta = np.full_like(self.point, _finite("beta0", beta0))
         self.h = np.zeros_like(self.point)
-
-    @property
-    def last_alpha(self) -> Array:
-        """The per-parameter step-sizes in force after every step, for traces."""
-        return np.exp(self.beta)
+        # exp(beta), the step-sizes in force, for traces; a beta0 above 709 gives inf
+        with np.errstate(over="ignore"):
+            self.last_alpha = np.exp(self.beta)
 
     def step(self, stream):
         x, y_star = stream.next()
@@ -328,7 +326,7 @@ class Idbd(_Stepper):
         move = alpha * delta * x
         h = self.h * np.maximum(0.0, 1.0 - alpha * x * x) + move
         self._commit(self.point + move)
-        self.beta, self.h = beta, h
+        self.beta, self.h, self.last_alpha = beta, h, alpha
 
 
 def _hd(w0, eta: float, alpha0: float) -> IdbdScalar:

@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Array, Objective, _build, _count, _finite, _positive, _real_array, as_vector
+from .core import Array, Objective, _build, _count, _finite, _real_array, as_vector
 
 
 class QuadraticProblem:
@@ -129,14 +129,14 @@ class LmsStream(Objective):
         return float(0.5 * self._second_moment * (d @ d))
 
 
-def random_spd(rng: np.random.Generator, dim: int, cond: float, scale: float = 1.0):
-    """Random SPD matrix with exact extreme eigenvalues (scale, scale * cond).
+def random_spd(rng: np.random.Generator, dim: int, cond: float):
+    """Random SPD matrix with exact extreme eigenvalues (1, cond).
 
     Built as V^T diag(e) V with V orthogonal from the QR of a Gaussian
     matrix, so mu and L are controlled exactly.  At ``dim=1`` the one
-    eigenvalue is ``scale``, so mu = L = scale whatever ``cond`` is.
+    eigenvalue is 1, so mu = L = 1 whatever ``cond`` is.
     """
-    dim, cond, scale = _count("dim", dim, 1), _finite("cond", cond), _positive("scale", scale)
+    dim, cond = _count("dim", dim, 1), _finite("cond", cond)
     if cond < 1:
         raise ValueError(f"cond must be >= 1, got {cond!r}")
     if dim == 1:
@@ -144,7 +144,7 @@ def random_spd(rng: np.random.Generator, dim: int, cond: float, scale: float = 1
     else:
         interior = 10.0 ** rng.uniform(0.0, np.log10(cond), size=dim - 2)
         eigs = np.concatenate([[1.0, cond], interior])
-    eigs = np.sort(eigs) * scale
+    eigs = np.sort(eigs)
     gauss = rng.standard_normal((dim, dim))
     v, _ = np.linalg.qr(gauss)
     q = v.T @ np.diag(eigs) @ v

@@ -46,12 +46,7 @@ def _scalar_step(q: Array, y: Array) -> float:
 def ideal_diag_step(w, g, target) -> Array:
     """(w_i - target_i) / g_i: the step that lands each component on the target."""
     w = as_vector(w, name="w")
-    return _diag_step(w, as_vector(g, w.size, "g"), as_vector(target, w.size, "target"))
-
-
-def _diag_step(w: Array, g: Array, target) -> Array:
-    """``ideal_diag_step`` on checked vectors, ``target`` an array or a float;
-    a zero component of ``g`` is a ``SingularDirectionError``."""
+    g, target = as_vector(g, w.size, "g"), as_vector(target, w.size, "target")
     if not g.all():
         bad = int(np.flatnonzero(g == 0.0)[0])
         raise SingularDirectionError(f"gradient component {bad} is zero")
@@ -99,8 +94,10 @@ def _grid_component_gap(w, g, exact) -> float:
 
 def check_instance(q, mu: float, L: float, w) -> list[RateReport]:
     """Run the four checks on one instance: ``q`` symmetric positive definite by
-    :class:`~stepplan.problems.QuadraticProblem`'s rule and ``w`` of its
-    dimension; ``mu`` and ``L`` enter the Kantorovich bound as given.
+    :class:`~stepplan.problems.QuadraticProblem`'s rule, ``w`` of its
+    dimension, and ``mu`` and ``L`` its extreme eigenvalues, to within
+    1e-12 * L of the ones ``eigvalsh`` finds; they enter the Kantorovich bound
+    and the grid as given.
 
     * ``scalar-rate``      rho(a*) <= Kantorovich bound,
     * ``scalar-grid``      f(a*) <= min over a 10 000-point step grid,
@@ -123,6 +120,9 @@ def check_instance(q, mu: float, L: float, w) -> list[RateReport]:
         raise ValueError("reduction ratio undefined at f(w) = 0")
     rho = f.value(w - step * y) / fw
     bound = kantorovich_bound(mu, L)
+    if abs(mu - f.mu) > 1e-12 * f.L or abs(L - f.L) > 1e-12 * f.L:
+        raise ValueError(f"mu and L must be Q's extreme eigenvalues {f.mu!r} and {f.L!r} "
+                         f"(within 1e-12 * L), got mu={mu!r}, L={L!r}")
     reports.append(RateReport("scalar-rate", rho, bound, rho <= bound + 1e-12))
 
     grid_best = _grid_scalar_oracle(f.q, w, y, fw, L)
@@ -133,7 +133,7 @@ def check_instance(q, mu: float, L: float, w) -> list[RateReport]:
             reports.append(RateReport(check, float("nan"), 1e-10, True, skipped=True))
         return reports
 
-    diag_step = _diag_step(w, y, 0.0)
+    diag_step = w / y
     rho_d = f.value(w - diag_step * y) / fw
     reports.append(RateReport("diag-one-step", rho_d, 1e-10, rho_d <= 1e-10 + 1e-12))
 

@@ -107,7 +107,7 @@ def test_criterion_4_convex_experiment():
     planner = run_experiment(ExperimentConfig(
         problem=CONVEX, optimizer={"name": "csawg", "gamma": 0.0009, "k": 2},
         budget=EvalBudget(max_iterations=500, error_floor=1e-12)))
-    planner_ok = planner.status == CONVERGED and planner.records[-1].iteration <= 500
+    planner_ok = planner.status == CONVERGED and len(planner) <= 500
 
     gd = run_experiment(ExperimentConfig(
         problem=CONVEX, optimizer={"name": "gd", "gamma": 0.00099},
@@ -126,7 +126,7 @@ def test_criterion_4_convex_experiment():
     nesterov_ok = ratio >= 1e3
 
     report(4, "convex experiment", planner_ok and rate_ok and nesterov_ok,
-           f"planner K=2 converged at iteration {planner.records[-1].iteration} (<500); "
+           f"planner K=2 converged at iteration {len(planner)} (<500); "
            f"GD rate {rate:.8f} vs closed form {expected:.8f}; "
            f"accelerated/GD error ratio at iteration 2000 = {ratio:.3g} (>=1e3)")
 
@@ -138,7 +138,7 @@ def test_criterion_5_step_size_peak():
             problem=CONVEX, optimizer={"name": "csawg", "gamma": 0.0009, "k": k},
             budget=EvalBudget(max_iterations=iters, error_floor=None),
             record_alpha=True))
-        alphas = [r.alpha[SLOW] for r in trace.records if r.alpha is not None]
+        alphas = [trace.alpha.get(row)[SLOW] for row in trace.alpha.rows]
         peaks[k] = max(alphas)
     ok = all(abs(peak - 1.0) <= 1e-6 for peak in peaks.values())
     detail = ", ".join(f"K={k}: {peak:.9f}" for k, peak in peaks.items())
@@ -164,8 +164,8 @@ def test_criterion_7_repeated_planning():
         from stepplan.tracing import run_steps
         trace = run_steps(planner, obj, EvalBudget(max_iterations=2000, error_floor=1e-12),
                           obj.error, record_alpha=True)
-        events = sum(1 for r in trace.records if r.alpha is not None)
-        accounting_exact = trace.total_grad_evals == len(trace.records) + events * 55
+        events = len(trace.alpha)
+        accounting_exact = trace.total_grad_evals == len(trace) + events * 55
         results[k] = (trace.status == CONVERGED, trace.total_grad_evals, accounting_exact)
     ok = all(conv and evals <= 1000 and acct for conv, evals, acct in results.values())
     detail = "; ".join(f"K={k}: error<=1e-12 in {evals} evals (reference {ref})"
@@ -175,7 +175,7 @@ def test_criterion_7_repeated_planning():
 
 def test_criterion_8_negative_step_sizes(rosenbrock_runs):
     _, planners = rosenbrock_runs
-    alphas = [r.alpha for r in planners[2].records if r.alpha is not None]
+    alphas = [planners[2].alpha.get(row) for row in planners[2].alpha.rows]
     negatives = sum(1 for a in alphas if a[1] < 0.0)
     report(8, "negative step-sizes", negatives >= 1,
            f"K=2 run recorded {negatives} planning events with a negative second "
@@ -295,8 +295,8 @@ def test_criterion_9_property_suite():
         trace = run_experiment(ExperimentConfig(
             problem=CONVEX, optimizer=optimizer,
             budget=EvalBudget(max_iterations=90, error_floor=None), record_alpha=True))
-        events = sum(1 for r in trace.records if r.alpha is not None)
-        acct &= trace.total_grad_evals == len(trace.records) + events * events_cost
+        events = len(trace.alpha)
+        acct &= trace.total_grad_evals == len(trace) + events * events_cost
     checks["grad-eval accounting"] = acct
 
     # byte-identical CSVs for fixed seeds, including the stochastic stream
@@ -350,8 +350,8 @@ def test_criterion_10_baseline_ordering():
     def evals_to(trace, error, evals):
         """Fewest cumulative gradient evaluations at which the trace first has
         an error <= `error` within `evals` evaluations, or inf if it never does."""
-        return next((r.grad_evals for r in trace.records
-                     if r.grad_evals <= evals and r.error <= error), float("inf"))
+        return next((g for g, e in zip(trace.grad_evals, trace.error)
+                     if g <= evals and e <= error), float("inf"))
 
     def label(optimizer):
         return " ".join(f"{k}={v}" for k, v in optimizer.items() if k != "name")

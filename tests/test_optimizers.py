@@ -338,7 +338,8 @@ def _compare_with_reference(name: str, params: dict, d: int, rng, steps: int = 2
     step, one gradient evaluation per step, and a float64 array iterate.
     Returns the step that raised ``DivergenceError`` in both, or None.
     """
-    q, _, _ = random_spd(rng, d, 10.0 ** rng.uniform(0, 3), scale=rng.uniform(0.1, 2.0))
+    cond, scale = 10.0 ** rng.uniform(0, 3), rng.uniform(0.1, 2.0)
+    q = random_spd(rng, d, cond)[0] * scale
     c = rng.standard_normal(d)
     w0 = rng.standard_normal(d) * 10.0 ** rng.uniform(-3, 3)
 
@@ -784,6 +785,15 @@ class TestIdbd:
         assert np.array_equal(s.beta, [710.0, 710.0])
         assert np.array_equal(s.h, [0.0, 0.0])
         assert s.k == 0
+        assert same_bits(s.last_alpha, [np.inf, np.inf])
+        # a sample whose beta overflows alpha leaves the committed alpha in force
+        s = Idbd([0.0], eta=1.0, beta0=0.0)
+        s.step_sample(np.array([1.0]), 1.0)  # w = 1, h = 1, beta stays 0
+        with np.errstate(over="ignore"):
+            with pytest.raises(DivergenceError, match="non-finite iterate"):
+                s.step_sample(np.array([1.0]), 1000.0)  # beta = 999, alpha = inf
+        assert s.point.tolist() == s.h.tolist() == [1.0] and s.k == 1
+        assert s.beta.tolist() == [0.0] and same_bits(s.last_alpha, np.exp(s.beta))
 
     def test_step_size_of_minus_inf_commits(self):
         # beta has no check of its own: at -inf alpha is 0 and w stays finite

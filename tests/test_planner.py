@@ -231,20 +231,16 @@ class TestPlannerForm:
         events = 0
         for w, g in zip(ws, gs):
             fired = lists.push(w.tolist(), g.tolist())
-            assert arrays.record(pair(w, g)) is fired
+            assert arrays.push(w, g) is fired
             if not fired:
                 continue
             events += 1
-            assert type(lists.sum1) is list and type(arrays.sum1) is np.ndarray
-            alpha = compute_alpha(lists)
-            assert type(alpha) is np.ndarray and alpha.dtype == np.float64
-            for got, want in zip((lists.sum1, lists.sum2, alpha), fit(arrays)):
-                assert same_bits(got, want)
+            got, want = ((b.sum1, b.sum2, b.alpha(b.sum1, b.sum2)) for b in (lists, arrays))
+            assert [type(v) for v in got] == [list] * 3
+            assert [type(v) for v in want] == [np.ndarray] * 3
+            for a, b in zip(got, want):
+                assert same_bits(a, b)
         assert events == 5
-        fresh = ExperienceBuffer(k)
-        fresh.push(ws[0].tolist(), gs[0].tolist())
-        with pytest.raises(ValueError, match="full"):
-            compute_alpha(fresh)
 
 
 class TestExperienceBuffer:
@@ -334,6 +330,19 @@ class TestComputeAlpha:
         buf.record(pair([1.0], [1.0]))
         with pytest.raises(ValueError, match="full"):
             compute_alpha(buf)
+
+    def test_a_list_buffer_gives_a_float64_array(self, rng):
+        lists, arrays = ExperienceBuffer(2), ExperienceBuffer(2)
+        ws, gs = rng.standard_normal((4, 2)), rng.standard_normal((4, 2))
+        for n, (w, g) in enumerate(zip(ws, gs), 1):
+            lists.push(w.tolist(), g.tolist())
+            arrays.record(pair(w, g))
+            if n < 4:
+                with pytest.raises(ValueError, match="full"):
+                    compute_alpha(lists)
+        alpha = compute_alpha(lists)
+        assert type(alpha) is np.ndarray and alpha.dtype == np.float64
+        assert same_bits(alpha, compute_alpha(arrays))
 
     def test_sum2_nonnegative_and_zero_rule(self, rng):
         for _ in range(50):
@@ -459,36 +468,36 @@ class TestPlannerRun:
         trace = run_planner(obj, [-1.0, 2.0], EvalBudget(max_iterations=500, error_floor=1e-8),
                             gamma=0.0009, k=2)
         assert trace.status == CONVERGED
-        assert trace.records[-1].iteration < 500
-        assert trace.records[-1].error <= 1e-8
+        assert len(trace) < 500
+        assert trace.error[-1] <= 1e-8
 
     def test_zero_gradient_start_is_fixed_point(self):
         obj = quadratic_objective()
         trace = run_planner(obj, [1.0, 1.0], EvalBudget(max_iterations=20, error_floor=None),
                             gamma=0.0009, k=2, record_w=True)
-        for r in trace.records:
-            assert np.array_equal(r.w, [1.0, 1.0])
-            assert r.error == 0.0
-            if r.alpha is not None:
-                assert np.array_equal(r.alpha, [0.0, 0.0])  # sum2 = 0 guard
+        for row in range(len(trace)):
+            assert np.array_equal(trace.w.get(row), [1.0, 1.0])
+            assert trace.error[row] == 0.0
+            alpha = trace.alpha.get(row)
+            if alpha is not None:
+                assert np.array_equal(alpha, [0.0, 0.0])  # sum2 = 0 guard
 
     def test_negative_alpha_occurs_on_rosenbrock(self):
         obj = make_objective(RosenbrockProblem())
         trace = run_planner(obj, [-1.0, 0.0], EvalBudget(max_iterations=4000, error_floor=None),
                             gamma=0.001, k=2)
-        planner_alphas = [r.alpha for r in trace.records if r.alpha is not None]
-        assert any(a[1] < 0.0 for a in planner_alphas)
+        assert any(trace.alpha.get(row)[1] < 0.0 for row in trace.alpha.rows)
 
     def test_divergence_truncates(self):
         obj = make_objective(RosenbrockProblem())
         # gamma far above the stability limit
         trace = run_planner(obj, [-1.0, 0.0], EvalBudget(max_iterations=5000), gamma=0.02, k=2)
         assert trace.status == DIVERGED
-        assert len(trace.records) < 5000
-        cap_ok = (not np.isfinite(trace.records[-1].error)) or trace.records[-1].error > 1e12
+        assert len(trace) < 5000
+        cap_ok = (not np.isfinite(trace.error[-1])) or trace.error[-1] > 1e12
         assert cap_ok
-        for r in trace.records[:-1]:
-            assert np.isfinite(r.error) and r.error <= 1e12
+        for e in trace.error[:-1]:
+            assert np.isfinite(e) and e <= 1e12
 
     @pytest.mark.parametrize("gamma, m, grads, golden", [
         # K=1: the event at iteration 2 fits alpha = 1 and completes; the
@@ -509,11 +518,11 @@ class TestPlannerRun:
         trace = run_steps(StepSizePlanner([0.0], gamma=gamma, k=1, p=1, m=m), obj,
                           EvalBudget(max_iterations=10), obj.error, record_w=True, record_alpha=True)
         assert trace.status == DIVERGED
-        last = trace.records[-1]
-        assert [r.error for r in trace.records].count(np.inf) == 1 and last.error == np.inf
-        assert last.grad_evals == len(grads) == trace.total_grad_evals
-        assert last.alpha is None
-        assert np.array_equal(last.w, trace.records[-2].w)
+        last = len(trace) - 1
+        assert trace.error.count(np.inf) == 1 and trace.error[last] == np.inf
+        assert trace.grad_evals[last] == len(grads) == trace.total_grad_evals
+        assert trace.alpha.get(last) is None
+        assert np.array_equal(trace.w.get(last), trace.w.get(last - 1))
         write_csv(trace, tmp_path / "t.csv")
         assert (tmp_path / "t.csv").read_bytes() == golden.encode()
 

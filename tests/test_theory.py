@@ -170,6 +170,15 @@ class TestKantorovichBound:
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 check_instance(np.eye(1), mu, L, [1.0])
 
+    @pytest.mark.parametrize("L", [100.0, 1.0], ids=["L-above", "L-below"])
+    def test_check_instance_takes_the_extremes_of_q(self, L):
+        # unchecked, L=100 passed scalar-rate against 0.961 (the true bound is 0.36)
+        # and L=1 failed it against 0.0
+        message = (f"mu and L must be Q's extreme eigenvalues 1.0 and 4.0 (within 1e-12 * L), "
+                   f"got mu=1.0, L={L!r}")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            check_instance(np.diag([1.0, 4.0]), 1.0, L, [1.0, 1.0])
+
 
 class TestIdealDiagStep:
     def test_lands_exactly(self, rng):
