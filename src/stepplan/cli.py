@@ -190,17 +190,12 @@ def verify(trials, d_max, seed, out):
     return [f"check {name} failed" for name, entry in summary.items() if not entry["passed"]]
 
 
-@cli.command(cls=_Command)
+@cli.command(cls=_Command,
+             help="Run a canned benchmark preset.\n\n\b\nPresets:" + "\n  ".join(["", *PRESETS]))
 @click.argument("preset")
 @_OUT
 @_SVG
 def repro(preset, out, svg):
-    """Run a canned benchmark preset (see `stepplan repro --help` for names).
-
-    \b
-    Presets: convex-fig4, rosenbrock-fig6, rosenbrock-p5-fig8,
-             rosenbrock-adam-fig10
-    """
     if preset not in PRESETS:
         raise click.UsageError(
             f"unknown preset {preset!r}; choose from: {', '.join(sorted(PRESETS))}")

@@ -5,8 +5,9 @@ Every stepper keeps its iterate in ``point``.  ``_Stepper`` picks its form
 once, from the start point's dimension: a list of floats at ``LIST_MAX_DIM``
 entries and below, a one-dimensional float64 array above.  ``_unrolled``
 renders each rule template in either form, one entry at a time on a list and
-as one whole-array statement on an array, so each rule has one copy; a
-reduction is a ``+`` chain on a list and BLAS ``@`` on an array.  The
+as one whole-array statement on an array, so each rule has one copy, by text
+substitution alone; the one reduction, ``dot(a, b)``, is a ``+`` chain on a
+list and BLAS ``@`` on an array.  The
 gradient ``Objective.grad`` returns has the form of the point it was asked
 at.  The helpers here validate finiteness, dimension and the ranges that
 more than one field shares (``_count``'s lower bound, ``_positive``,
@@ -16,8 +17,8 @@ and only re-check where an update can blow up.
 
 from __future__ import annotations
 
-import ast
 import numbers
+import re
 from dataclasses import dataclass
 from functools import cache
 from math import inf, isfinite, sqrt
@@ -178,14 +179,9 @@ def _kernel(point: Point, params: str, *rules: str) -> Callable:
     return _unrolled(len(point) if isinstance(point, list) else None, params, *rules)
 
 
-class _Conditional(ast.NodeTransformer):
-    """Rewrites each call ``where(c, x, y)`` as the expression ``(x if c else y)``."""
-
-    def visit_Call(self, node):
-        self.generic_visit(node)
-        if isinstance(node.func, ast.Name) and node.func.id == "where":
-            return ast.IfExp(*node.args)
-        return node
+def _where(c: bool, x: float, y: float) -> float:
+    """``x`` if ``c`` else ``y``: ``np.where`` for one entry."""
+    return x if c else y
 
 
 @cache
@@ -195,37 +191,34 @@ def _unrolled(d: Optional[int], params: str, *rules: str) -> Callable:
     Each rule ``"name = expr"`` reads each vector ``v`` as ``v[i]``.  For
     ``d`` entries it becomes the list display ``name = [expr_0, ...,
     expr_{d-1}]``, where ``expr_j`` is ``expr`` with every ``[i]`` read as
-    ``[j]``, ``sqrt`` is ``math.sqrt`` and each ``where(c, x, y)`` is rewritten
-    as ``(x if c else y)``.  For ``d=None`` it becomes one whole-array
-    statement, ``expr`` without its ``[i]``, with ``np.sqrt`` and
-    ``np.where``, one kernel for every dimension.  Both round each entry as
-    ``expr`` does on one component.  A reduction rule ``"s = sum(x[i] *
-    y[i])"`` assigns a float: ``(x_0 * y_0 + ... + x_{d-1} * y_{d-1})``, one
-    left-to-right chain, for ``d`` entries (builtin ``sum`` is compensated
-    from Python 3.12 on), and ``float(x @ y)`` through BLAS for ``d=None``.
-    The rules run in order, and a later one reads what an earlier one
-    assigned.  The rules are string constants in the steppers; only the
-    integer ``d`` enters the source.  Each kernel is built once per process
-    and key, and the steppers bind theirs in their constructors.
+    ``[j]``; ``sqrt`` is ``math.sqrt`` and ``where(c, x, y)`` is ``x if c
+    else y``.  For ``d=None`` it becomes one whole-array statement, ``expr``
+    without its ``[i]``, with ``np.sqrt`` and ``np.where``, one kernel for
+    every dimension.  Both round each entry as ``expr`` does on one
+    component, and both evaluate both branches of a ``where``.  The one
+    reduction is the whole rule ``"s = dot(a, b)"``, which assigns a float:
+    ``(a[0] * b[0] + ... + a[d-1] * b[d-1])``, one left-to-right chain, for
+    ``d`` entries (builtin ``sum`` is compensated from Python 3.12 on), and
+    ``float(a @ b)`` through BLAS for ``d=None``.  The rules run in order,
+    and a later one reads what an earlier one assigned.  The rules are
+    string constants in the steppers; only the integer ``d`` enters the
+    source.  Each kernel is built once per process and key, and the
+    steppers bind theirs in their constructors.
     """
     names, lines = [], []
     for rule in rules:
         name, expr = (part.strip() for part in rule.split("=", 1))
-        tree = ast.parse(expr, mode="eval").body
-        reduction = isinstance(tree, ast.Call) and getattr(tree.func, "id", None) == "sum"
+        dot = re.fullmatch(r"dot\((\w+), (\w+)\)", expr)
         if d is None:
-            if reduction:  # sum(a[i] * b[i]) -> float(a[i] @ b[i])
-                tree.func.id, tree.args[0].op = "float", ast.MatMult()
-                expr = ast.unparse(tree)
-            value = expr.replace("[i]", "")
+            value = f"float({dot[1]} @ {dot[2]})" if dot else expr.replace("[i]", "")
+        elif dot:
+            value = f"({' + '.join(f'{dot[1]}[{j}] * {dot[2]}[{j}]' for j in range(d))})"
         else:
-            term = ast.unparse(_Conditional().visit(tree.args[0] if reduction else tree))
-            entries = [term.replace("[i]", f"[{j}]") for j in range(d)]
-            value = f"({' + '.join(entries)})" if reduction else f"[{', '.join(entries)}]"
+            value = f"[{', '.join(expr.replace('[i]', f'[{j}]') for j in range(d))}]"
         names.append(name)
         lines.append(f"    {name} = {value}")
     source = f"def kernel({params}):\n" + "\n".join(lines) + f"\n    return {', '.join(names)}\n"
-    namespace = {"sqrt": np.sqrt, "where": np.where} if d is None else {"sqrt": sqrt}
+    namespace = {"sqrt": np.sqrt, "where": np.where} if d is None else {"sqrt": sqrt, "where": _where}
     exec(source, namespace)
     return namespace["kernel"]
 

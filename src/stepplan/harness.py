@@ -185,11 +185,11 @@ def empirical_rate(trace: Trace, window: Tuple[int, int]) -> float:
         raise ValueError("window must satisfy 0 < start < end")
     if end > len(trace):
         raise ValueError(f"no record at iteration {end}")
-    # every record in between must be positive for the geometric mean to exist
+    # every record in between must be positive (not NaN) for the geometric mean to exist
     errors = trace.error[start - 1:end]
     for it, e in enumerate(errors, start):
-        if e <= 0.0:
-            raise ValueError(f"non-positive error inside the window at iteration {it}")
+        if not e > 0.0:
+            raise ValueError(f"non-positive or NaN error inside the window at iteration {it}")
     return float((errors[-1] / errors[0]) ** (1.0 / (end - start)))
 
 

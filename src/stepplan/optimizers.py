@@ -14,9 +14,9 @@ to ``core.LIST_MAX_DIM`` entries, where a numpy ufunc call costs more than
 the arithmetic, and float64 arrays above.  Each builds its update once, in
 its constructor, from kernels that ``core._unrolled`` renders from rule
 templates in that form, so a step sets up no loop.  ``+ - * /`` and
-``sqrt`` round correctly in both forms, so they give the same bytes; a
-reduction (``_DOT``) is a left-to-right ``+`` chain on a list and BLAS on an
-array.  ``Idbd``, whose ``exp`` may round differently from ``math.exp``,
+``sqrt`` round correctly in both forms, so they give the same bytes; the
+one reduction, ``_DOT``'s ``dot(a, b)``, is a left-to-right ``+`` chain on a
+list and BLAS on an array.  ``Idbd``, whose ``exp`` may round differently from ``math.exp``,
 keeps ``point`` as a float64 array at every dimension.
 """
 
@@ -31,7 +31,7 @@ from .core import (Array, Objective, StationaryPointError, _Stepper, _build, _fi
 from .planner import _DESCEND, StepSizePlanner
 
 # the scalar product of two vectors, and the decay of L4's momentum and IDBD1's trace
-_DOT = ("a, b", "s = sum(a[i] * b[i])")
+_DOT = ("a, b", "s = dot(a, b)")
 _DECAY = ("v, p, g", "v = p * v[i] + g[i]")
 
 

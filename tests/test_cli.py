@@ -524,8 +524,8 @@ class TestVerify:
 
 
     def test_failed_check_exits_1(self, runner, tmp_path, monkeypatch):
-        failing = RateReport("scalar-rate", rho=0.5, bound=0.25, satisfied=False)
-        passing = RateReport("diag-one-step", rho=0.0, bound=0.0, satisfied=True)
+        failing = RateReport("scalar-rate", rho=0.5, bound=0.25)
+        passing = RateReport("diag-one-step", rho=0.0, bound=0.0)
         monkeypatch.setattr(stepplan.cli, "verify_theorems", lambda **kw: [failing, passing])
         out = tmp_path / "out"
         result = runner.invoke(cli, ["verify", "--trials", "1", "--out", str(out)])
@@ -542,6 +542,12 @@ class TestRepro:
         result = runner.invoke(cli, ["repro", "warp-speed", "--out", str(tmp_path)])
         assert result.exit_code == 2
         assert "unknown preset" in result.output
+
+    def test_help_lists_every_preset(self, runner):
+        result = runner.invoke(cli, ["repro", "--help"])
+        assert result.exit_code == 0
+        for name in PRESETS:
+            assert name in result.output, name
 
     def test_p5_preset_runs(self, runner, tmp_path):
         out = tmp_path / "out"

@@ -366,13 +366,13 @@ class TestBoundRules:
 
 
 class TestReductionKernel:
-    """A reduction template is one left-to-right ``+`` chain on a list and BLAS
-    ``@`` on an array."""
+    """The reduction rule ``"s = dot(a, b)"`` is one left-to-right ``+`` chain on a
+    list and BLAS ``@`` on an array."""
 
     def test_the_list_form_sums_left_to_right(self):
         # a compensated sum (builtin sum from Python 3.12, math.fsum) gives 1.0
         a, b = [1e16, 1.0, -1e16], [1.0, 1.0, 1.0]
-        assert _unrolled(3, "a, b", "s = sum(a[i] * b[i])")(a, b) == 0.0
+        assert _unrolled(3, "a, b", "s = dot(a, b)")(a, b) == 0.0
         a, b = np.array(a), np.array(b)
-        s = _unrolled(None, "a, b", "s = sum(a[i] * b[i])")(a, b)
+        s = _unrolled(None, "a, b", "s = dot(a, b)")(a, b)
         assert type(s) is float and s == float(a @ b)

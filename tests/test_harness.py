@@ -399,9 +399,10 @@ class TestEmpiricalRate:
             empirical_rate(t, (2, 1))
 
     def test_zero_error_in_window(self):
-        t = synthetic_trace([1.0, 0.0, 1.0])
-        with pytest.raises(ValueError, match="non-positive"):
-            empirical_rate(t, (1, 3))
+        nan = float("nan")
+        for errors in ([1.0, 0.0, 1.0], [1.0, 0.5, nan], [nan, 0.5, 0.25]):
+            with pytest.raises(ValueError, match="non-positive"):
+                empirical_rate(synthetic_trace(errors), (1, 3))
 
     def test_reads_the_window_rows(self):
         t = trace_of([1, 3, 5])

@@ -225,8 +225,11 @@ class TestVerify:
             check_instance(np.eye(2), 1.0, 1.0, [1e-200, 1e-200])
 
     def test_summary_counts_a_failure(self):
-        reports = [RateReport("scalar-rate", rho=0.1, bound=0.2, satisfied=True),
-                   RateReport("scalar-rate", rho=0.3, bound=0.2, satisfied=False)]
+        reports = [RateReport("scalar-rate", rho=0.1, bound=0.2),
+                   RateReport("scalar-rate", rho=0.3, bound=0.2)]
+        assert [r.satisfied for r in reports] == [True, False]
+        with pytest.raises(TypeError):  # skipped is keyword-only
+            RateReport("scalar-rate", 0.3, 0.2, True)
         entry = summarize_reports(reports)["scalar-rate"]
         assert entry["trials"] == 2 and entry["failures"] == 1
         assert entry["passed"] is False
